@@ -107,15 +107,7 @@ def _print_test_report(report: endogeneity.TestReport, fmt: str) -> None:
 def _identity_report_dict(report: endogeneity.IdentityReport) -> dict:
     return {
         "schema_version": 1,
-        "gaps": {
-            "theta_cf_vs_tsls": report.theta_cf_vs_tsls_gap,
-            "rho_closed_form": report.rho_closed_form_gap,
-            "tcf_equivalence": report.tcf_equivalence_gap,
-            "variance_link_ols": report.variance_link_ols_gap,
-            "variance_link_tsls": report.variance_link_tsls_gap,
-            "scaled_statistic": report.scaled_statistic_gap,
-            "theta_gap_transform": report.theta_gap_transform_gap,
-        },
+        "gaps": report.gaps(),
         "max_gap": report.max_gap(),
         "ordering_ok": report.ordering_ok,
     }
@@ -147,7 +139,12 @@ def _random_dataset(tokens: list[str]) -> data.Dataset:
         key, _, val = tok.partition("=")
         if key not in params:
             raise ConfigInvalid(f"unknown --random key {key!r} (allowed: {sorted(params)})")
-        params[key] = float(val) if key in ("rho", "c") else int(val)
+        real = key in ("rho", "c")
+        try:
+            params[key] = float(val) if real else int(val)
+        except ValueError:
+            kind = "a number" if real else "an integer"
+            raise ConfigInvalid(f"--random {key} expects {kind}, got {val!r}") from None
     cfg = simulation.DgpConfig(
         n=params["n"],
         d_y1=params["d_y1"],
@@ -161,12 +158,18 @@ def _random_dataset(tokens: list[str]) -> data.Dataset:
     return simulation.generate_dataset(cfg, 0, params["seed"])
 
 
+def _admissible(ds: data.Dataset) -> bool:
+    """Validate ``ds``; when it fails, print the reasons to stderr."""
+    report = data.validate(ds)
+    if not report.all_ok:
+        for msg in report.messages:
+            print(f"endocheck: {msg}", file=sys.stderr)
+    return report.all_ok
+
+
 def cmd_test(args) -> int:
     ds = _load_dataset(args)
-    report_v = data.validate(ds)
-    if not report_v.all_ok:
-        for msg in report_v.messages:
-            print(f"endocheck: {msg}", file=sys.stderr)
+    if not _admissible(ds):
         return EXIT_VALIDATION
     report = endogeneity.run_all_tests(ds, alphas=args.alpha)
     _print_test_report(report, args.format)
@@ -181,10 +184,7 @@ def cmd_verify(args) -> int:
             print("endocheck: verify needs a CSV path or --random", file=sys.stderr)
             return EXIT_VALIDATION
         ds = _load_dataset(args)
-    report_v = data.validate(ds)
-    if not report_v.all_ok:
-        for msg in report_v.messages:
-            print(f"endocheck: {msg}", file=sys.stderr)
+    if not _admissible(ds):
         return EXIT_VALIDATION
     report = endogeneity.verify_identities(ds, tol=args.tol)
     _print_identity_report(report, args.format, args.tol)
@@ -205,7 +205,7 @@ def cmd_simulate(args) -> int:
         simulation.write_result_json(os.path.join(args.out, "simulation.json"), document)
         simulation.write_result_csv(os.path.join(args.out, "simulation.csv"), dgp, sim, entries)
     if args.format == "json":
-        print(json.dumps(document, indent=2, sort_keys=True))
+        print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(f"{'test':<6} {'alpha':>6} {'rho':>12} {'rate':>8} {'stderr':>8}")
         for rho, res in entries:
@@ -260,14 +260,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigInvalid as exc:
-        print(f"endocheck: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DegenerateVariance as exc:
-        print(f"endocheck: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except EndocheckError as exc:
         print(f"endocheck: {exc}", file=sys.stderr)
+        if isinstance(exc, ConfigInvalid):
+            return EXIT_CONFIG
+        if isinstance(exc, DegenerateVariance):
+            return EXIT_DEGENERATE
         return EXIT_VALIDATION
 
 

@@ -10,10 +10,11 @@ Hausman form evaluated at the control-function residual variance.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.special import chdtr, chdtrc, chdtri
 
 from . import linalg
 from .data import Dataset, design_matrices
@@ -27,95 +28,24 @@ STRICTNESS_THRESHOLD = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# Chi-square distribution (regularized lower incomplete gamma)
+# Chi-square distribution
 # ---------------------------------------------------------------------------
-
-_GAMMA_EPS = 1e-16
-_GAMMA_ITMAX = 600
-
-
-def _reg_lower_gamma(a: float, x: float) -> float:
-    """P(a, x): series for x < a + 1, Lentz continued fraction otherwise."""
-    if x <= 0.0:
-        return 0.0
-    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
-    if x < a + 1.0:
-        ap = a
-        total = term = 1.0 / a
-        for _ in range(_GAMMA_ITMAX):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * _GAMMA_EPS:
-                break
-        return min(1.0, total * math.exp(log_prefactor))
-    # continued fraction for Q(a, x)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_ITMAX):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    q = math.exp(log_prefactor) * h
-    return max(0.0, 1.0 - q)
-
 
 def chi2_cdf(df: int, x: float) -> float:
     """CDF of the chi-square distribution with ``df`` degrees of freedom."""
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    return _reg_lower_gamma(df / 2.0, x / 2.0)
-
-
-def _chi2_pdf(df: int, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    half = df / 2.0
-    return math.exp((half - 1.0) * math.log(x) - x / 2.0 - half * math.log(2.0) - math.lgamma(half))
+    # chdtr is nan below zero, where the CDF is zero.
+    return float(chdtr(df, x)) if x > 0.0 else 0.0
 
 
 def chi2_quantile(df: int, p: float) -> float:
-    """Inverse chi-square CDF via bracketed bisection plus Newton polish."""
+    """Inverse chi-square CDF: the ``x`` with ``chi2_cdf(df, x) == p``."""
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    lo, hi = 0.0, float(df)
-    while chi2_cdf(df, hi) < p:
-        hi *= 2.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if chi2_cdf(df, mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * (1.0 + hi):
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(4):
-        pdf = _chi2_pdf(df, x)
-        if pdf <= 0.0:
-            break
-        step = (chi2_cdf(df, x) - p) / pdf
-        x_new = x - step
-        if lo < x_new < hi:
-            x = x_new
-        if abs(step) < 1e-14 * (1.0 + x):
-            break
-    return x
+    return float(chdtri(df, 1.0 - p))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +123,13 @@ class Statistics:
     def by_name(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in TEST_NAMES}
 
+    def ordered(self, slack: float = 0.0, strict: bool = False) -> bool:
+        """Whether ``t_cf >= t_h1 >= t_h2 >= t_h3`` holds, each step up to
+        ``slack``; with ``strict``, ``>`` in place of ``>=``."""
+        chain = (self.t_cf, self.t_h1, self.t_h2, self.t_h3)
+        holds = operator.gt if strict else operator.ge
+        return all(holds(a, b - slack) for a, b in zip(chain, chain[1:]))
+
 
 def _grams(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     dm = design_matrices(ds)
@@ -232,43 +169,28 @@ def compute_statistics(ds: Dataset) -> Statistics:
 
 
 @dataclass(frozen=True)
-class TestReport:
-    """Four endogeneity statistics with chi-square p-values and decisions."""
+class TestReport(Statistics):
+    """The four statistics with chi-square p-values and per-level reject decisions."""
 
-    t_h1: float
-    t_h2: float
-    t_h3: float
-    t_cf: float
-    h_n: float
-    df: int
     p_values: dict[str, float]
     decisions: dict[float, dict[str, bool]]
-    beta_gap: np.ndarray
 
     def statistics(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in TEST_NAMES}
+        return self.by_name()
 
 
 def run_all_tests(ds: Dataset, alphas=(0.01, 0.05, 0.10)) -> TestReport:
     """Compute all four statistics, p-values, and per-level reject decisions."""
     stats = compute_statistics(ds)
     values = stats.by_name()
-    p_values = {name: 1.0 - chi2_cdf(stats.df, t) for name, t in values.items()}
+    # The upper tail straight from chdtrc stays accurate where 1 - CDF rounds
+    # to zero; chdtrc is nan below zero, where the tail is one.
+    p_values = {name: float(chdtrc(stats.df, max(t, 0.0))) for name, t in values.items()}
     decisions = {}
     for alpha in alphas:
         crit = chi2_quantile(stats.df, 1.0 - alpha)
         decisions[float(alpha)] = {name: bool(t > crit) for name, t in values.items()}
-    return TestReport(
-        t_h1=stats.t_h1,
-        t_h2=stats.t_h2,
-        t_h3=stats.t_h3,
-        t_cf=stats.t_cf,
-        h_n=stats.h_n,
-        df=stats.df,
-        p_values=p_values,
-        decisions=decisions,
-        beta_gap=stats.beta_gap,
-    )
+    return TestReport(**vars(stats), p_values=p_values, decisions=decisions)
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +214,13 @@ class IdentityReport:
     theta_gap_transform_gap: float   # theta gap as a linear map of the beta gap
     ordering_ok: bool
 
+    def gaps(self) -> dict[str, float]:
+        """Every ``*_gap`` field, keyed by its name without the suffix."""
+        return {f.name.removesuffix("_gap"): getattr(self, f.name)
+                for f in fields(self) if f.name.endswith("_gap")}
+
     def max_gap(self) -> float:
-        return max(
-            self.theta_cf_vs_tsls_gap,
-            self.rho_closed_form_gap,
-            self.tcf_equivalence_gap,
-            self.variance_link_ols_gap,
-            self.variance_link_tsls_gap,
-            self.scaled_statistic_gap,
-            self.theta_gap_transform_gap,
-        )
+        return max(self.gaps().values())
 
     def within(self, tol: float) -> bool:
         return self.max_gap() < tol and self.ordering_ok
@@ -351,16 +270,10 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     )
 
     gap_is_strict = np.linalg.norm(gap) > STRICTNESS_THRESHOLD * (1.0 + np.linalg.norm(ols.beta_hat))
-    t = stats.by_name()
-    slack = tol * (1.0 + t["t_cf"])
     if gap_is_strict:
-        ordering_ok = t["t_cf"] > t["t_h1"] > t["t_h2"] > t["t_h3"]
+        ordering_ok = stats.ordered(strict=True)
     else:
-        ordering_ok = (
-            t["t_cf"] >= t["t_h1"] - slack
-            and t["t_h1"] >= t["t_h2"] - slack
-            and t["t_h2"] >= t["t_h3"] - slack
-        )
+        ordering_ok = stats.ordered(tol * (1.0 + stats.t_cf))
 
     return IdentityReport(
         theta_cf_vs_tsls_gap=_rel_vec(cf.theta_cf, tsls.theta_hat),
@@ -372,5 +285,5 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
         ),
         scaled_statistic_gap=scaled_gap,
         theta_gap_transform_gap=_rel_vec(ols.theta_hat - tsls.theta_hat, theta_gap_pred),
-        ordering_ok=bool(ordering_ok),
+        ordering_ok=ordering_ok,
     )

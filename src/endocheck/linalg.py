@@ -28,15 +28,16 @@ def _as_2d(a) -> np.ndarray:
 
 
 def _pivoted_qr(a: np.ndarray):
-    """Economy QR with column pivoting; raises RankDeficient on a small pivot."""
+    """Economy QR with column pivoting, plus the rank evidence.
+
+    Returns ``(q, r, perm, pivots, tol)`` with ``pivots = |diag(r)|`` and
+    ``tol = RANK_TOL * max column norm``; a pivot at or below ``tol`` marks
+    a dependent column.
+    """
     q, r, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
     col_norms = np.linalg.norm(a, axis=0)
     tol = RANK_TOL * (col_norms.max() if col_norms.size else 0.0)
-    diag = np.abs(np.diag(r))
-    small = np.nonzero(diag <= tol)[0]
-    if small.size:
-        raise RankDeficient(int(perm[small[0]]))
-    return q, r, perm
+    return q, r, perm, np.abs(np.diag(r)), tol
 
 
 def solve_least_squares(a, b) -> np.ndarray:
@@ -65,7 +66,10 @@ def solve_least_squares(a, b) -> np.ndarray:
         raise ValueError(f"shape mismatch: A has {n} rows, B has {b2.shape[0]}")
     if n < k:
         raise ValueError(f"underdetermined system: n={n} < k={k}")
-    q, r, perm = _pivoted_qr(a)
+    q, r, perm, pivots, tol = _pivoted_qr(a)
+    small = np.nonzero(pivots <= tol)[0]
+    if small.size:
+        raise RankDeficient(int(perm[small[0]]))
     c_perm = scipy.linalg.solve_triangular(r, q.T @ b2)
     c = np.empty_like(c_perm)
     c[perm] = c_perm
@@ -115,11 +119,9 @@ def rank_report(a) -> tuple[bool, float]:
     smallest pivot is zero).
     """
     a = _as_2d(a)
-    _, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    col_norms = np.linalg.norm(a, axis=0)
-    tol = RANK_TOL * (col_norms.max() if col_norms.size else 0.0)
-    diag = np.abs(np.diag(r))
-    dmin = diag.min() if diag.size else 0.0
-    dmax = diag.max() if diag.size else 0.0
+    _, _, _, pivots, tol = _pivoted_qr(a)
+    # With fewer rows than columns, some columns get no pivot at all.
+    dmin = pivots.min() if 0 < pivots.size == a.shape[1] else 0.0
+    dmax = pivots.max() if pivots.size else 0.0
     cond = float(dmax / dmin) if dmin > 0 else float("inf")
     return bool(dmin > tol), cond

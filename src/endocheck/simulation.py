@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -44,6 +45,14 @@ def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri(u)
 
 
+def _require_ints(cfg) -> None:
+    """Reject bools and non-integers in the ``int`` fields of a config."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ConfigInvalid(f"'{f.name}' must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DgpConfig:
     """Parameters of the Gaussian data-generating process.
@@ -67,9 +76,9 @@ class DgpConfig:
     intercept: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-        object.__setattr__(self, "rho", tuple(float(r) for r in self.rho))
+        _require_ints(self)
+        for name in ("beta", "gamma", "rho"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         if self.n <= 2 * self.d_y1 + self.d_z1:
             raise ConfigInvalid(f"n={self.n} too small (need n > {2 * self.d_y1 + self.d_z1})")
         if self.d_z2 < self.d_y1:
@@ -96,6 +105,7 @@ class SimConfig:
     tests: tuple[str, ...] = TEST_NAMES
 
     def __post_init__(self):
+        _require_ints(self)
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "tests", tuple(self.tests))
         if self.replications < 1:
@@ -162,14 +172,9 @@ def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
         except EndocheckError:
             degenerate += 1
             continue
-        values = stats.by_name()
-        slack = 1e-9 * (1.0 + values["t_cf"])
-        if not (
-            values["t_cf"] >= values["t_h1"] - slack
-            and values["t_h1"] >= values["t_h2"] - slack
-            and values["t_h2"] >= values["t_h3"] - slack
-        ):
+        if not stats.ordered(1e-9 * (1.0 + stats.t_cf)):
             ordering_violations += 1
+        values = stats.by_name()
         for t in sim.tests:
             for a in sim.alphas:
                 if values[t] > crit[a]:
@@ -199,7 +204,12 @@ def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
 
 def power_curve(dgp_base: DgpConfig, rho_grid, sim: SimConfig) -> list[tuple[tuple[float, ...], SimResult]]:
     """Run the Monte Carlo at each endogeneity level in the grid, in order."""
-    grid = [tuple(float(r) for r in np.atleast_1d(rho)) for rho in rho_grid]
+    grid = []
+    for rho in rho_grid:
+        try:
+            grid.append(tuple(float(r) for r in np.atleast_1d(rho)))
+        except (TypeError, ValueError):
+            raise ConfigInvalid(f"rho grid entry {rho!r} is not a number or a list of numbers") from None
     if not grid:
         raise ConfigInvalid("rho grid must be nonempty")
     out = []
@@ -250,20 +260,15 @@ def load_config(path) -> tuple[DgpConfig, SimConfig, list | None]:
     return dgp, sim, grid
 
 
-def _dgp_dict(dgp: DgpConfig) -> dict:
-    return {
-        "n": dgp.n,
-        "d_y1": dgp.d_y1,
-        "d_z1": dgp.d_z1,
-        "d_z2": dgp.d_z2,
-        "beta": list(dgp.beta),
-        "gamma": list(dgp.gamma),
-        "pi2_strength": dgp.pi2_strength,
-        "rho": list(dgp.rho),
-        "sigma_u": dgp.sigma_u,
-        "sigma_v": dgp.sigma_v,
-        "intercept": dgp.intercept,
-    }
+def _config_dict(cfg) -> dict:
+    """A config dataclass as JSON-ready fields, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
+
+
+def _null_if_nan(x: float) -> float | None:
+    # A run with no completed replication has undefined rates; strict JSON
+    # has no NaN, so they are written as null.
+    return None if math.isnan(x) else x
 
 
 def result_document(dgp: DgpConfig, sim: SimConfig, entries: list[tuple[tuple[float, ...], SimResult]]) -> dict:
@@ -277,8 +282,8 @@ def result_document(dgp: DgpConfig, sim: SimConfig, entries: list[tuple[tuple[fl
                     {
                         "test": t,
                         "alpha": a,
-                        "rate": res.rejection_rate[t][a],
-                        "stderr": res.mc_stderr[t][a],
+                        "rate": _null_if_nan(res.rejection_rate[t][a]),
+                        "stderr": _null_if_nan(res.mc_stderr[t][a]),
                         "count": res.rejection_count[t][a],
                     }
                     for t in sim.tests
@@ -291,20 +296,15 @@ def result_document(dgp: DgpConfig, sim: SimConfig, entries: list[tuple[tuple[fl
         )
     return {
         "schema_version": SCHEMA_VERSION,
-        "dgp": _dgp_dict(dgp),
-        "sim": {
-            "replications": sim.replications,
-            "seed": sim.seed,
-            "alphas": list(sim.alphas),
-            "tests": list(sim.tests),
-        },
+        "dgp": _config_dict(dgp),
+        "sim": _config_dict(sim),
         "points": points,
     }
 
 
 def write_result_json(path, document: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
+        json.dump(document, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from endocheck import chi2_cdf, chi2_quantile
+from endocheck import chi2_cdf, chi2_quantile, endogeneity
 
 
 def chi2_cdf_integration_oracle(df, x):
@@ -67,3 +67,20 @@ class TestQuantile:
         for p in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 chi2_quantile(2, p)
+
+
+@pytest.mark.parametrize("df", [1, 2, 5])
+@pytest.mark.parametrize("t", [40.0, 80.0, 200.0])
+def test_run_all_tests_tail_p_values(monkeypatch, df, t):
+    """p-values far in the upper tail keep full relative accuracy."""
+    mpmath = pytest.importorskip("mpmath")
+    stats = endogeneity.Statistics(
+        t_h1=t, t_h2=t, t_h3=t, t_cf=t, h_n=0.0, df=df, beta_gap=np.zeros(df),
+        ols=None, tsls=None, cf=None, gram_2sls=None, gram_ols=None,
+    )
+    monkeypatch.setattr(endogeneity, "compute_statistics", lambda ds: stats)
+    report = endogeneity.run_all_tests(None)
+    with mpmath.workdps(40):
+        expected = float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(t) / 2, mpmath.inf, regularized=True))
+    for name, p in report.p_values.items():
+        assert p == pytest.approx(expected, rel=1e-12, abs=0.0), name

@@ -14,6 +14,15 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """Parse JSON, refusing bare NaN / Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 class TestCmdTest:
     def test_f1_json_matches_fixture(self, capsys, f1_path, f1_expected):
         code, out, _ = run(capsys, ["test", str(f1_path), *F1_ARGS, "--format", "json"])
@@ -106,6 +115,11 @@ class TestCmdVerify:
         code, _, err = run(capsys, ["verify", "--random", "bogus=1"])
         assert code == 5
 
+    def test_random_more_instruments_than_rows_exits_2(self, capsys):
+        code, _, err = run(capsys, ["verify", "--random", "n=20", "d_z2=30"])
+        assert code == 2
+        assert "rank deficient" in err
+
     def test_no_input(self, capsys):
         code, _, err = run(capsys, ["verify"])
         assert code == 2
@@ -169,3 +183,46 @@ class TestCmdSimulate:
         assert code == 0
         doc = json.loads(out)
         assert [p["rho"] for p in doc["points"]] == [[0.0], [0.5]]
+
+    def test_all_degenerate_run_is_strict_json(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, dgp={"n": 50, "rho": [0.0], "sigma_u": 1e-300},
+                          sim={"replications": 3})
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, ["simulate", "--config", str(cfg), "--out", str(out_dir),
+                                    "--format", "json"])
+        assert code == 0
+        for doc in (strict_json(out), strict_json((out_dir / "simulation.json").read_text())):
+            point = doc["points"][0]
+            assert point["completed"] == 0 and point["degenerate_count"] == 3
+            assert all(r["rate"] is None and r["stderr"] is None for r in point["rates"])
+
+
+def _config_argv(tmp_path, dgp=None, sim=None, **top):
+    doc = {
+        "schema_version": 1,
+        "dgp": {"n": 40, "rho": [0.0], **(dgp or {})},
+        "sim": {"replications": 5, "seed": 1, **(sim or {})},
+        **top,
+    }
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    return ["simulate", "--config", str(p)]
+
+
+BAD_INPUTS = {
+    "random_n_not_a_number": lambda tmp: ["verify", "--random", "n=abc"],
+    "random_n_float": lambda tmp: ["verify", "--random", "n=2.5"],
+    "config_n_float": lambda tmp: _config_argv(tmp, dgp={"n": 50.5}),
+    "config_replications_float": lambda tmp: _config_argv(tmp, sim={"replications": 2.5}),
+    "config_replications_bool": lambda tmp: _config_argv(tmp, sim={"replications": True}),
+    "config_seed_float": lambda tmp: _config_argv(tmp, sim={"seed": 1.5}),
+    "config_rho_grid_string": lambda tmp: _config_argv(tmp, rho_grid=["a"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_5_with_one_line(capsys, tmp_path, case):
+    code, out, err = run(capsys, BAD_INPUTS[case](tmp_path))
+    assert code == 5
+    assert out == ""
+    assert err.startswith("endocheck: ") and err.count("\n") == 1
