@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .errors import EndocheckError, RankDeficient
+from .errors import EndocheckError
 
 ROLE_OUTCOME = "outcome"
 ROLE_ENDOGENOUS = "endogenous"
@@ -71,8 +72,15 @@ class Dataset:
             if getattr(self, name).shape[0] != n:
                 raise InvalidDataset(f"'{name}' has {getattr(self, name).shape[0]} rows, expected {n}")
         for name in ("y2", "y1", "z1", "z2"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            block = getattr(self, name)
+            if not np.all(np.isfinite(block)):
                 raise InvalidDataset(f"'{name}' contains non-finite entries")
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.vdot(block, block)):
+                    raise InvalidDataset(f"'{name}' is too large: its sum of squares overflows")
+            view = block.view()
+            view.flags.writeable = False  # writing into a block would leave ``r`` stale
+            object.__setattr__(self, name, view)
         if n <= 2 * self.d_y1 + self.d_z1:
             raise InvalidDataset(
                 f"n={n} too small for the augmented regression (need n > {2 * self.d_y1 + self.d_z1})"
@@ -97,6 +105,20 @@ class Dataset:
     @property
     def d_z2(self) -> int:
         return self.z2.shape[1]
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """R of ``W = [Z1 | Z2 | Y1 | y2] = Q R``; Q is never formed. ``W_S = Q R[:, S]``
+        for any column subset S, and Z1 and Z = [Z1 | Z2] are leading blocks of W."""
+        return np.linalg.qr(np.hstack([self.z1, self.z2, self.y1, self.y2[:, None]]), mode="r")
+
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Y1, X = [Y1 | Z1] and, for Z of full rank, V_hat = M_Z Y1 in the coordinates of ``r``."""
+        dz = self.d_z1 + self.d_z2
+        y1 = self.r[:, dz:dz + self.d_y1]
+        v = y1.copy()
+        v[:dz] = 0.0
+        return y1, np.hstack([y1, self.r[:, :self.d_z1]]), v
 
 
 @dataclass(frozen=True)
@@ -196,36 +218,32 @@ def validate(ds: Dataset) -> ValidationReport:
 
     Three full-rank checks: the structural design X, its projection onto the
     instrument space, and the control-function design [X | residualized Y1].
-    Failures are reported, never raised.
+    Each runs on the rows of ``ds.r``. Failures are reported, never raised.
     """
-    dm = design_matrices(ds)
+    dz = ds.d_z1 + ds.d_z2
+    _, x, v = ds._blocks()
     messages: list[str] = []
 
-    xtx_ok, cond_x = linalg.rank_report(dm.x)
+    xtx_ok, cond_x = linalg.rank_report(x)
     if not xtx_ok:
         messages.append("X = [Y1 | Z1] is rank deficient; OLS is not identified")
 
-    z_ok, cond_z = linalg.rank_report(dm.z)
+    z_ok, cond_z = linalg.rank_report(ds.r[:, :dz])
     if not z_ok:
         messages.append("Z = [Z1 | Z2] is rank deficient; instruments are collinear")
 
     xpzx_ok, cond_pzx = False, float("inf")
     xv_ok, cond_xv = False, float("inf")
     if z_ok:
-        try:
-            pzx = linalg.project(dm.z, dm.x)
-            xpzx_ok, cond_pzx = linalg.rank_report(pzx)
-            if not xpzx_ok:
-                messages.append("projected design P_Z X is rank deficient; 2SLS is not identified")
-            v_hat = linalg.annihilate(dm.z, ds.y1)
-            xv_ok, cond_xv = linalg.rank_report(np.hstack([dm.x, v_hat]))
-            if not xv_ok:
-                messages.append(
-                    "[X | V_hat] is rank deficient; the control-function regression "
-                    "of the outcome on the design plus first-stage residuals is not identified"
-                )
-        except RankDeficient as exc:
-            messages.append(f"projection against Z failed: {exc}")
+        xpzx_ok, cond_pzx = linalg.rank_report(x[:dz])
+        if not xpzx_ok:
+            messages.append("projected design P_Z X is rank deficient; 2SLS is not identified")
+        xv_ok, cond_xv = linalg.rank_report(np.hstack([x, v]))
+        if not xv_ok:
+            messages.append(
+                "[X | V_hat] is rank deficient; the control-function regression "
+                "of the outcome on the design plus first-stage residuals is not identified"
+            )
     else:
         messages.append("skipping projected-design and control-function checks: Z not full rank")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .data import Dataset, design_matrices
+from .data import Dataset
 
 
 @dataclass(frozen=True)
@@ -46,38 +46,38 @@ class CfFit:
     sigma2_u: float       # ||u_hat||^2 / n
 
 
-def _finish(theta: np.ndarray, residuals: np.ndarray, d_y1: int, method: str) -> FitResult:
-    n = residuals.shape[0]
+def _structural(ds: Dataset, design: np.ndarray, method: str) -> FitResult:
+    """The outcome on ``design`` in the coordinates of ``ds.r``: X = [Y1 | Z1] for OLS,
+    P_Z X for 2SLS (projecting raises on collinear Z). Residuals are against X."""
+    theta = linalg.solve_least_squares(design, ds.r[:, -1])
+    residuals = ds.y2 - ds.y1 @ theta[:ds.d_y1] - ds.z1 @ theta[ds.d_y1:]
     return FitResult(
         theta_hat=theta,
-        beta_hat=theta[:d_y1].copy(),
+        beta_hat=theta[:ds.d_y1].copy(),
         residuals=residuals,
-        sigma2=float(residuals @ residuals) / n,
+        sigma2=float(residuals @ residuals) / ds.n,
         method=method,
     )
 
 
 def fit_ols(ds: Dataset) -> FitResult:
     """Least squares of the outcome on X = [Y1 | Z1]."""
-    dm = design_matrices(ds)
-    theta = linalg.solve_least_squares(dm.x, ds.y2)
-    return _finish(theta, ds.y2 - dm.x @ theta, ds.d_y1, "ols")
+    return _structural(ds, ds._blocks()[1], "ols")
 
 
 def fit_tsls(ds: Dataset) -> FitResult:
     """Two-stage least squares: regress the outcome on the projection of X
     onto the instrument space; residuals are taken against the original X."""
-    dm = design_matrices(ds)
-    x_hat = linalg.project(dm.z, dm.x)
-    theta = linalg.solve_least_squares(x_hat, ds.y2)
-    return _finish(theta, ds.y2 - dm.x @ theta, ds.d_y1, "tsls")
+    _, x, _ = ds._blocks()
+    return _structural(ds, linalg.project(ds.r[:, :ds.d_z1 + ds.d_z2], x), "tsls")
 
 
 def fit_reduced_form(ds: Dataset) -> ReducedFormFit:
     """First stage: Y1 on Z = [Z1 | Z2]; residuals are the control functions."""
-    dm = design_matrices(ds)
-    pi_hat = linalg.solve_least_squares(dm.z, ds.y1)
-    return ReducedFormFit(pi_hat=pi_hat, v_hat=ds.y1 - dm.z @ pi_hat)
+    dz = ds.d_z1 + ds.d_z2
+    y1, _, _ = ds._blocks()
+    pi_hat = linalg.solve_least_squares(ds.r[:dz, :dz], y1[:dz])
+    return ReducedFormFit(pi_hat=pi_hat, v_hat=ds.y1 - ds.z1 @ pi_hat[:ds.d_z1] - ds.z2 @ pi_hat[ds.d_z1:])
 
 
 def fit_cf(ds: Dataset) -> CfFit:
@@ -86,12 +86,11 @@ def fit_cf(ds: Dataset) -> CfFit:
     Raises RankDeficient when V_hat has no variation left (Y1 perfectly
     explained by Z).
     """
-    dm = design_matrices(ds)
-    v_hat = linalg.annihilate(dm.z, ds.y1)
-    design = np.hstack([dm.x, v_hat])
-    coef = linalg.solve_least_squares(design, ds.y2)
+    _, x, v = ds._blocks()
+    coef = linalg.solve_least_squares(np.hstack([x, v]), ds.r[:, -1])
     k = ds.d_y1 + ds.d_z1
-    u_hat = ds.y2 - design @ coef
+    v_hat = fit_reduced_form(ds).v_hat
+    u_hat = ds.y2 - ds.y1 @ coef[:ds.d_y1] - ds.z1 @ coef[ds.d_y1:k] - v_hat @ coef[k:]
     return CfFit(
         theta_cf=coef[:k].copy(),
         rho_cf=coef[k:].copy(),

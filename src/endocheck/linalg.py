@@ -3,8 +3,10 @@
 Least squares goes through a column-pivoted QR factorization rather than the
 normal equations: the test statistics downstream difference two nearly equal
 coefficient vectors, so squaring the condition number here is not acceptable.
-Projections onto a column space are applied as ``A @ lstsq(A, Y)`` and never
-materialize an n-by-n projection matrix.
+The statistics path solves only small problems here, on the rows of the
+triangular factor ``Dataset.r`` of ``[Z1 | Z2 | Y1 | y2]``; the n-row data
+are factored once, there. ``project`` and ``annihilate`` apply a projection
+as ``A @ lstsq(A, Y)`` and never materialize an n-by-n projection matrix.
 """
 
 from __future__ import annotations

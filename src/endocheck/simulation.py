@@ -45,12 +45,29 @@ def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri(u)
 
 
-def _require_ints(cfg) -> None:
-    """Reject bools and non-integers in the ``int`` fields of a config."""
+def _is_a(value, kind) -> bool:
+    # JSON true/false are Python ints, so bools are excluded explicitly.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _require_types(cfg) -> None:
+    """Reject values of the wrong type in the typed fields of a config: an
+    ``int`` must be an integer, a ``float`` (or each entry of a float tuple)
+    a number, and a ``bool`` true or false."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ConfigInvalid(f"'{f.name}' must be an integer, got {value!r}")
+        if f.type == "int":
+            ok, kind = _is_a(value, numbers.Integral), "an integer"
+        elif f.type == "float":
+            ok, kind = _is_a(value, numbers.Real), "a number"
+        elif f.type == "tuple[float, ...]":
+            ok, kind = all(_is_a(x, numbers.Real) for x in value), "a list of numbers"
+        elif f.type == "bool":
+            ok, kind = isinstance(value, bool), "true or false"
+        else:
+            continue
+        if not ok:
+            raise ConfigInvalid(f"'{f.name}' must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +93,7 @@ class DgpConfig:
     intercept: bool = True
 
     def __post_init__(self):
-        _require_ints(self)
+        _require_types(self)
         for name in ("beta", "gamma", "rho"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         if self.n <= 2 * self.d_y1 + self.d_z1:
@@ -105,7 +122,7 @@ class SimConfig:
     tests: tuple[str, ...] = TEST_NAMES
 
     def __post_init__(self):
-        _require_ints(self)
+        _require_types(self)
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "tests", tuple(self.tests))
         if self.replications < 1:
@@ -267,7 +284,7 @@ def _config_dict(cfg) -> dict:
 
 def _null_if_nan(x: float) -> float | None:
     # A run with no completed replication has undefined rates; strict JSON
-    # has no NaN, so they are written as null.
+    # has no NaN, so they are written as null (an empty cell in the CSV).
     return None if math.isnan(x) else x
 
 
@@ -318,7 +335,8 @@ def write_result_csv(path, dgp: DgpConfig, sim: SimConfig,
             rho_str = ";".join(repr(r) for r in rho)
             for t in sim.tests:
                 for a in sim.alphas:
+                    # csv writes a float as its repr and None as an empty cell.
                     writer.writerow(
-                        [t, repr(a), rho_str, repr(res.rejection_rate[t][a]),
-                         repr(res.mc_stderr[t][a]), sim.replications, dgp.n, sim.seed]
+                        [t, repr(a), rho_str, _null_if_nan(res.rejection_rate[t][a]),
+                         _null_if_nan(res.mc_stderr[t][a]), sim.replications, dgp.n, sim.seed]
                     )

@@ -120,6 +120,19 @@ class TestCmdVerify:
         assert code == 2
         assert "rank deficient" in err
 
+    def test_random_overflowing_outcome_exits_2(self, capsys):
+        # |y2| ~ 1e200: the sum of squares overflows, so the dataset is refused.
+        code, out, err = run(capsys, ["verify", "--random", "rho=1e200"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("endocheck: ") and err.count("\n") == 1
+        assert "overflows" in err
+
+    def test_random_large_finite_outcome_passes(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--random", "rho=1e150", "--format", "json"])
+        assert code == 0
+        assert strict_json(out)["max_gap"] < 1e-8
+
     def test_no_input(self, capsys):
         code, _, err = run(capsys, ["verify"])
         assert code == 2
@@ -195,6 +208,7 @@ class TestCmdSimulate:
             point = doc["points"][0]
             assert point["completed"] == 0 and point["degenerate_count"] == 3
             assert all(r["rate"] is None and r["stderr"] is None for r in point["rates"])
+        assert "nan" not in (out_dir / "simulation.csv").read_text()
 
 
 def _config_argv(tmp_path, dgp=None, sim=None, **top):
@@ -217,6 +231,13 @@ BAD_INPUTS = {
     "config_replications_bool": lambda tmp: _config_argv(tmp, sim={"replications": True}),
     "config_seed_float": lambda tmp: _config_argv(tmp, sim={"seed": 1.5}),
     "config_rho_grid_string": lambda tmp: _config_argv(tmp, rho_grid=["a"]),
+    "config_intercept_string": lambda tmp: _config_argv(tmp, dgp={"intercept": "no"}),
+    "config_intercept_int": lambda tmp: _config_argv(tmp, dgp={"intercept": 1}),
+    "config_pi2_strength_bool": lambda tmp: _config_argv(tmp, dgp={"pi2_strength": True}),
+    "config_sigma_u_string": lambda tmp: _config_argv(tmp, dgp={"sigma_u": "1.0"}),
+    "config_beta_entry_bool": lambda tmp: _config_argv(tmp, dgp={"beta": [True]}),
+    "config_rho_entry_string": lambda tmp: _config_argv(tmp, dgp={"rho": ["0.5"]}),
+    "config_alphas_entry_string": lambda tmp: _config_argv(tmp, sim={"alphas": ["0.05"]}),
 }
 
 

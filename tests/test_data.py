@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from endocheck import Dataset, design_matrices, load_csv, validate
+from endocheck import Dataset, design_matrices, load_csv, run_all_tests, validate, verify_identities
 from endocheck.data import EmptyFile, InvalidDataset, MissingColumn, NonNumericCell, RoleConflict
 from endocheck.linalg import spd_solve
 
@@ -83,6 +84,32 @@ class TestDatasetInvariants:
                 z1=rng.standard_normal((10, 1)),
                 z2=rng.standard_normal((10, 1)),
             )
+
+
+class TestFactor:
+    def test_one_n_row_qr_per_dataset(self, monkeypatch):
+        # Every fit, gram and rank check reads the one cached factor ds.r.
+        rows = []
+
+        def recording(qr):
+            def wrapper(a, *args, **kwargs):
+                rows.append(np.shape(a)[0])
+                return qr(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr))
+        monkeypatch.setattr(scipy.linalg, "qr", recording(scipy.linalg.qr))
+        ds = random_admissible_dataset(np.random.default_rng(13), n=200, d_y1=2, d_z1=2, d_z2=3)
+        assert validate(ds).all_ok
+        run_all_tests(ds)
+        verify_identities(ds)
+        assert rows.count(200) == 1
+
+    def test_blocks_are_read_only(self):
+        ds = random_admissible_dataset(np.random.default_rng(14), n=50)
+        for block in (ds.y2, ds.y1, ds.z1, ds.z2):
+            with pytest.raises(ValueError):
+                block[0] = 0.0
 
 
 class TestValidate:

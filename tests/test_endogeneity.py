@@ -142,6 +142,22 @@ class TestVerifyIdentities:
         for value in stats.by_name().values():
             assert value == pytest.approx(0.0, abs=1e-12)
 
+    def test_near_tie_ordering_not_flagged(self):
+        # A tiny control-function coefficient makes a small nonzero beta gap;
+        # the four statistics then differ by less than rounding, and the
+        # ordering is checked up to the slack instead of strictly.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            ds0, theta0 = exact_fit_dataset(rng)
+            dm = design_matrices(ds0)
+            v_hat = annihilate(dm.z, ds0.y1)
+            remainder = annihilate(np.hstack([dm.x, v_hat]), rng.standard_normal(ds0.n))
+            for delta in (1e-8, 1e-7, 1e-6):
+                y2 = dm.x @ theta0 + remainder + delta * v_hat[:, 0]
+                report = verify_identities(Dataset(y2=y2, y1=ds0.y1, z1=ds0.z1, z2=ds0.z2))
+                assert report.max_gap() < 1e-8
+                assert report.ordering_ok
+
     def test_lemma_arithmetic_on_random_data(self):
         rng = np.random.default_rng(6)
         for _ in range(100):

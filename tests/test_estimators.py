@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from endocheck import Dataset, design_matrices, fit_cf, fit_ols, fit_reduced_form, fit_tsls
+from endocheck import Dataset, RankDeficient, design_matrices, fit_cf, fit_ols, fit_reduced_form, fit_tsls
 from endocheck.linalg import annihilate, project
 
 from conftest import random_admissible_dataset
@@ -61,6 +61,13 @@ class TestTsls:
             d = project(dm.z, ds.y1) - project(ds.z1, ds.y1)  # (P_Z - P_Z1) Y1
             beta = np.linalg.solve(d.T @ ds.y1, d.T @ ds.y2)
             np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-8)
+
+    def test_collinear_instruments_raise(self):
+        rng = np.random.default_rng(13)
+        ds0 = random_admissible_dataset(rng, n=50, d_y1=1, d_z1=1, d_z2=2)
+        ds = Dataset(y2=ds0.y2, y1=ds0.y1, z1=ds0.z1, z2=np.hstack([ds0.z2[:, :1], 2.0 * ds0.z2[:, :1]]))
+        with pytest.raises(RankDeficient):
+            fit_tsls(ds)
 
     def test_residuals_against_original_design(self):
         rng = np.random.default_rng(4)
