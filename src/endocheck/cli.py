@@ -201,9 +201,13 @@ def cmd_simulate(args) -> int:
         entries = simulation.power_curve(dgp, grid, sim)
     document = simulation.result_document(dgp, sim, entries)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        simulation.write_result_json(os.path.join(args.out, "simulation.json"), document)
-        simulation.write_result_csv(os.path.join(args.out, "simulation.csv"), dgp, sim, entries)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+            simulation.write_result_json(os.path.join(args.out, "simulation.json"), document)
+            simulation.write_result_csv(os.path.join(args.out, "simulation.csv"), dgp, sim, entries)
+        except OSError as exc:
+            print(f"endocheck: cannot write results to '{args.out}': {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     if args.format == "json":
         print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False))
     else:

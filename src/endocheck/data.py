@@ -81,6 +81,8 @@ class Dataset:
             view = block.view()
             view.flags.writeable = False  # writing into a block would leave ``r`` stale
             object.__setattr__(self, name, view)
+        if self.d_y1 == 0:
+            raise InvalidDataset("no endogenous regressor: the tests need at least one")
         if n <= 2 * self.d_y1 + self.d_z1:
             raise InvalidDataset(
                 f"n={n} too small for the augmented regression (need n > {2 * self.d_y1 + self.d_z1})"
@@ -109,8 +111,14 @@ class Dataset:
     @cached_property
     def r(self) -> np.ndarray:
         """R of ``W = [Z1 | Z2 | Y1 | y2] = Q R``; Q is never formed. ``W_S = Q R[:, S]``
-        for any column subset S, and Z1 and Z = [Z1 | Z2] are leading blocks of W."""
-        return np.linalg.qr(np.hstack([self.z1, self.z2, self.y1, self.y2[:, None]]), mode="r")
+        for any column subset S, and Z1 and Z = [Z1 | Z2] are leading blocks of W.
+
+        R is always square: with fewer rows than columns, zero rows are appended
+        (``W = [Q | 0] [R; 0]``), so the problems on R are never underdetermined
+        and a rank loss shows up as ``RankDeficient``."""
+        w = np.hstack([self.z1, self.z2, self.y1, self.y2[:, None]])
+        r = np.linalg.qr(w, mode="r")
+        return np.vstack([r, np.zeros((w.shape[1] - r.shape[0], w.shape[1]))])
 
     def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Y1, X = [Y1 | Z1] and, for Z of full rank, V_hat = M_Z Y1 in the coordinates of ``r``."""
@@ -152,6 +160,13 @@ class ValidationReport:
         return self.xtx_ok and self.xpzx_ok and self.xv_ok
 
 
+def _utf8_lines(fh, path):
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"'{path}' is not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Dataset:
     """Read a CSV file and group columns by role into a Dataset.
 
@@ -171,7 +186,7 @@ def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Datase
         raise RoleConflict(f"expected exactly one outcome column, got {len(outcomes)}")
 
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:

@@ -52,25 +52,24 @@ def chi2_quantile(df: int, p: float) -> float:
 def hausman_statistic(beta_gap, gram_2sls, gram_ols, sigma2_1: float, sigma2_2: float) -> float:
     """Generic Hausman quadratic form in the OLS/2SLS coefficient gap.
 
-    The weighting matrix is ``sigma2_1 * gram_2sls^-1 - sigma2_2 * gram_ols^-1``.
+    The weighting matrix is ``W = sigma2_1 * gram_2sls^-1 - sigma2_2 * gram_ols^-1``.
+    Its inverse is ``gram_ols K^-1 gram_2sls`` with
+    ``K = sigma2_1 * gram_ols - sigma2_2 * gram_2sls``, so the form takes one
+    SPD solve with ``K`` and no Gram inverse.
 
     Raises
     ------
     NotPositiveDefinite
-        When the weighting matrix is not SPD, which signals an invalid
-        variance pairing (it cannot happen for the three named versions
-        when the 2SLS variance is at least the OLS one).
+        When ``K`` (equivalently the weighting matrix) is not SPD, which
+        signals an invalid variance pairing (it cannot happen for the three
+        named versions when the 2SLS variance is at least the OLS one).
     """
     gap = np.asarray(beta_gap, dtype=float).reshape(-1)
     if not np.any(gap):
         return 0.0
-    k = gap.shape[0]
-    eye = np.eye(k)
-    inv_2sls = linalg.spd_solve(np.asarray(gram_2sls, dtype=float), eye)
-    inv_ols = linalg.spd_solve(np.asarray(gram_ols, dtype=float), eye)
-    w = sigma2_1 * inv_2sls - sigma2_2 * inv_ols
-    w = 0.5 * (w + w.T)  # kill rounding asymmetry before the SPD solve
-    return float(gap @ linalg.spd_solve(w, gap))
+    g2 = np.asarray(gram_2sls, dtype=float)
+    g1 = np.asarray(gram_ols, dtype=float)
+    return float((g1 @ gap) @ linalg.spd_solve(sigma2_1 * g1 - sigma2_2 * g2, g2 @ gap))
 
 
 def cf_statistic(cf: CfFit, ds: Dataset) -> float:
@@ -79,7 +78,7 @@ def cf_statistic(cf: CfFit, ds: Dataset) -> float:
     Computed directly from the augmented regression as
     ``rho' (V_hat' M_X V_hat) rho / sigma2_u``.
     """
-    if cf.sigma2_u <= _variance_floor(ds.y2):
+    if cf.sigma2_u <= _variance_floor(ds):
         raise DegenerateVariance("control-function residual variance is numerically zero")
     _, x, v = ds._blocks()
     mv = linalg.annihilate(x, v)
@@ -94,10 +93,10 @@ def compute_h_n(beta_gap, gram_ols, sigma2_2sls: float, n: int) -> float:
     return float(gap @ gram @ gap) / (n * sigma2_2sls)
 
 
-def _variance_floor(y2: np.ndarray) -> float:
+def _variance_floor(ds: Dataset) -> float:
     # Exact fits leave residuals at rounding scale; anything this small is
-    # a degenerate variance, not sampling noise.
-    return 1e-24 * (float(np.mean(np.square(y2))) + 1.0)
+    # a degenerate variance, not sampling noise. mean(y2^2) is read from R.
+    return 1e-24 * (float(np.sum(np.square(ds.r[:, -1]))) / ds.n + 1.0)
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,7 @@ def compute_statistics(ds: Dataset) -> Statistics:
     ols = fit_ols(ds)
     tsls = fit_tsls(ds)
     cf = fit_cf(ds)
-    floor = _variance_floor(ds.y2)
+    floor = _variance_floor(ds)
     for label, s2 in (("ols", ols.sigma2), ("tsls", tsls.sigma2), ("cf", cf.sigma2_u)):
         if s2 <= floor:
             raise DegenerateVariance(f"{label} residual variance is numerically zero")

@@ -220,19 +220,15 @@ def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
 
 
 def power_curve(dgp_base: DgpConfig, rho_grid, sim: SimConfig) -> list[tuple[tuple[float, ...], SimResult]]:
-    """Run the Monte Carlo at each endogeneity level in the grid, in order."""
-    grid = []
-    for rho in rho_grid:
-        try:
-            grid.append(tuple(float(r) for r in np.atleast_1d(rho)))
-        except (TypeError, ValueError):
-            raise ConfigInvalid(f"rho grid entry {rho!r} is not a number or a list of numbers") from None
-    if not grid:
+    """Run the Monte Carlo at each endogeneity level in the grid, in order.
+
+    Every grid point's config is built, and so checked, before any run; a
+    scalar entry is a one-element rho vector.
+    """
+    dgps = [replace(dgp_base, rho=rho if isinstance(rho, (list, tuple)) else [rho]) for rho in rho_grid]
+    if not dgps:
         raise ConfigInvalid("rho grid must be nonempty")
-    out = []
-    for rho in grid:
-        out.append((rho, run_monte_carlo(replace(dgp_base, rho=rho), sim)))
-    return out
+    return [(dgp.rho, run_monte_carlo(dgp, sim)) for dgp in dgps]
 
 
 # ---------------------------------------------------------------------------

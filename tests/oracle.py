@@ -1,9 +1,10 @@
-"""Extended-precision oracle for the F1 fixture.
+"""Extended-precision oracle for the statistics of any dataset.
 
 Implements the raw definitional formulas (dense normal equations, explicit
 projection matrices, the quadratic-form statistics) in 60-digit arithmetic
-with mpmath, fully independent of the library's QR-based code paths. Running
-this module regenerates tests/fixtures/f1_expected.json.
+with mpmath, fully independent of the library's QR-based code paths.
+``compute(y2, y1, z1, z2)`` takes the blocks as any arrays; running this
+module regenerates tests/fixtures/f1_expected.json from the F1 fixture.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 60
 
@@ -31,6 +33,18 @@ def read_f1():
         z2[i, 0] = mp.mpf(r["z1"])
         z2[i, 1] = mp.mpf(r["z2"])
     return y2, y1, z1, z2
+
+
+def as_matrix(a):
+    """An mpmath matrix from a vector (as one column) or a matrix; entries that
+    are strings or mpf values keep their full precision."""
+    a = np.asarray(a.tolist() if isinstance(a, mp.matrix) else a, dtype=object)
+    if a.ndim == 1:
+        a = a[:, None]
+    out = mp.matrix(*a.shape)
+    for (i, j), v in np.ndenumerate(a):
+        out[i, j] = mp.mpf(v)
+    return out
 
 
 def hcat(*mats):
@@ -63,9 +77,10 @@ def quad(gap, w):
     return (gap.T * inv(w) * gap)[0, 0]
 
 
-def compute():
-    y2, y1, z1, z2 = read_f1()
+def compute(y2, y1, z1, z2):
+    y2, y1, z1, z2 = (as_matrix(a) for a in (y2, y1, z1, z2))
     n = y1.rows
+    df = y1.cols
     x = hcat(y1, z1)
     z = hcat(z1, z2)
 
@@ -93,7 +108,7 @@ def compute():
     gram_ols = y1.T * mz1 * y1
     y1_hat = pz * y1
     gram_tsls = y1_hat.T * mz1 * y1_hat
-    gap = theta_ols[:1, :] - theta_tsls[:1, :]
+    gap = theta_ols[:df, :] - theta_tsls[:df, :]
 
     def hausman(s1, s2):
         w = s1 * inv(gram_tsls) - s2 * inv(gram_ols)
@@ -109,7 +124,6 @@ def compute():
 
     h_n = (gap.T * gram_ols * gap)[0, 0] / (n * sigma2_tsls)
 
-    df = 1
     stats = {"t_h1": t_h1, "t_h2": t_h2, "t_h3": t_h3, "t_cf": t_cf}
     p_values = {
         name: 1 - mp.gammainc(mp.mpf(df) / 2, 0, t / 2, regularized=True)
@@ -127,7 +141,7 @@ def compute():
         "sigma2_ols": float(sigma2_ols),
         "sigma2_tsls": float(sigma2_tsls),
         "sigma2_u": float(sigma2_u),
-        "beta_gap": [float(gap[0, 0])],
+        "beta_gap": [float(v) for v in gap],
         "t_h1": float(t_h1),
         "t_h2": float(t_h2),
         "t_h3": float(t_h3),
@@ -138,7 +152,7 @@ def compute():
 
 
 def main():
-    expected = compute()
+    expected = compute(*read_f1())
     out = os.path.join(FIXTURES, "f1_expected.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(expected, fh, indent=2, sort_keys=True)

@@ -74,6 +74,22 @@ class TestCmdTest:
         assert code == 3
         assert "variance" in err
 
+    def test_no_endogenous_column_exits_2(self, capsys, f1_path):
+        code, out, err = run(capsys, ["test", str(f1_path), "--add-intercept", "--iv", "z1,z2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("endocheck: ") and err.count("\n") == 1
+        assert "endogenous" in err
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("y,x,z1,z2\n1,2,3,4\n5,6,7,\xe98\n".encode("latin-1"))
+        code, out, err = run(capsys, ["test", str(p), *F1_ARGS])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("endocheck: ") and err.count("\n") == 1
+        assert str(p) in err
+
     def test_collinear_data_exits_2(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
         n = 30
@@ -110,6 +126,12 @@ class TestCmdVerify:
         doc = json.loads(out)
         assert doc["ordering_ok"] is True
         assert doc["max_gap"] < 1e-8
+
+    def test_random_strong_first_stage_passes(self, capsys):
+        # The OLS and 2SLS grams nearly coincide; the Hausman weighting must
+        # not be formed as a difference of their inverses.
+        code, _, _ = run(capsys, ["verify", "--random", "n=60", "d_y1=2", "d_z2=3", "c=200", "seed=1"])
+        assert code == 0
 
     def test_random_bad_key(self, capsys):
         code, _, err = run(capsys, ["verify", "--random", "bogus=1"])
@@ -197,6 +219,23 @@ class TestCmdSimulate:
         doc = json.loads(out)
         assert [p["rho"] for p in doc["points"]] == [[0.0], [0.5]]
 
+    def test_more_instruments_than_rows_all_degenerate(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, dgp={"n": 10, "d_z2": 12, "rho": [0.0]}, sim={"replications": 5})
+        code, out, _ = run(capsys, ["simulate", "--config", str(cfg), "--format", "json"])
+        assert code == 0
+        point = strict_json(out)["points"][0]
+        assert point["completed"] == 0 and point["degenerate_count"] == 5
+
+    def test_out_is_a_file_exits_2(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, sim={"replications": 2})
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run(capsys, ["simulate", "--config", str(cfg), "--out", str(taken)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("endocheck: ") and err.count("\n") == 1
+        assert str(taken) in err
+
     def test_all_degenerate_run_is_strict_json(self, capsys, tmp_path):
         cfg = self.config(tmp_path, dgp={"n": 50, "rho": [0.0], "sigma_u": 1e-300},
                           sim={"replications": 3})
@@ -231,6 +270,8 @@ BAD_INPUTS = {
     "config_replications_bool": lambda tmp: _config_argv(tmp, sim={"replications": True}),
     "config_seed_float": lambda tmp: _config_argv(tmp, sim={"seed": 1.5}),
     "config_rho_grid_string": lambda tmp: _config_argv(tmp, rho_grid=["a"]),
+    "config_rho_grid_entry_bool": lambda tmp: _config_argv(tmp, rho_grid=[[True], [0.5]]),
+    "config_rho_grid_entry_string": lambda tmp: _config_argv(tmp, rho_grid=[[0.0], ["0.5"]]),
     "config_intercept_string": lambda tmp: _config_argv(tmp, dgp={"intercept": "no"}),
     "config_intercept_int": lambda tmp: _config_argv(tmp, dgp={"intercept": 1}),
     "config_pi2_strength_bool": lambda tmp: _config_argv(tmp, dgp={"pi2_strength": True}),

@@ -1,5 +1,7 @@
 """Property tests of the CLI input contract: no input ends in a traceback."""
 
+import json
+
 from hypothesis import given, settings, strategies as st
 
 from endocheck.cli import main
@@ -27,3 +29,44 @@ _TOKENS = st.lists(
 def test_random_tokens_never_crash(tokens):
     """Any ``--random`` token list ends in a documented exit code, never a traceback."""
     assert main(["verify", "--random", *tokens]) in (0, 2, 3, 4, 5)
+
+
+# Values of the wrong type that a JSON config can carry.
+_WRONG_TYPES = st.one_of(st.booleans(), st.text(max_size=3), st.none())
+
+
+@st.composite
+def _simulate_configs(draw):
+    dims = {k: draw(st.integers(0, 14)) for k in ("d_y1", "d_z1", "d_z2")}
+    # Some draws put n near the instrument count, where Z = [Z1 | Z2]
+    # stops having full column rank.
+    dz = dims["d_z1"] + dims["d_z2"]
+    dgp = {
+        "n": draw(st.integers(1, 40) | st.integers(max(1, dz - 4), dz + 4)),
+        **dims,
+        "beta": [1.0] * dims["d_y1"],
+        "gamma": [1.0] * dims["d_z1"],
+        "rho": draw(st.lists(st.floats(-1.0, 1.0), min_size=dims["d_y1"], max_size=dims["d_y1"])),
+        "pi2_strength": draw(st.floats(0.0, 2.0)),
+        "intercept": draw(st.booleans()),
+    }
+    sim = {"replications": draw(st.integers(1, 3)), "seed": draw(st.integers(0, 2**32))}
+    if draw(st.integers(0, 3)) == 0:
+        section, key = draw(st.sampled_from([("dgp", k) for k in dgp] + [("sim", k) for k in sim]))
+        (dgp if section == "dgp" else sim)[key] = draw(_WRONG_TYPES)
+    doc = {"schema_version": 1, "dgp": dgp, "sim": sim}
+    if draw(st.integers(0, 3)) == 0:
+        doc["rho_grid"] = draw(st.lists(st.one_of(_WRONG_TYPES, st.floats(-1.0, 1.0),
+                                                  st.lists(st.floats(-1.0, 1.0), max_size=3)),
+                                        min_size=1, max_size=2))
+    return doc
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=_simulate_configs())
+def test_random_simulate_configs_never_crash(tmp_path_factory, doc):
+    """A small ``simulate`` config, possibly with wrongly typed fields, ends in
+    a documented exit code, never a traceback."""
+    path = tmp_path_factory.getbasetemp() / "random_simulate.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--format", "json"]) in (0, 2, 3, 5)

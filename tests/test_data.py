@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from endocheck import Dataset, design_matrices, load_csv, run_all_tests, validate, verify_identities
+from endocheck import (
+    Dataset,
+    DgpConfig,
+    RankDeficient,
+    compute_statistics,
+    design_matrices,
+    generate_dataset,
+    load_csv,
+    run_all_tests,
+    validate,
+    verify_identities,
+)
 from endocheck.data import EmptyFile, InvalidDataset, MissingColumn, NonNumericCell, RoleConflict
 from endocheck.linalg import spd_solve
 
@@ -104,6 +115,15 @@ class TestFactor:
         run_all_tests(ds)
         verify_identities(ds)
         assert rows.count(200) == 1
+
+    def test_fewer_rows_than_columns_raise_rank_deficient(self):
+        # W = [Q | 0] [R; 0]: R is padded to p x p, so the instruments show
+        # as collinear instead of making an underdetermined small problem.
+        ds = generate_dataset(DgpConfig(n=10, d_z2=12), 0, 0)
+        assert ds.r.shape == (15, 15)
+        np.testing.assert_array_equal(ds.r[10:], 0.0)
+        with pytest.raises(RankDeficient):
+            compute_statistics(ds)
 
     def test_blocks_are_read_only(self):
         ds = random_admissible_dataset(np.random.default_rng(14), n=50)

@@ -4,20 +4,36 @@ import pytest
 from endocheck import (
     Dataset,
     DegenerateVariance,
+    DgpConfig,
     NotPositiveDefinite,
     cf_statistic,
     compute_h_n,
     compute_statistics,
     design_matrices,
     fit_cf,
+    generate_dataset,
     hausman_statistic,
     run_all_tests,
     verify_identities,
 )
+from endocheck import linalg
+from endocheck.cli import _random_dataset
 from endocheck.linalg import annihilate
 
 from conftest import random_admissible_dataset
 from test_estimators import exact_fit_dataset
+
+
+ILL_CONDITIONED_DRAWS = {
+    # Just identified with a weak first stage: the 2SLS gram has cond ~1.5e9.
+    "weak": lambda: generate_dataset(
+        DgpConfig(n=30, d_y1=2, d_z1=2, d_z2=2, beta=(1.0, 1.0), gamma=(1.0, 1.0),
+                  pi2_strength=1.125, rho=(0.0, 0.0)),
+        29, 31,
+    ),
+    # A strong first stage: gram_2sls ~ gram_ols, so their inverses nearly cancel in W.
+    "strong": lambda: _random_dataset(["n=60", "d_y1=2", "d_z2=3", "c=1000", "seed=1"]),
+}
 
 
 class TestHausmanStatistic:
@@ -38,6 +54,35 @@ class TestHausmanStatistic:
         assert stats.t_h1 == pytest.approx(f1_expected["t_h1"], rel=1e-8)
         assert stats.t_h2 == pytest.approx(f1_expected["t_h2"], rel=1e-8)
         assert stats.t_h3 == pytest.approx(f1_expected["t_h3"], rel=1e-8)
+
+    @pytest.mark.parametrize("draw", sorted(ILL_CONDITIONED_DRAWS))
+    def test_ill_conditioned_draws_match_oracle(self, draw):
+        # Subtracting two Gram inverses lost 1e-6 (weak) and 4e-2 (strong)
+        # of t_h1 on these draws.
+        pytest.importorskip("mpmath")
+        import oracle
+
+        ds = ILL_CONDITIONED_DRAWS[draw]()
+        expected = oracle.compute(ds.y2, ds.y1, ds.z1, ds.z2)
+        stats = compute_statistics(ds)
+        for name in ("t_h1", "t_h2", "t_h3"):
+            assert getattr(stats, name) == pytest.approx(expected[name], rel=1e-7)
+
+    def test_one_spd_solve_per_statistic(self, monkeypatch):
+        calls = []
+        solve = linalg.spd_solve
+
+        def counting(s, b):
+            calls.append(s)
+            return solve(s, b)
+
+        monkeypatch.setattr(linalg, "spd_solve", counting)
+        ds = random_admissible_dataset(np.random.default_rng(10), n=80, d_y1=2)
+        compute_statistics(ds)
+        assert len(calls) == 3
+        calls.clear()
+        verify_identities(ds)
+        assert len(calls) == 5
 
 
 class TestCfStatistic:
