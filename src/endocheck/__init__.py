@@ -5,7 +5,7 @@ with chi-square inference, exact finite-sample identity verification, and
 seeded Monte Carlo size/power studies.
 """
 
-from .data import Dataset, DesignMatrices, ValidationReport, design_matrices, load_csv, validate
+from .data import Dataset, ValidationReport, load_csv, validate
 from .endogeneity import (
     IdentityReport,
     Statistics,
@@ -34,9 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "DesignMatrices",
     "ValidationReport",
-    "design_matrices",
     "load_csv",
     "validate",
     "IdentityReport",

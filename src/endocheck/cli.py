@@ -195,6 +195,12 @@ def cmd_simulate(args) -> int:
     dgp, sim, grid = simulation.load_config(args.config)
     if args.seed is not None:
         sim = replace(sim, seed=args.seed)
+    if args.out:  # before the run, so that an unusable --out fails at once
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"endocheck: cannot write results to '{args.out}': {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     if grid is None:
         entries = [(dgp.rho, simulation.run_monte_carlo(dgp, sim))]
     else:
@@ -202,7 +208,6 @@ def cmd_simulate(args) -> int:
     document = simulation.result_document(dgp, sim, entries)
     if args.out:
         try:
-            os.makedirs(args.out, exist_ok=True)
             simulation.write_result_json(os.path.join(args.out, "simulation.json"), document)
             simulation.write_result_csv(os.path.join(args.out, "simulation.csv"), dgp, sim, entries)
         except OSError as exc:

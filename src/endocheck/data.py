@@ -1,9 +1,9 @@
-"""Dataset schema, CSV ingestion, design matrices, and admissibility checks.
+"""Dataset schema, CSV ingestion, the triangular factor, and admissibility checks.
 
-CSV files are RFC-4180 style: header row required, UTF-8, '.' decimal
-separator. Column roles (outcome / endogenous / included exogenous /
-instrument) are supplied by the caller; an intercept is only ever added
-explicitly via ``add_intercept``.
+CSV files are RFC-4180 style: header row required, UTF-8 (a leading
+byte-order mark is skipped), '.' decimal separator. Column roles (outcome /
+endogenous / included exogenous / instrument) are supplied by the caller; an
+intercept is only ever added explicitly via ``add_intercept``.
 """
 
 from __future__ import annotations
@@ -129,22 +129,6 @@ class Dataset:
         return y1, np.hstack([y1, self.r[:, :self.d_z1]]), v
 
 
-@dataclass(frozen=True)
-class DesignMatrices:
-    """Stacked regressor matrices; column order is endogenous-then-exogenous
-    and exogenous-then-instruments, which the coefficient extraction relies on."""
-
-    x: np.ndarray  # (n, d_y1 + d_z1) = [Y1 | Z1]
-    z: np.ndarray  # (n, d_z1 + d_z2) = [Z1 | Z2]
-
-
-def design_matrices(ds: Dataset) -> DesignMatrices:
-    return DesignMatrices(
-        x=np.hstack([ds.y1, ds.z1]),
-        z=np.hstack([ds.z1, ds.z2]),
-    )
-
-
 @dataclass
 class ValidationReport:
     """Go/no-go report on the rank conditions the estimators require."""
@@ -185,7 +169,7 @@ def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Datase
     if len(outcomes) != 1:
         raise RoleConflict(f"expected exactly one outcome column, got {len(outcomes)}")
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)

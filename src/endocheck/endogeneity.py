@@ -49,13 +49,14 @@ def chi2_quantile(df: int, p: float) -> float:
 # Test statistics
 # ---------------------------------------------------------------------------
 
-def hausman_statistic(beta_gap, gram_2sls, gram_ols, sigma2_1: float, sigma2_2: float) -> float:
+def hausman_statistic(beta_gap, factor_2sls, factor_ols, sigma2_1: float, sigma2_2: float) -> float:
     """Generic Hausman quadratic form in the OLS/2SLS coefficient gap.
 
-    The weighting matrix is ``W = sigma2_1 * gram_2sls^-1 - sigma2_2 * gram_ols^-1``.
-    Its inverse is ``gram_ols K^-1 gram_2sls`` with
-    ``K = sigma2_1 * gram_ols - sigma2_2 * gram_2sls``, so the form takes one
-    SPD solve with ``K`` and no Gram inverse.
+    The grams enter as factors ``B`` of ``G = B'B`` (G2 = gram_2sls,
+    G1 = gram_ols), and ``G·gap`` is ``B'(B·gap)``, which keeps the weak
+    direction a formed ill-conditioned gram loses. The weighting matrix
+    ``W = sigma2_1 * G2^-1 - sigma2_2 * G1^-1`` has inverse ``G1 K^-1 G2``
+    with ``K = sigma2_1 * G1 - sigma2_2 * G2``: one SPD solve, no inverse.
 
     Raises
     ------
@@ -67,23 +68,24 @@ def hausman_statistic(beta_gap, gram_2sls, gram_ols, sigma2_1: float, sigma2_2: 
     gap = np.asarray(beta_gap, dtype=float).reshape(-1)
     if not np.any(gap):
         return 0.0
-    g2 = np.asarray(gram_2sls, dtype=float)
-    g1 = np.asarray(gram_ols, dtype=float)
-    return float((g1 @ gap) @ linalg.spd_solve(sigma2_1 * g1 - sigma2_2 * g2, g2 @ gap))
+    b2 = np.asarray(factor_2sls, dtype=float)
+    b1 = np.asarray(factor_ols, dtype=float)
+    k = sigma2_1 * (b1.T @ b1) - sigma2_2 * (b2.T @ b2)
+    return float((b1.T @ (b1 @ gap)) @ linalg.spd_solve(k, b2.T @ (b2 @ gap)))
 
 
 def cf_statistic(cf: CfFit, ds: Dataset) -> float:
     """Wald statistic for a zero coefficient on the control-function block.
 
     Computed directly from the augmented regression as
-    ``rho' (V_hat' M_X V_hat) rho / sigma2_u``.
+    ``||M_X V_hat rho||^2 / sigma2_u``, one least-squares fit on R's rows.
     """
     if cf.sigma2_u <= _variance_floor(ds):
         raise DegenerateVariance("control-function residual variance is numerically zero")
     _, x, v = ds._blocks()
-    mv = linalg.annihilate(x, v)
-    gram = mv.T @ mv
-    return float(cf.rho_cf @ gram @ cf.rho_cf) / cf.sigma2_u
+    v_rho = v @ cf.rho_cf
+    mv = v_rho - x @ linalg.solve_least_squares(x, v_rho)
+    return float(mv @ mv) / cf.sigma2_u
 
 
 def compute_h_n(beta_gap, gram_ols, sigma2_2sls: float, n: int) -> float:
@@ -101,7 +103,7 @@ def _variance_floor(ds: Dataset) -> float:
 
 @dataclass(frozen=True)
 class Statistics:
-    """All four statistics plus the fit bundle they were computed from."""
+    """All four statistics plus the p-sized fits and grams behind them."""
 
     t_h1: float
     t_h2: float
@@ -127,11 +129,10 @@ class Statistics:
         return all(holds(a, b - slack) for a, b in zip(chain, chain[1:]))
 
 
-def _grams(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    # M_Z1 drops the Z1 rows of R; P_Z then keeps the Z2 rows.
+def _gram_factors(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    # (gram_2sls, gram_ols) = B'B: M_Z1 drops the Z1 rows of R; P_Z then keeps the Z2 rows.
     y1, _, _ = ds._blocks()
-    m1, m2 = y1[ds.d_z1:], y1[ds.d_z1:ds.d_z1 + ds.d_z2]
-    return m2.T @ m2, m1.T @ m1
+    return y1[ds.d_z1:ds.d_z1 + ds.d_z2], y1[ds.d_z1:]
 
 
 def compute_statistics(ds: Dataset) -> Statistics:
@@ -143,12 +144,13 @@ def compute_statistics(ds: Dataset) -> Statistics:
     for label, s2 in (("ols", ols.sigma2), ("tsls", tsls.sigma2), ("cf", cf.sigma2_u)):
         if s2 <= floor:
             raise DegenerateVariance(f"{label} residual variance is numerically zero")
-    gram_2sls, gram_ols = _grams(ds)
+    b2, b1 = _gram_factors(ds)
+    gram_ols = b1.T @ b1
     gap = ols.beta_hat - tsls.beta_hat
     return Statistics(
-        t_h1=hausman_statistic(gap, gram_2sls, gram_ols, ols.sigma2, ols.sigma2),
-        t_h2=hausman_statistic(gap, gram_2sls, gram_ols, tsls.sigma2, tsls.sigma2),
-        t_h3=hausman_statistic(gap, gram_2sls, gram_ols, tsls.sigma2, ols.sigma2),
+        t_h1=hausman_statistic(gap, b2, b1, ols.sigma2, ols.sigma2),
+        t_h2=hausman_statistic(gap, b2, b1, tsls.sigma2, tsls.sigma2),
+        t_h3=hausman_statistic(gap, b2, b1, tsls.sigma2, ols.sigma2),
         t_cf=cf_statistic(cf, ds),
         h_n=compute_h_n(gap, gram_ols, tsls.sigma2, ds.n),
         df=ds.d_y1,
@@ -156,7 +158,7 @@ def compute_statistics(ds: Dataset) -> Statistics:
         ols=ols,
         tsls=tsls,
         cf=cf,
-        gram_2sls=gram_2sls,
+        gram_2sls=b2.T @ b2,
         gram_ols=gram_ols,
     )
 
@@ -244,7 +246,7 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     rho_closed = linalg.spd_solve(gram_mz, stats.gram_ols @ gap)
 
     # Direct Wald form against the Hausman form at the CF variance.
-    t_cf_hausman = hausman_statistic(gap, stats.gram_2sls, stats.gram_ols, cf.sigma2_u, cf.sigma2_u)
+    t_cf_hausman = hausman_statistic(gap, *_gram_factors(ds), cf.sigma2_u, cf.sigma2_u)
 
     # Structural coefficient gap as a linear transform of the beta gap.
     z1y1 = linalg.solve_least_squares(ds.r[:ds.d_z1, :ds.d_z1], y1[:ds.d_z1])  # (Z1'Z1)^-1 Z1'Y1

@@ -4,6 +4,10 @@ All residual variances use divisor n (no degrees-of-freedom correction); the
 finite-sample identities between the variance estimators are exact only under
 that convention. 2SLS residuals are computed against the original design, not
 the instrumented one.
+
+Every fit reads only ``Dataset.r``: ``y2 - W_S c = Q (R[:, -1] - R[:, S] c)``,
+so residual norms are taken in R's coordinates and the fits hold no n-row
+array; ``residuals(ds)`` forms the n-row vector on request.
 """
 
 from __future__ import annotations
@@ -16,15 +20,22 @@ from . import linalg
 from .data import Dataset
 
 
+def _structural_residuals(ds: Dataset, theta: np.ndarray) -> np.ndarray:
+    return ds.y2 - ds.y1 @ theta[:ds.d_y1] - ds.z1 @ theta[ds.d_y1:]
+
+
 @dataclass(frozen=True)
 class FitResult:
-    """Coefficients and residuals of one structural-equation fit."""
+    """Coefficients and residual variance of one structural-equation fit."""
 
     theta_hat: np.ndarray  # (d_y1 + d_z1,)
     beta_hat: np.ndarray   # leading (d_y1,) subvector of theta_hat
-    residuals: np.ndarray  # (n,)
-    sigma2: float          # ||residuals||^2 / n
+    sigma2: float          # ||y2 - X theta_hat||^2 / n
     method: str            # 'ols' or 'tsls'
+
+    def residuals(self, ds: Dataset) -> np.ndarray:
+        """The (n,) residuals ``y2 - X theta_hat`` of ``ds``, from its data blocks."""
+        return _structural_residuals(ds, self.theta_hat)
 
 
 @dataclass(frozen=True)
@@ -41,35 +52,37 @@ class CfFit:
 
     theta_cf: np.ndarray  # (d_y1 + d_z1,)
     rho_cf: np.ndarray    # (d_y1,), coefficients on the residual block
-    v_hat: np.ndarray     # (n, d_y1)
-    u_hat: np.ndarray     # (n,)
     sigma2_u: float       # ||u_hat||^2 / n
 
+    def residuals(self, ds: Dataset) -> np.ndarray:
+        """The (n,) residuals ``u_hat = y2 - X theta_cf - V_hat rho_cf`` of ``ds``,
+        with ``V_hat`` from ``fit_reduced_form``."""
+        return _structural_residuals(ds, self.theta_cf) - fit_reduced_form(ds).v_hat @ self.rho_cf
 
-def _structural(ds: Dataset, design: np.ndarray, method: str) -> FitResult:
-    """The outcome on ``design`` in the coordinates of ``ds.r``: X = [Y1 | Z1] for OLS,
-    P_Z X for 2SLS (projecting raises on collinear Z). Residuals are against X."""
-    theta = linalg.solve_least_squares(design, ds.r[:, -1])
-    residuals = ds.y2 - ds.y1 @ theta[:ds.d_y1] - ds.z1 @ theta[ds.d_y1:]
-    return FitResult(
-        theta_hat=theta,
-        beta_hat=theta[:ds.d_y1].copy(),
-        residuals=residuals,
-        sigma2=float(residuals @ residuals) / ds.n,
-        method=method,
-    )
+
+def _structural(ds: Dataset, x: np.ndarray, theta: np.ndarray, method: str) -> FitResult:
+    """The residual variance is against X = [Y1 | Z1], whichever design gave ``theta``."""
+    resid = ds.r[:, -1] - x @ theta
+    return FitResult(theta, theta[:ds.d_y1].copy(), float(resid @ resid) / ds.n, method)
 
 
 def fit_ols(ds: Dataset) -> FitResult:
     """Least squares of the outcome on X = [Y1 | Z1]."""
-    return _structural(ds, ds._blocks()[1], "ols")
+    x = ds._blocks()[1]
+    return _structural(ds, x, linalg.solve_least_squares(x, ds.r[:, -1]), "ols")
 
 
 def fit_tsls(ds: Dataset) -> FitResult:
     """Two-stage least squares: regress the outcome on the projection of X
-    onto the instrument space; residuals are taken against the original X."""
-    _, x, _ = ds._blocks()
-    return _structural(ds, linalg.project(ds.r[:, :ds.d_z1 + ds.d_z2], x), "tsls")
+    onto the instrument space; residuals are taken against the original X.
+
+    In R's coordinates P_Z keeps the leading ``d_z1 + d_z2`` rows, so this is
+    the outcome's Z rows on X's Z rows once Z is checked for full rank.
+    """
+    dz = ds.d_z1 + ds.d_z2
+    linalg._full_rank_qr(ds.r[:dz, :dz])
+    x = ds._blocks()[1]
+    return _structural(ds, x, linalg.solve_least_squares(x[:dz], ds.r[:dz, -1]), "tsls")
 
 
 def fit_reduced_form(ds: Dataset) -> ReducedFormFit:
@@ -87,14 +100,8 @@ def fit_cf(ds: Dataset) -> CfFit:
     explained by Z).
     """
     _, x, v = ds._blocks()
-    coef = linalg.solve_least_squares(np.hstack([x, v]), ds.r[:, -1])
+    xv = np.hstack([x, v])
+    coef = linalg.solve_least_squares(xv, ds.r[:, -1])
+    resid = ds.r[:, -1] - xv @ coef
     k = ds.d_y1 + ds.d_z1
-    v_hat = fit_reduced_form(ds).v_hat
-    u_hat = ds.y2 - ds.y1 @ coef[:ds.d_y1] - ds.z1 @ coef[ds.d_y1:k] - v_hat @ coef[k:]
-    return CfFit(
-        theta_cf=coef[:k].copy(),
-        rho_cf=coef[k:].copy(),
-        v_hat=v_hat,
-        u_hat=u_hat,
-        sigma2_u=float(u_hat @ u_hat) / ds.n,
-    )
+    return CfFit(coef[:k].copy(), coef[k:].copy(), float(resid @ resid) / ds.n)

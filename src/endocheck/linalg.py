@@ -5,8 +5,7 @@ normal equations: the test statistics downstream difference two nearly equal
 coefficient vectors, so squaring the condition number here is not acceptable.
 The statistics path solves only small problems here, on the rows of the
 triangular factor ``Dataset.r`` of ``[Z1 | Z2 | Y1 | y2]``; the n-row data
-are factored once, there. ``project`` and ``annihilate`` apply a projection
-as ``A @ lstsq(A, Y)`` and never materialize an n-by-n projection matrix.
+are factored once, there.
 """
 
 from __future__ import annotations
@@ -42,6 +41,15 @@ def _pivoted_qr(a: np.ndarray):
     return q, r, perm, np.abs(np.diag(r)), tol
 
 
+def _full_rank_qr(a: np.ndarray):
+    """``(q, r, perm)`` of ``_pivoted_qr``; raises ``RankDeficient`` at a dependent column."""
+    q, r, perm, pivots, tol = _pivoted_qr(a)
+    small = np.nonzero(pivots <= tol)[0]
+    if small.size:
+        raise RankDeficient(int(perm[small[0]]))
+    return q, r, perm
+
+
 def solve_least_squares(a, b) -> np.ndarray:
     """Minimize ||A C - B||_F over C, one column of B at a time.
 
@@ -68,26 +76,11 @@ def solve_least_squares(a, b) -> np.ndarray:
         raise ValueError(f"shape mismatch: A has {n} rows, B has {b2.shape[0]}")
     if n < k:
         raise ValueError(f"underdetermined system: n={n} < k={k}")
-    q, r, perm, pivots, tol = _pivoted_qr(a)
-    small = np.nonzero(pivots <= tol)[0]
-    if small.size:
-        raise RankDeficient(int(perm[small[0]]))
+    q, r, perm = _full_rank_qr(a)
     c_perm = scipy.linalg.solve_triangular(r, q.T @ b2)
     c = np.empty_like(c_perm)
     c[perm] = c_perm
     return c[:, 0] if b_in.ndim == 1 else c
-
-
-def project(a, y) -> np.ndarray:
-    """Apply the orthogonal projection onto the column space of ``a`` to ``y``."""
-    a = _as_2d(a)
-    return a @ solve_least_squares(a, y)
-
-
-def annihilate(a, y) -> np.ndarray:
-    """Apply the annihilator (residual-maker) of ``a`` to ``y``."""
-    y_arr = np.asarray(y, dtype=float)
-    return y_arr - project(a, y_arr)
 
 
 def spd_solve(s, b) -> np.ndarray:

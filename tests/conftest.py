@@ -1,10 +1,12 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from endocheck import Dataset, DgpConfig, generate_dataset, load_csv
+from endocheck.linalg import solve_least_squares
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -46,3 +48,21 @@ def random_admissible_dataset(rng: np.random.Generator, n=None, d_y1=None, d_z1=
         sigma_v=float(rng.uniform(0.5, 2.0)),
     )
     return generate_dataset(cfg, int(rng.integers(0, 2**31)), int(rng.integers(0, 2**31)))
+
+
+# Reference helpers on the n-row data; the package itself works on ``Dataset.r``.
+
+def project(a, y) -> np.ndarray:
+    """The orthogonal projection of ``y`` onto the columns of ``a``, as ``A @ lstsq(A, y)``."""
+    return a @ solve_least_squares(a, y)
+
+
+def annihilate(a, y) -> np.ndarray:
+    """``y`` minus its projection onto the columns of ``a``."""
+    y = np.asarray(y, dtype=float)
+    return y - project(a, y)
+
+
+def design_matrices(ds: Dataset) -> SimpleNamespace:
+    """X = [Y1 | Z1] and Z = [Z1 | Z2] stacked from the blocks of ``ds``."""
+    return SimpleNamespace(x=np.hstack([ds.y1, ds.z1]), z=np.hstack([ds.z1, ds.z2]))

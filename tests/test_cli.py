@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from endocheck import simulation
 from endocheck.cli import main
 
 F1_ARGS = ["--outcome", "y", "--endog", "x", "--exog", "none", "--add-intercept", "--iv", "z1,z2"]
@@ -89,6 +90,15 @@ class TestCmdTest:
         assert out == ""
         assert err.startswith("endocheck: ") and err.count("\n") == 1
         assert str(p) in err
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, f1_path, f1_expected):
+        p = tmp_path / "bom.csv"
+        with open(f1_path, "rb") as fh:
+            p.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        code, out, _ = run(capsys, ["test", str(p), *F1_ARGS, "--format", "json"])
+        assert code == 0
+        for name, value in json.loads(out)["statistics"].items():
+            assert value == pytest.approx(f1_expected[name], rel=1e-8)
 
     def test_collinear_data_exits_2(self, capsys, tmp_path):
         rng = np.random.default_rng(1)
@@ -226,7 +236,11 @@ class TestCmdSimulate:
         point = strict_json(out)["points"][0]
         assert point["completed"] == 0 and point["degenerate_count"] == 5
 
-    def test_out_is_a_file_exits_2(self, capsys, tmp_path):
+    def test_out_is_a_file_exits_2(self, capsys, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the Monte Carlo ran before --out was checked")
+
+        monkeypatch.setattr(simulation, "run_monte_carlo", no_run)
         cfg = self.config(tmp_path, sim={"replications": 2})
         taken = tmp_path / "taken"
         taken.write_text("")

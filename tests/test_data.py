@@ -7,7 +7,6 @@ from endocheck import (
     DgpConfig,
     RankDeficient,
     compute_statistics,
-    design_matrices,
     generate_dataset,
     load_csv,
     run_all_tests,
@@ -17,7 +16,7 @@ from endocheck import (
 from endocheck.data import EmptyFile, InvalidDataset, MissingColumn, NonNumericCell, RoleConflict
 from endocheck.linalg import spd_solve
 
-from conftest import random_admissible_dataset
+from conftest import design_matrices, random_admissible_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -162,7 +161,7 @@ class TestValidate:
     def test_gram_difference_positive_definite(self):
         # The two endogenous-block Gram differences are PD on admissible data;
         # both SPD solves must succeed.
-        from endocheck.linalg import annihilate, project
+        from conftest import annihilate, project
 
         rng = np.random.default_rng(4)
         for _ in range(20):

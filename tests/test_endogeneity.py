@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,18 +11,17 @@ from endocheck import (
     cf_statistic,
     compute_h_n,
     compute_statistics,
-    design_matrices,
     fit_cf,
     generate_dataset,
     hausman_statistic,
     run_all_tests,
+    validate,
     verify_identities,
 )
 from endocheck import linalg
 from endocheck.cli import _random_dataset
-from endocheck.linalg import annihilate
 
-from conftest import random_admissible_dataset
+from conftest import annihilate, design_matrices, random_admissible_dataset
 from test_estimators import exact_fit_dataset
 
 
@@ -33,6 +34,14 @@ ILL_CONDITIONED_DRAWS = {
     ),
     # A strong first stage: gram_2sls ~ gram_ols, so their inverses nearly cancel in W.
     "strong": lambda: _random_dataset(["n=60", "d_y1=2", "d_z2=3", "c=1000", "seed=1"]),
+    # A rank-one pi2 identified by noise only: the 2SLS gram has cond ~2.9e11,
+    # past what a formed gram resolves.
+    "rank_one": lambda: generate_dataset(
+        DgpConfig(n=334, d_y1=2, d_z1=1, d_z2=2, beta=(1.0, 1.0), gamma=(1.0,),
+                  pi2_strength=1.439375351085026,
+                  rho=(-0.25934038458711484, -2.4286149700989267e-149)),
+        1417, 1782221302,
+    ),
 }
 
 
@@ -42,7 +51,7 @@ class TestHausmanStatistic:
 
     def test_scalar_hand_value(self):
         # g=1, a=1, b=2, s=1: g^2 / (s*(1/a - 1/b)) = 1 / 0.5 = 2
-        assert hausman_statistic([1.0], [[1.0]], [[2.0]], 1.0, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert hausman_statistic([1.0], [[1.0]], [[np.sqrt(2.0)]], 1.0, 1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_invalid_variance_pairing(self):
         # large sigma2_2 flips the weighting matrix negative
@@ -84,6 +93,35 @@ class TestHausmanStatistic:
         verify_identities(ds)
         assert len(calls) == 5
 
+    def test_small_factorization_budget(self, monkeypatch):
+        # Every factorization after the cached n-row one is a pivoted QR of
+        # a few rows of R.
+        import scipy.linalg
+
+        calls = []
+        qr = scipy.linalg.qr
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        ds = random_admissible_dataset(np.random.default_rng(10), n=80, d_y1=2)
+        monkeypatch.setattr(scipy.linalg, "qr", counting)
+        for run, expected in ((compute_statistics, 5), (verify_identities, 6), (validate, 4)):
+            calls.clear()
+            run(ds)
+            assert len(calls) == expected, run.__name__
+            assert all(rows <= ds.r.shape[0] for rows, _ in calls)
+
+    def test_statistics_read_only_the_factor(self):
+        ds = random_admissible_dataset(np.random.default_rng(11), n=80, d_y1=2)
+        runs = (compute_statistics, verify_identities, validate)
+        before = [dataclasses.asdict(run(ds)) for run in runs]  # caches ds.r
+        for name in ("y2", "y1", "z1", "z2"):
+            object.__setattr__(ds, name, np.full_like(getattr(ds, name), np.nan))
+        for run, expected in zip(runs, before):
+            np.testing.assert_equal(dataclasses.asdict(run(ds)), expected)
+
 
 class TestCfStatistic:
     def test_zero_rho_gives_zero(self):
@@ -107,7 +145,7 @@ class TestCfStatistic:
             ds = random_admissible_dataset(rng, n=int(rng.integers(30, 100)))
             stats = compute_statistics(ds)
             alt = hausman_statistic(
-                stats.beta_gap, stats.gram_2sls, stats.gram_ols,
+                stats.beta_gap, np.linalg.cholesky(stats.gram_2sls).T, np.linalg.cholesky(stats.gram_ols).T,
                 stats.cf.sigma2_u, stats.cf.sigma2_u,
             )
             assert stats.t_cf == pytest.approx(alt, rel=1e-8)
@@ -172,6 +210,10 @@ class TestVerifyIdentities:
         report = verify_identities(f1_dataset)
         assert report.max_gap() < 1e-8
         assert report.ordering_ok
+
+    def test_rank_one_draw_within_gate(self):
+        # A formed 2SLS gram put this draw's Hausman routes 3.2e-7 apart.
+        assert verify_identities(ILL_CONDITIONED_DRAWS["rank_one"]()).max_gap() < 1e-7
 
     def test_zero_rho_weak_ordering(self):
         rng = np.random.default_rng(5)

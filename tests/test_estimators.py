@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from endocheck import Dataset, RankDeficient, design_matrices, fit_cf, fit_ols, fit_reduced_form, fit_tsls
-from endocheck.linalg import annihilate, project
+from endocheck import Dataset, RankDeficient, fit_cf, fit_ols, fit_reduced_form, fit_tsls
 
-from conftest import random_admissible_dataset
+from conftest import annihilate, design_matrices, project, random_admissible_dataset
 
 
 def exact_fit_dataset(rng, n=40):
@@ -74,7 +73,7 @@ class TestTsls:
         ds = random_admissible_dataset(rng, n=60)
         dm = design_matrices(ds)
         fit = fit_tsls(ds)
-        np.testing.assert_allclose(fit.residuals, ds.y2 - dm.x @ fit.theta_hat, rtol=1e-12)
+        np.testing.assert_allclose(fit.residuals(ds), ds.y2 - dm.x @ fit.theta_hat, rtol=1e-12)
 
 
 class TestReducedForm:
@@ -130,9 +129,9 @@ class TestCf:
         ds = random_admissible_dataset(rng, n=70)
         dm = design_matrices(ds)
         cf = fit_cf(ds)
-        design = np.hstack([dm.x, cf.v_hat])
+        design = np.hstack([dm.x, fit_reduced_form(ds).v_hat])
         bound = 1e-10 * np.linalg.norm(design) * np.linalg.norm(ds.y2)
-        assert np.abs(design.T @ cf.u_hat).max() <= bound
+        assert np.abs(design.T @ cf.residuals(ds)).max() <= bound
 
     def test_rho_closed_form(self):
         # rho equals a fixed linear transform of the OLS/2SLS beta gap
@@ -142,7 +141,8 @@ class TestCf:
             cf = fit_cf(ds)
             gap = fit_ols(ds).beta_hat - fit_tsls(ds).beta_hat
             m1 = annihilate(ds.z1, ds.y1)
-            closed = np.linalg.solve(cf.v_hat.T @ cf.v_hat, (m1.T @ m1) @ gap)
+            v_hat = fit_reduced_form(ds).v_hat
+            closed = np.linalg.solve(v_hat.T @ v_hat, (m1.T @ m1) @ gap)
             np.testing.assert_allclose(cf.rho_cf, closed, rtol=1e-8, atol=1e-12)
 
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from endocheck import NotPositiveDefinite, RankDeficient
-from endocheck.linalg import annihilate, project, rank_report, solve_least_squares, spd_solve
+from endocheck.linalg import rank_report, solve_least_squares, spd_solve
+
+from conftest import annihilate, project
 
 
 def dense_lstsq_oracle(a, b):
