@@ -34,6 +34,16 @@ def _parse_alphas(text: str) -> list[float]:
     return alphas
 
 
+def _parse_tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad tolerance: {text!r}") from None
+    if not 0.0 < tol < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(f"tolerance must be a positive finite number, got {text!r}")
+    return tol
+
+
 def _roles_from_args(args) -> dict[str, str]:
     roles = {args.outcome: data.ROLE_OUTCOME}
 
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verify the exact finite-sample identities")
     _add_dataset_args(p_verify, data_required=False)
-    p_verify.add_argument("--tol", type=float, default=1e-8, help="relative identity tolerance")
+    p_verify.add_argument("--tol", type=_parse_tolerance, default=1e-8, help="relative identity tolerance")
     p_verify.add_argument("--random", nargs="*", metavar="KEY=VALUE", default=None,
                           help="verify on a generated dataset (keys: n seed d_y1 d_z1 d_z2 rho c)")
     p_verify.add_argument("--format", choices=("table", "json", "csv"), default="table")

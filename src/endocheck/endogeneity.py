@@ -10,7 +10,6 @@ Hausman form evaluated at the control-function residual variance.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -80,7 +79,7 @@ def cf_statistic(cf: CfFit, ds: Dataset) -> float:
     Computed directly from the augmented regression as
     ``||M_X V_hat rho||^2 / sigma2_u``, one least-squares fit on R's rows.
     """
-    if cf.sigma2_u <= _variance_floor(ds):
+    if cf.sigma2_u <= _variance_floor(ds.r, ds.n):
         raise DegenerateVariance("control-function residual variance is numerically zero")
     _, x, v = ds._blocks()
     v_rho = v @ cf.rho_cf
@@ -95,20 +94,40 @@ def compute_h_n(beta_gap, gram_ols, sigma2_2sls: float, n: int) -> float:
     return float(gap @ gram @ gap) / (n * sigma2_2sls)
 
 
-def _variance_floor(ds: Dataset) -> float:
+def _variance_floor(r: np.ndarray, n: int):
     # Exact fits leave residuals at rounding scale; anything this small is
-    # a degenerate variance, not sampling noise. mean(y2^2) is read from R.
-    return 1e-24 * (float(np.sum(np.square(ds.r[:, -1]))) / ds.n + 1.0)
+    # a degenerate variance, not sampling noise. mean(y2^2) is read from R,
+    # one value per stacked R.
+    return 1e-24 * (np.sum(np.square(r[..., -1]), axis=-1) / n + 1.0)
 
 
 @dataclass(frozen=True)
-class Statistics:
+class StatisticValues:
+    """The four test statistics: floats for one dataset, or arrays over a
+    block of replications."""
+
+    t_h1: float | np.ndarray
+    t_h2: float | np.ndarray
+    t_h3: float | np.ndarray
+    t_cf: float | np.ndarray
+
+    def by_name(self) -> dict:
+        return {name: getattr(self, name) for name in TEST_NAMES}
+
+    def ordered(self, slack=0.0, strict: bool = False):
+        """Whether ``t_cf >= t_h1 >= t_h2 >= t_h3`` holds, each step up to
+        ``slack``; with ``strict``, ``>`` in place of ``>=``. A bool for
+        floats, a bool array (elementwise) for arrays."""
+        chain = (self.t_cf, self.t_h1, self.t_h2, self.t_h3)
+        holds = np.greater if strict else np.greater_equal
+        ok = np.logical_and.reduce([holds(a, b - slack) for a, b in zip(chain, chain[1:])])
+        return ok if np.ndim(ok) else bool(ok)
+
+
+@dataclass(frozen=True)
+class Statistics(StatisticValues):
     """All four statistics plus the p-sized fits and grams behind them."""
 
-    t_h1: float
-    t_h2: float
-    t_h3: float
-    t_cf: float
     h_n: float
     df: int
     beta_gap: np.ndarray
@@ -117,16 +136,6 @@ class Statistics:
     cf: CfFit
     gram_2sls: np.ndarray  # Y1_hat' M_Z1 Y1_hat
     gram_ols: np.ndarray   # Y1' M_Z1 Y1
-
-    def by_name(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in TEST_NAMES}
-
-    def ordered(self, slack: float = 0.0, strict: bool = False) -> bool:
-        """Whether ``t_cf >= t_h1 >= t_h2 >= t_h3`` holds, each step up to
-        ``slack``; with ``strict``, ``>`` in place of ``>=``."""
-        chain = (self.t_cf, self.t_h1, self.t_h2, self.t_h3)
-        holds = operator.gt if strict else operator.ge
-        return all(holds(a, b - slack) for a, b in zip(chain, chain[1:]))
 
 
 def _gram_factors(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +149,7 @@ def compute_statistics(ds: Dataset) -> Statistics:
     ols = fit_ols(ds)
     tsls = fit_tsls(ds)
     cf = fit_cf(ds)
-    floor = _variance_floor(ds)
+    floor = _variance_floor(ds.r, ds.n)
     for label, s2 in (("ols", ols.sigma2), ("tsls", tsls.sigma2), ("cf", cf.sigma2_u)):
         if s2 <= floor:
             raise DegenerateVariance(f"{label} residual variance is numerically zero")
@@ -161,6 +170,149 @@ def compute_statistics(ds: Dataset) -> Statistics:
         gram_2sls=b2.T @ b2,
         gram_ols=gram_ols,
     )
+
+
+# How far the block screen stays from each threshold at which
+# compute_statistics raises: a rank check's pivot tolerance and the variance
+# floor (times _SCREEN_MARGIN), and K's conditioning (lambda_min above
+# _K_MARGIN * ||K||). _ROUNDING_LIMIT bounds the estimated rounding error of
+# the statistics against 1 + t_cf, far below the ordering slack of
+# run_monte_carlo (1e-9 * (1 + t_cf)).
+_SCREEN_MARGIN = 1e4
+_K_MARGIN = 1e-8
+_ROUNDING_LIMIT = 1e-12
+_EPS = np.finfo(float).eps
+
+
+def _mT(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _least_squares_block(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solutions of the stacked full-rank least-squares problems ``a c = y``:
+    the QR of ``[a | y]``, then the triangular system."""
+    k = a.shape[-1]
+    t = np.linalg.qr(np.concatenate([a, y[..., None]], axis=-1), mode="r")
+    return np.linalg.solve(t[:, :k, :k], t[:, :k, k:])[..., 0]
+
+
+def _sq_norm(a: np.ndarray) -> np.ndarray:
+    return np.einsum("bi,bi->b", a, a)
+
+
+def _near_singular(k: np.ndarray) -> np.ndarray:
+    """For each symmetric matrix of the stack ``k``: whether it is not finite
+    or its smallest eigenvalue is at most ``_K_MARGIN`` times its norm."""
+    bad = ~np.isfinite(k).all(axis=(-2, -1))
+    lam = np.linalg.eigvalsh(np.where(bad[:, None, None], np.eye(k.shape[-1]), k))
+    return bad | ~(lam[:, 0] > _K_MARGIN * np.abs(lam).max(axis=1))
+
+
+def block_statistics(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[StatisticValues, np.ndarray]:
+    """The four statistics of a block of datasets from their stacked R factors alone.
+
+    ``r`` is (B, m, p): R of each dataset's ``W = [Z1 | Z2 | Y1 | y2]``, with
+    ``m = min(n, p)``. With ``R23``, ``R33`` the Z2 and Y1 rows of the Y1
+    columns and ``r24``, ``r34``, ``r44`` the matching pieces of the y2
+    column (Z1 is concentrated out by dropping its rows):
+
+    * ``G2 = R23'R23`` and ``G1 = G2 + R33'R33``;
+    * ``beta_2sls`` and ``beta_ols`` are the least-squares solutions of
+      ``R23 b = r24`` and ``[R23; R33] b = [r24; r34]``;
+    * ``n*sigma2`` for OLS and 2SLS is ``r44^2 + ||[r24; r34] - [R23; R33] b||^2``
+      at their ``b``, and ``n*sigma2_u`` is ``r44^2 + ||r24 - R23 beta_2sls||^2``;
+    * ``t_h1..t_h3`` are the K form of ``hausman_statistic``;
+    * ``t_cf`` is the control-function Wald statistic by the direct route
+      ``(SSR_ols - SSR_u) / sigma2_u``, the difference taken as the squared
+      norm of the difference of the two residuals,
+      ``||R23 gap||^2 + ||r34 - R33 beta_ols||^2``.
+
+    Returns the statistics as (B,) arrays and a (B,) flag. The flag is a
+    conservative screen: it marks every dataset on which
+    ``compute_statistics`` could raise, or could come out different enough
+    to change a decision of the Monte Carlo: ``n < p``; ``sigma_min`` of X,
+    P_Z X, Z or [X | V] within ``_SCREEN_MARGIN`` of the rank tolerance; a
+    variance within ``_SCREEN_MARGIN`` of the floor; a K with ``lambda_min``
+    at most ``_K_MARGIN * ||K||``; an estimated rounding error of the
+    statistics above ``_ROUNDING_LIMIT * (1 + t_cf)``, which also covers a K
+    that rounds to non-positive in ``compute_statistics``; a non-finite
+    statistic. Flagged entries hold nan.
+    """
+    size, m, p = r.shape
+    dz = d_z1 + d_z2
+    k = p - dz - 1
+    values = np.full((len(TEST_NAMES), size), np.nan)
+    if m < p:
+        return StatisticValues(*values), np.ones(size, dtype=bool)
+    y1 = slice(dz, dz + k)
+    x = np.concatenate([r[:, :dz + k, y1], r[:, :dz + k, :d_z1]], axis=2)  # X = [Y1 | Z1]
+    v = np.zeros((size, dz + k, k))
+    v[:, dz:] = r[:, y1, y1]  # V_hat = M_Z Y1
+    flagged = np.zeros(size, dtype=bool)
+    sigma_min = []  # of X, P_Z X, Z and [X | V]
+    for a in (x, x[:, :dz], r[:, :dz, :dz], np.concatenate([x, v], axis=2)):
+        sigma, tol = linalg.smallest_singular_value(a)
+        flagged |= sigma <= _SCREEN_MARGIN * tol
+        sigma_min.append(sigma)
+    kept = np.flatnonzero(~flagged)
+    if kept.size:
+        sigma_x, sigma_pzx = sigma_min[0][kept], sigma_min[1][kept]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            stats, unsafe = _screened_statistics(r[kept], n, d_z1, d_z2, sigma_x, sigma_pzx)
+        values[:, kept] = np.where(unsafe, np.nan, stats)
+        flagged[kept] = unsafe
+    return StatisticValues(*values), flagged
+
+
+def _screened_statistics(r: np.ndarray, n: int, d_z1: int, d_z2: int,
+                         sigma_x: np.ndarray, sigma_pzx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``block_statistics`` on R factors that passed the rank screen, given
+    ``sigma_min`` of X and P_Z X: the (4, B) statistics and the rest of the
+    screen's flag."""
+    dz = d_z1 + d_z2
+    k = r.shape[-1] - dz - 1
+    b2 = r[:, d_z1:dz, dz:dz + k]       # R23
+    b1 = r[:, d_z1:dz + k, dz:dz + k]   # [R23; R33]
+    y = r[:, d_z1:dz + k, -1]           # [r24; r34]
+    r44_sq = np.square(r[:, -1, -1])
+    beta_ols = _least_squares_block(b1, y)
+    beta_2sls = _least_squares_block(b2, y[:, :d_z2])
+    e_ols = y - (b1 @ beta_ols[..., None])[..., 0]
+    e_2sls = y - (b1 @ beta_2sls[..., None])[..., 0]
+    s_ols = (r44_sq + _sq_norm(e_ols)) / n
+    s_2sls = (r44_sq + _sq_norm(e_2sls)) / n
+    s_u = (r44_sq + _sq_norm(e_2sls[:, :d_z2])) / n
+    floor = _SCREEN_MARGIN * _variance_floor(r, n)
+    unsafe = (s_ols <= floor) | (s_2sls <= floor) | (s_u <= floor)
+
+    # Relative rounding error of the statistics, over eps: the gap is a
+    # difference of two fits, each off by about eps * ||y|| / sigma_min; K is
+    # a difference of grams that cancels down to R33'R33 (||G1|| over
+    # sigma_min(R33)^2), weighted by variances that are residuals of y
+    # (||y|| / ||e||).
+    y_norm = np.linalg.norm(r[:, :, -1], axis=1)
+    gap = beta_ols - beta_2sls
+    r33_min = np.linalg.svd(r[:, dz:dz + k, dz:dz + k], compute_uv=False)[:, -1]
+    kappa = ((y_norm / sigma_x + np.linalg.norm(r[:, :dz, -1], axis=1) / sigma_pzx) / np.linalg.norm(gap, axis=1)
+             + _sq_norm(b1.reshape(len(r), -1)) / np.square(r33_min) * y_norm / np.sqrt(n * s_ols))
+
+    gap = gap[..., None]
+    b2_gap, b1_gap = b2 @ gap, b1 @ gap
+    g1_gap = _mT(b1) @ b1_gap
+    g2_gap = _mT(b2) @ b2_gap
+    gram_2sls = _mT(b2) @ b2
+    gram_ols = _mT(b1) @ b1
+    hausman = []
+    for s1, s2 in ((s_ols, s_ols), (s_2sls, s_2sls), (s_2sls, s_ols)):
+        kk = s1[:, None, None] * gram_ols - s2[:, None, None] * gram_2sls
+        not_pd = _near_singular(kk)
+        kk[not_pd] = np.eye(k)
+        unsafe |= not_pd
+        hausman.append((_mT(g1_gap) @ np.linalg.solve(kk, g2_gap))[:, 0, 0])
+    t_cf = (_sq_norm(b2_gap[..., 0]) + _sq_norm(e_ols[:, d_z2:])) / s_u
+    stats = np.array([*hausman, t_cf])
+    unsafe |= ~(_EPS * kappa * t_cf <= _ROUNDING_LIMIT * (1.0 + t_cf))
+    return stats, unsafe | ~np.isfinite(stats).all(axis=0)
 
 
 @dataclass(frozen=True)

@@ -120,3 +120,17 @@ def rank_report(a) -> tuple[bool, float]:
     dmax = pivots.max() if pivots.size else 0.0
     cond = float(dmax / dmin) if dmin > 0 else float("inf")
     return bool(dmin > tol), cond
+
+
+def smallest_singular_value(a) -> tuple[np.ndarray, np.ndarray]:
+    """For each matrix of the stack ``a`` (..., m, k) with m >= k: its
+    smallest singular value and the rank tolerance ``RANK_TOL * max column
+    norm`` that ``_pivoted_qr`` would apply to it.
+
+    Every pivot of ``_pivoted_qr`` is at least the smallest singular value,
+    so where that exceeds the tolerance by a wide margin no rank check on the
+    matrix fails.
+    """
+    a = np.asarray(a, dtype=float)
+    sigma_min = np.linalg.svd(a, compute_uv=False)[..., -1]
+    return sigma_min, RANK_TOL * np.linalg.norm(a, axis=-2).max(axis=-1)

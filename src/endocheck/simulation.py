@@ -5,6 +5,11 @@ mixing (seed, replication_index) through a splitmix64-style avalanche, so
 results do not depend on replication order or scheduling. Normal variates are
 produced by inverse-CDF transform of PCG64 uniforms (no ziggurat), which
 pins the exact draw sequence for a given substream seed.
+
+The Monte Carlo runs in blocks of replications whose stacked data fill about
+``_BLOCK_ELEMENTS`` doubles per array. Blocks do not change the draws: each
+replication still reads its own substream in the same order, and
+``generate_dataset`` is the one-replication block, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import Dataset
-from .endogeneity import TEST_NAMES, chi2_quantile, compute_statistics
+from .endogeneity import TEST_NAMES, StatisticValues, block_statistics, chi2_quantile, compute_statistics
 from .errors import ConfigInvalid, EndocheckError
 
 SCHEMA_VERSION = 1
@@ -39,29 +44,31 @@ def _substream_seed(seed: int, replication_index: int) -> int:
     return _splitmix64(mixed ^ _splitmix64((replication_index + 1) & _MASK64))
 
 
-def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    # 53-bit uniforms shifted off the endpoints, then the normal inverse CDF.
-    u = (rng.integers(0, 1 << 53, size=shape).astype(float) + 0.5) * 2.0**-53
-    return ndtri(u)
-
-
 def _is_a(value, kind) -> bool:
     # JSON true/false are Python ints, so bools are excluded explicitly.
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _is_finite_number(value) -> bool:
+    # JSON admits NaN and Infinity, and integers too large for a float.
+    try:
+        return _is_a(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _require_types(cfg) -> None:
     """Reject values of the wrong type in the typed fields of a config: an
     ``int`` must be an integer, a ``float`` (or each entry of a float tuple)
-    a number, and a ``bool`` true or false."""
+    a finite number, and a ``bool`` true or false."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type == "int":
             ok, kind = _is_a(value, numbers.Integral), "an integer"
         elif f.type == "float":
-            ok, kind = _is_a(value, numbers.Real), "a number"
+            ok, kind = _is_finite_number(value), "a finite number"
         elif f.type == "tuple[float, ...]":
-            ok, kind = all(_is_a(x, numbers.Real) for x in value), "a list of numbers"
+            ok, kind = all(_is_finite_number(x) for x in value), "a list of finite numbers"
         elif f.type == "bool":
             ok, kind = isinstance(value, bool), "true or false"
         else:
@@ -149,30 +156,96 @@ class SimResult:
     ordering_violations: int
 
 
+# Doubles per block array: at n=2000 and p=5 a block holds 13 replications;
+# once n*p passes it, one.
+_BLOCK_ELEMENTS = 1 << 17
+
+# A block whose sum of squares comes within this of overflow is decided by
+# the Dataset checks, one replication at a time.
+_SUMSQ_LIMIT = 1e-4 * np.finfo(float).max
+
+
+def _block_size(cfg: DgpConfig) -> int:
+    return max(1, _BLOCK_ELEMENTS // (cfg.n * (cfg.d_z1 + cfg.d_z2 + cfg.d_y1 + 1)))
+
+
+def _draw_block(cfg: DgpConfig, seed: int, reps: range) -> np.ndarray:
+    """The data ``W = [Z1 | Z2 | Y1 | y2]`` of replications ``reps``, stacked as (B, n, p).
+
+    Each replication draws from its own substream in a fixed order (z block,
+    then v, then u, each row by row), so its slice does not depend on the
+    other replications in the block. Each slice is column-major, the layout
+    the stacked QR copies into. Overflow is left to the Dataset checks.
+    """
+    n, d_z1, k = cfg.n, cfg.d_z1, cfg.d_y1
+    dz = d_z1 + cfg.d_z2
+    # 53-bit uniforms shifted off the endpoints, then the normal inverse CDF.
+    normal = np.empty((len(reps), n * (dz + k + 1)))
+    for row, rep in zip(normal, reps):
+        rng = np.random.Generator(np.random.PCG64(_substream_seed(seed, rep)))
+        np.add(rng.integers(0, 1 << 53, size=row.size), 0.5, out=row)
+    normal *= 2.0**-53
+    ndtri(normal, out=normal)
+
+    z = normal[:, :n * dz].reshape(-1, n, dz)
+    if cfg.intercept:
+        z[:, :, 0] = 1.0
+    v = normal[:, n * dz:n * (dz + k)].reshape(-1, n, k)
+    u = normal[:, n * (dz + k):]
+    with np.errstate(over="ignore", invalid="ignore"):
+        v *= cfg.sigma_v
+        u *= cfg.sigma_u
+        pi2 = np.full((cfg.d_z2, k), cfg.pi2_strength)
+        y1 = z[:, :, d_z1:] @ pi2 + v  # included-exogenous reduced-form coefficients are zero
+        eps = v @ np.asarray(cfg.rho) + u
+        y2 = y1 @ np.asarray(cfg.beta) + z[:, :, :d_z1] @ np.asarray(cfg.gamma) + eps
+    columns = np.empty((len(reps), dz + k + 1, n))
+    columns[:, :dz] = np.swapaxes(z, 1, 2)
+    columns[:, dz:-1] = np.swapaxes(y1, 1, 2)
+    columns[:, -1] = y2
+    return np.swapaxes(columns, 1, 2)
+
+
 def generate_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Dataset:
-    """Draw one dataset from the configured process.
+    """Draw one dataset from the configured process: the one-replication block.
 
     Draw order is fixed (z block, then v, then u) so identical
     (cfg, index, seed) triples reproduce byte-identical datasets.
     """
-    rng = np.random.Generator(np.random.PCG64(_substream_seed(seed, replication_index)))
-    z = _standard_normal(rng, (cfg.n, cfg.d_z1 + cfg.d_z2))
-    if cfg.intercept:
-        z[:, 0] = 1.0
-    v = cfg.sigma_v * _standard_normal(rng, (cfg.n, cfg.d_y1))
-    u = cfg.sigma_u * _standard_normal(rng, cfg.n)
+    w = _draw_block(cfg, seed, range(replication_index, replication_index + 1))[0]
+    dz = cfg.d_z1 + cfg.d_z2
+    return Dataset(y2=w[:, -1], y1=w[:, dz:-1], z1=w[:, :cfg.d_z1], z2=w[:, cfg.d_z1:dz])
 
-    z1 = z[:, : cfg.d_z1]
-    z2 = z[:, cfg.d_z1 :]
-    pi2 = np.full((cfg.d_z2, cfg.d_y1), cfg.pi2_strength)
-    y1 = z2 @ pi2 + v  # included-exogenous reduced-form coefficients are zero
-    eps = v @ np.asarray(cfg.rho) + u
-    y2 = y1 @ np.asarray(cfg.beta) + z1 @ np.asarray(cfg.gamma) + eps
-    return Dataset(y2=y2, y1=y1, z1=z1, z2=z2)
+
+def _run_block(dgp: DgpConfig, seed: int, reps: range) -> tuple[StatisticValues, np.ndarray]:
+    """The four statistics of replications ``reps`` as arrays, and which replications completed.
+
+    The stacked R factors go to ``block_statistics``. A replication it flags,
+    or whose data fail the overflow screen, is drawn again and decided by
+    ``compute_statistics``, so its outcome, and any error, are the
+    per-replication ones.
+    """
+    w = _draw_block(dgp, seed, reps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sumsq = np.einsum("bij,bij->b", w, w)
+    unsafe = ~(sumsq < _SUMSQ_LIMIT)  # also true for nan
+    w[unsafe] = 0.0
+    stats, flagged = block_statistics(np.linalg.qr(w, mode="r"), dgp.n, dgp.d_z1, dgp.d_z2)
+    completed = np.ones(len(reps), dtype=bool)
+    for i in np.flatnonzero(flagged | unsafe):
+        ds = generate_dataset(dgp, reps[i], seed)
+        try:
+            single = compute_statistics(ds)
+        except EndocheckError:
+            completed[i] = False
+            continue
+        for name, value in single.by_name().items():
+            getattr(stats, name)[i] = value
+    return stats, completed
 
 
 def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
-    """Run the replication loop and tally rejections per (test, level).
+    """Run the replications in blocks and tally rejections per (test, level).
 
     Replications that raise estimation errors are skipped and counted.
     Per-replication ordering violations of the four statistics are counted
@@ -182,20 +255,16 @@ def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
     counts = {t: {a: 0 for a in sim.alphas} for t in sim.tests}
     degenerate = 0
     ordering_violations = 0
-    for rep in range(sim.replications):
-        ds = generate_dataset(dgp, rep, sim.seed)
-        try:
-            stats = compute_statistics(ds)
-        except EndocheckError:
-            degenerate += 1
-            continue
-        if not stats.ordered(1e-9 * (1.0 + stats.t_cf)):
-            ordering_violations += 1
+    size = _block_size(dgp)
+    for start in range(0, sim.replications, size):
+        stats, completed = _run_block(dgp, sim.seed, range(start, min(start + size, sim.replications)))
+        degenerate += int(np.count_nonzero(~completed))
+        in_order = stats.ordered(1e-9 * (1.0 + stats.t_cf))
+        ordering_violations += int(np.count_nonzero(completed & ~in_order))
         values = stats.by_name()
         for t in sim.tests:
             for a in sim.alphas:
-                if values[t] > crit[a]:
-                    counts[t][a] += 1
+                counts[t][a] += int(np.count_nonzero(completed & (values[t] > crit[a])))
     completed = sim.replications - degenerate
     rates = {
         t: {a: (counts[t][a] / completed if completed else math.nan) for a in sim.alphas}

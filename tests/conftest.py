@@ -4,9 +4,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from endocheck import Dataset, DgpConfig, generate_dataset, load_csv
+from endocheck import (
+    Dataset,
+    DgpConfig,
+    EndocheckError,
+    SimConfig,
+    chi2_quantile,
+    compute_statistics,
+    generate_dataset,
+    load_csv,
+)
 from endocheck.linalg import solve_least_squares
+from endocheck.simulation import _substream_seed
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -29,13 +40,13 @@ def f1_expected():
         return json.load(fh)
 
 
-def random_admissible_dataset(rng: np.random.Generator, n=None, d_y1=None, d_z1=None, d_z2=None) -> Dataset:
-    """Draw a random dataset from the DGP with randomized dimensions and dials."""
+def random_dgp_config(rng: np.random.Generator, n=None, d_y1=None, d_z1=None, d_z2=None) -> DgpConfig:
+    """A DGP config with randomized dimensions and dials (the criterion-1 recipe)."""
     d_y1 = d_y1 if d_y1 is not None else int(rng.integers(1, 4))
     d_z1 = d_z1 if d_z1 is not None else int(rng.integers(1, 3))
     d_z2 = d_z2 if d_z2 is not None else d_y1 + int(rng.integers(0, 4))
     n = n if n is not None else int(rng.integers(30, 501))
-    cfg = DgpConfig(
+    return DgpConfig(
         n=n,
         d_y1=d_y1,
         d_z1=d_z1,
@@ -47,7 +58,61 @@ def random_admissible_dataset(rng: np.random.Generator, n=None, d_y1=None, d_z1=
         sigma_u=float(rng.uniform(0.5, 2.0)),
         sigma_v=float(rng.uniform(0.5, 2.0)),
     )
+
+
+def random_admissible_dataset(rng: np.random.Generator, n=None, d_y1=None, d_z1=None, d_z2=None) -> Dataset:
+    """Draw a random dataset from the DGP with randomized dimensions and dials."""
+    cfg = random_dgp_config(rng, n, d_y1, d_z1, d_z2)
     return generate_dataset(cfg, int(rng.integers(0, 2**31)), int(rng.integers(0, 2**31)))
+
+
+# Reference versions of the Monte Carlo: one replication at a time.
+
+def reference_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Dataset:
+    """One dataset drawn as three separate normal blocks (z, then v, then u)."""
+    rng = np.random.Generator(np.random.PCG64(_substream_seed(seed, replication_index)))
+
+    def standard_normal(shape):
+        return ndtri((rng.integers(0, 1 << 53, size=shape).astype(float) + 0.5) * 2.0**-53)
+
+    z = standard_normal((cfg.n, cfg.d_z1 + cfg.d_z2))
+    if cfg.intercept:
+        z[:, 0] = 1.0
+    v = cfg.sigma_v * standard_normal((cfg.n, cfg.d_y1))
+    u = cfg.sigma_u * standard_normal(cfg.n)
+    z1, z2 = z[:, :cfg.d_z1], z[:, cfg.d_z1:]
+    y1 = z2 @ np.full((cfg.d_z2, cfg.d_y1), cfg.pi2_strength) + v
+    eps = v @ np.asarray(cfg.rho) + u
+    y2 = y1 @ np.asarray(cfg.beta) + z1 @ np.asarray(cfg.gamma) + eps
+    return Dataset(y2=y2, y1=y1, z1=z1, z2=z2)
+
+
+def reference_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> dict:
+    """The tallies of ``run_monte_carlo`` from ``generate_dataset`` + ``compute_statistics``
+    on each replication in turn."""
+    crit = {a: chi2_quantile(dgp.d_y1, 1.0 - a) for a in sim.alphas}
+    counts = {t: {a: 0 for a in sim.alphas} for t in sim.tests}
+    degenerate = ordering_violations = 0
+    for rep in range(sim.replications):
+        ds = generate_dataset(dgp, rep, sim.seed)
+        try:
+            stats = compute_statistics(ds)
+        except EndocheckError:
+            degenerate += 1
+            continue
+        if not stats.ordered(1e-9 * (1.0 + stats.t_cf)):
+            ordering_violations += 1
+        values = stats.by_name()
+        for t in sim.tests:
+            for a in sim.alphas:
+                if values[t] > crit[a]:
+                    counts[t][a] += 1
+    return {
+        "rejection_count": counts,
+        "completed": sim.replications - degenerate,
+        "degenerate_count": degenerate,
+        "ordering_violations": ordering_violations,
+    }
 
 
 # Reference helpers on the n-row data; the package itself works on ``Dataset.r``.

@@ -169,6 +169,24 @@ class TestCmdVerify:
         code, _, err = run(capsys, ["verify"])
         assert code == 2
 
+    def test_random_infinite_c_exits_5(self, capsys):
+        code, out, err = run(capsys, ["verify", "--random", "c=inf"])
+        assert code == 5
+        assert out == ""
+        assert err.startswith("endocheck: ") and err.count("\n") == 1
+        assert "pi2_strength" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--random", "--tol", tol])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.count("usage:") == 1
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--tol" in errors[0]
+
 
 class TestCmdSimulate:
     def config(self, tmp_path, **overrides):
@@ -250,6 +268,15 @@ class TestCmdSimulate:
         assert err.startswith("endocheck: ") and err.count("\n") == 1
         assert str(taken) in err
 
+    def test_overflowing_data_exits_2(self, capsys, tmp_path):
+        # Finite dials whose draws overflow: the sum of squares of y2 is inf.
+        cfg = self.config(tmp_path, dgp={"n": 40, "rho": [0.0], "sigma_u": 1e300}, sim={"replications": 30})
+        code, out, err = run(capsys, ["simulate", "--config", str(cfg), "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("endocheck: ") and err.count("\n") == 1
+        assert "overflows" in err
+
     def test_all_degenerate_run_is_strict_json(self, capsys, tmp_path):
         cfg = self.config(tmp_path, dgp={"n": 50, "rho": [0.0], "sigma_u": 1e-300},
                           sim={"replications": 3})
@@ -293,6 +320,10 @@ BAD_INPUTS = {
     "config_beta_entry_bool": lambda tmp: _config_argv(tmp, dgp={"beta": [True]}),
     "config_rho_entry_string": lambda tmp: _config_argv(tmp, dgp={"rho": ["0.5"]}),
     "config_alphas_entry_string": lambda tmp: _config_argv(tmp, sim={"alphas": ["0.05"]}),
+    "config_pi2_strength_nan": lambda tmp: _config_argv(tmp, dgp={"pi2_strength": float("nan")}),
+    "config_sigma_u_infinity": lambda tmp: _config_argv(tmp, dgp={"sigma_u": float("inf")}),
+    "config_rho_entry_nan": lambda tmp: _config_argv(tmp, dgp={"rho": [float("nan")]}),
+    "config_sigma_u_integer_beyond_float": lambda tmp: _config_argv(tmp, dgp={"sigma_u": 10**400}),
 }
 
 

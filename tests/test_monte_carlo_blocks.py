@@ -1,0 +1,261 @@
+"""The block Monte Carlo against the per-replication path it replaces.
+
+``run_monte_carlo`` draws replications in blocks and evaluates the statistics
+of a block from its stacked R factors (``endogeneity.block_statistics``);
+``reference_monte_carlo`` in conftest is the loop of ``generate_dataset`` +
+``compute_statistics`` one replication at a time. The tallies must be equal.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from endocheck import DgpConfig, SimConfig, TEST_NAMES, compute_statistics, generate_dataset, run_monte_carlo
+from endocheck import endogeneity, linalg, simulation
+from endocheck.data import InvalidDataset
+from endocheck.endogeneity import StatisticValues, block_statistics
+
+from conftest import random_dgp_config, reference_dataset, reference_monte_carlo
+
+CRITERION_5 = DgpConfig(n=2000, rho=(0.0,), pi2_strength=1.0, sigma_u=1.0, sigma_v=1.0)
+
+
+def tallies(res) -> dict:
+    return {
+        "rejection_count": res.rejection_count,
+        "completed": res.completed,
+        "degenerate_count": res.degenerate_count,
+        "ordering_violations": res.ordering_violations,
+    }
+
+
+def stacked(ds) -> np.ndarray:
+    return np.column_stack([ds.z1, ds.z2, ds.y1, ds.y2])
+
+
+def block_of(cfg: DgpConfig, seed: int, reps: range):
+    """The block statistics and flags of replications ``reps``."""
+    w = simulation._draw_block(cfg, seed, reps)
+    return block_statistics(np.linalg.qr(w, mode="r"), cfg.n, cfg.d_z1, cfg.d_z2)
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            DgpConfig(n=50),
+            DgpConfig(n=50, intercept=False),
+            DgpConfig(n=40, d_y1=3, d_z2=4, beta=(1.0, 2.0, 3.0), rho=(0.1, 0.2, 0.3)),
+            DgpConfig(n=10, d_z2=12),  # n < p
+        ],
+        ids=["intercept", "no_intercept", "d_y1_3", "n_below_p"],
+    )
+    def test_slices_are_the_single_draws(self, cfg):
+        w = simulation._draw_block(cfg, 17, range(3, 9))
+        for i, rep in enumerate(range(3, 9)):
+            assert np.array_equal(w[i], stacked(generate_dataset(cfg, rep, 17)))
+            assert np.array_equal(w[i], stacked(reference_dataset(cfg, rep, 17)))
+
+
+@st.composite
+def small_configs(draw):
+    d_y1 = draw(st.integers(1, 3))
+    d_z1 = draw(st.integers(1, 2))
+    d_z2 = d_y1 + draw(st.integers(0, 3) | st.integers(4, 12))
+    # Some draws put n at or below p = d_z1 + d_z2 + d_y1 + 1.
+    n = draw(st.integers(2 * d_y1 + d_z1 + 1, 60))
+    return DgpConfig(
+        n=n,
+        d_y1=d_y1,
+        d_z1=d_z1,
+        d_z2=d_z2,
+        beta=(1.0,) * d_y1,
+        gamma=(1.0,) * d_z1,
+        # Strong first stages and near-exact fits are where the batched and
+        # the per-replication statistics disagree most.
+        pi2_strength=draw(st.sampled_from([0.0, 1000.0, 1e5]) | st.floats(0.0, 2.0)),
+        rho=tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=d_y1, max_size=d_y1))),
+        sigma_u=draw(st.sampled_from([1.0, 1e-8, 1e-300]) | st.floats(0.1, 2.0)),
+        intercept=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(dgp=small_configs(), replications=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_random_configs_match_reference_loop(dgp, replications, seed):
+    sim = SimConfig(replications=replications, seed=seed)
+    assert tallies(run_monte_carlo(dgp, sim)) == reference_monte_carlo(dgp, sim)
+
+
+@pytest.mark.parametrize(
+    "dgp",
+    [
+        DgpConfig(n=50, rho=(0.0,), sigma_u=1e-300),
+        DgpConfig(n=10, d_z2=12, rho=(0.0,)),
+        DgpConfig(n=8, d_z2=5, rho=(0.0,)),
+        DgpConfig(n=40, d_y1=2, d_z2=2, beta=(1.0, 1.0), rho=(0.3, 0.3), pi2_strength=0.05),
+        DgpConfig(n=60, pi2_strength=1000.0),
+    ],
+    ids=["tiny_sigma_u", "n_below_p", "n_equals_p", "weak_d_y1_2", "strong_pi2"],
+)
+def test_edge_configs_match_reference_loop(dgp):
+    sim = SimConfig(replications=40, seed=5)
+    assert tallies(run_monte_carlo(dgp, sim)) == reference_monte_carlo(dgp, sim)
+
+
+@pytest.mark.parametrize(
+    "dgp, seed",
+    [
+        # t_h3 differs by 1e-2 relative between the two routes (each is a
+        # tiny OLS-2SLS gap over two fits), and a count flipped.
+        (DgpConfig(n=22, d_z2=12, beta=(1.4609409072760302,), gamma=(1.3364302338994016,),
+                   pi2_strength=1000.0, rho=(-0.1740429339000813,), sigma_u=1e-8,
+                   sigma_v=0.238639328289179), 3297685043),
+        # The per-replication K rounds to non-positive: NotPositiveDefinite.
+        (DgpConfig(n=41, d_z2=10, beta=(-1.710518843226951,), gamma=(1.064941783085851,),
+                   pi2_strength=1e5, rho=(0.910911162014417,), sigma_u=1e-4,
+                   sigma_v=0.6342116697838713, intercept=False), 2990666190),
+    ],
+    ids=["strong_first_stage_near_exact_fit", "strong_first_stage_k_rounds_to_zero"],
+)
+def test_rounding_sensitive_configs_match_reference_loop(dgp, seed):
+    sim = SimConfig(replications=47, seed=seed)
+    assert tallies(run_monte_carlo(dgp, sim)) == reference_monte_carlo(dgp, sim)
+
+
+def test_flagged_and_unflagged_in_one_block(monkeypatch):
+    """Flagged replications go through compute_statistics inside a block
+    whose other replications keep the batched values."""
+    seen = []
+
+    def flag_every_third(r, n, d_z1, d_z2):
+        stats, flagged = block_statistics(r, n, d_z1, d_z2)
+        forced = flagged.copy()
+        forced[::3] = True
+        for name in TEST_NAMES:
+            getattr(stats, name)[forced] = np.nan
+        seen.append(forced)
+        return stats, forced
+
+    dgp = DgpConfig(n=300, rho=(0.2,))
+    sim = SimConfig(replications=60, seed=3)
+    plain = run_monte_carlo(dgp, sim)
+    monkeypatch.setattr(simulation, "block_statistics", flag_every_third)
+    mixed = run_monte_carlo(dgp, sim)
+    assert any(f.any() and not f.all() for f in seen)
+    assert mixed == plain
+    assert tallies(mixed) == reference_monte_carlo(dgp, sim)
+
+
+@pytest.mark.parametrize(
+    "dials",
+    [{"sigma_u": 1e300}, {"sigma_u": 1e308}, {"sigma_v": 1e308}],
+    ids=["sum_of_squares_overflows", "outcome_overflows", "endogenous_overflows"],
+)
+def test_overflowing_block_raises_like_one_replication(dials):
+    dgp = DgpConfig(n=40, rho=(0.0,), **dials)
+    with pytest.raises(InvalidDataset) as block_error:
+        run_monte_carlo(dgp, SimConfig(replications=30))
+    with pytest.raises(InvalidDataset) as single_error:
+        generate_dataset(dgp, 0, 0)
+    assert str(block_error.value) == str(single_error.value)
+
+
+class TestBatchedCore:
+    """The block statistics pinned to compute_statistics and to the paper's identities."""
+
+    def assert_matches_single(self, cfg, seed, reps):
+        stats, flagged = block_of(cfg, seed, reps)
+        assert not flagged.any()
+        for i, rep in enumerate(reps):
+            single = compute_statistics(generate_dataset(cfg, rep, seed))
+            for name in TEST_NAMES:
+                batched, expected = getattr(stats, name)[i], getattr(single, name)
+                assert abs(batched - expected) <= 1e-10 * abs(expected), (name, rep)
+
+    def test_criterion_5_design(self):
+        self.assert_matches_single(CRITERION_5, 20240103, range(26))
+
+    def test_criterion_1_design(self):
+        rng = np.random.default_rng(20240102)
+        for _ in range(60):
+            cfg = random_dgp_config(rng)
+            self.assert_matches_single(cfg, int(rng.integers(0, 2**31)), range(4))
+
+    def test_direct_t_cf_against_hausman_t_h1(self):
+        """t_cf - t_h1 = t_cf * t_h1 / n, with t_cf from the residuals and t_h1 from K."""
+        n = CRITERION_5.n
+        stats, flagged = block_of(CRITERION_5, 11, range(60))
+        assert not flagged.any()
+        np.testing.assert_allclose(stats.t_h1, n * stats.t_cf / (n + stats.t_cf), rtol=1e-9, atol=0.0)
+
+    def test_exact_count_check(self):
+        """t_h1 > c exactly when t_cf > c n / (n - c): the counts agree at every level."""
+        n = CRITERION_5.n
+        t_h1, t_cf = [], []
+        for start in range(0, 390, 13):
+            stats, flagged = block_of(CRITERION_5, 21, range(start, start + 13))
+            assert not flagged.any()
+            t_h1.append(stats.t_h1)
+            t_cf.append(stats.t_cf)
+        t_h1, t_cf = np.concatenate(t_h1), np.concatenate(t_cf)
+        for alpha in (0.01, 0.05, 0.10, 0.5):
+            c = endogeneity.chi2_quantile(1, 1.0 - alpha)
+            assert np.count_nonzero(t_h1 > c) == np.count_nonzero(t_cf > c * n / (n - c))
+
+    def test_rank_loss_is_flagged(self):
+        # Z1 and Z2 collinear in the second replication of the block.
+        cfg = DgpConfig(n=30)
+        w = simulation._draw_block(cfg, 0, range(3))
+        w[1, :, 2] = 2.0 * w[1, :, 1]
+        stats, flagged = block_statistics(np.linalg.qr(w, mode="r"), cfg.n, cfg.d_z1, cfg.d_z2)
+        assert flagged.tolist() == [False, True, False]
+        assert np.isnan(stats.t_cf[1]) and np.isfinite(stats.t_cf[[0, 2]]).all()
+
+    def test_ill_conditioned_k_is_flagged(self):
+        # Nearly collinear endogenous columns: cond(K) ~ cond(R33)^2 passes
+        # 1e8 while every rank check still has room.
+        cfg = DgpConfig(n=30, d_y1=2, d_z2=3, beta=(1.0, 1.0), rho=(0.5, 0.5))
+        w = simulation._draw_block(cfg, 0, range(3))
+        w[1, :, 5] = w[1, :, 4] + 1e-4 * np.random.default_rng(0).standard_normal(cfg.n)
+        r = np.linalg.qr(w, mode="r")
+        stats, flagged = block_statistics(r, cfg.n, cfg.d_z1, cfg.d_z2)
+        assert flagged.tolist() == [False, True, False]
+        x = np.concatenate([r[1, :, 4:6], r[1, :, :1]], axis=1)
+        v = np.zeros((7, 2))
+        v[4:6] = r[1, 4:6, 4:6]
+        for a in (x, r[1, :4, :4], x[:4], np.hstack([x, v])):
+            sigma, tol = linalg.smallest_singular_value(a)
+            assert sigma > endogeneity._SCREEN_MARGIN * tol
+
+    def test_near_singular_k(self):
+        k = np.array([np.diag([1.0, 1e-7]), np.diag([1.0, 1e-9]), np.diag([1.0, -1.0]),
+                      np.full((2, 2), np.inf)])
+        assert endogeneity._near_singular(k).tolist() == [False, True, True, True]
+
+    def test_ordered_on_floats_and_arrays(self):
+        assert StatisticValues(2.0, 1.0, 1.0, 3.0).ordered() is True
+        assert StatisticValues(2.0, 1.0, 1.0, 3.0).ordered(strict=True) is False
+        chain = StatisticValues(np.array([2.0, 2.0]), np.array([1.0, 3.0]), np.array([1.0, 1.0]),
+                                np.array([3.0, 3.0]))
+        assert chain.ordered().tolist() == [True, False]
+        assert chain.ordered(slack=np.array([0.0, 1.0])).tolist() == [True, True]
+
+
+def test_blocks_stay_within_the_element_budget(monkeypatch):
+    shapes = []
+    draw = simulation._draw_block
+
+    def recording(cfg, seed, reps):
+        w = draw(cfg, seed, reps)
+        shapes.append(w.shape)
+        return w
+
+    monkeypatch.setattr(simulation, "_draw_block", recording)
+    run_monte_carlo(DgpConfig(n=2000, rho=(0.0,)), SimConfig(replications=100, seed=1))
+    assert sum(b for b, _, _ in shapes) == 100 and len(shapes) > 1
+    assert all(np.prod(shape) <= simulation._BLOCK_ELEMENTS for shape in shapes)
+
+    shapes.clear()
+    run_monte_carlo(DgpConfig(n=100_000, rho=(0.0,)), SimConfig(replications=2, seed=1))
+    assert [b for b, _, _ in shapes] == [1, 1]
