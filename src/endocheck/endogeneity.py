@@ -3,9 +3,11 @@
 The generic Hausman statistic compares the OLS and 2SLS coefficient vectors of
 the endogenous block through a difference of their estimated asymptotic
 variances; its three named versions differ only in which residual-variance
-estimates enter the weighting matrix. The control-function Wald statistic is
-computed directly from the augmented regression and coincides with the
-Hausman form evaluated at the control-function residual variance.
+estimates enter the weighting matrix. The control-function Wald statistic
+coincides with the Hausman form evaluated at the control-function residual
+variance. One core on the triangular factor R gives all four statistics of a
+dataset or of a Monte Carlo block; ``hausman_statistic`` and ``cf_statistic``
+are the independent routes that ``verify_identities`` compares against.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.special import chdtr, chdtrc, chdtri
 
 from . import linalg
-from .data import Dataset
+from .data import Dataset, InvalidDataset
 from .errors import DegenerateVariance
 from .estimators import CfFit, FitResult, fit_cf, fit_ols, fit_tsls
 
@@ -49,13 +51,16 @@ def chi2_quantile(df: int, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 def hausman_statistic(beta_gap, factor_2sls, factor_ols, sigma2_1: float, sigma2_2: float) -> float:
-    """Generic Hausman quadratic form in the OLS/2SLS coefficient gap.
+    """Generic Hausman quadratic form in the OLS/2SLS coefficient gap: the K
+    form that ``verify_identities`` checks ``compute_statistics`` against.
 
     The grams enter as factors ``B`` of ``G = B'B`` (G2 = gram_2sls,
     G1 = gram_ols), and ``G·gap`` is ``B'(B·gap)``, which keeps the weak
     direction a formed ill-conditioned gram loses. The weighting matrix
     ``W = sigma2_1 * G2^-1 - sigma2_2 * G1^-1`` has inverse ``G1 K^-1 G2``
     with ``K = sigma2_1 * G1 - sigma2_2 * G2``: one SPD solve, no inverse.
+    K loses accuracy, and can round to non-positive, when the grams nearly
+    coincide (a strong first stage).
 
     Raises
     ------
@@ -77,7 +82,8 @@ def cf_statistic(cf: CfFit, ds: Dataset) -> float:
     """Wald statistic for a zero coefficient on the control-function block.
 
     Computed directly from the augmented regression as
-    ``||M_X V_hat rho||^2 / sigma2_u``, one least-squares fit on R's rows.
+    ``||M_X V_hat rho||^2 / sigma2_u``, one least-squares fit on R's rows:
+    a route independent of ``compute_statistics``.
     """
     if cf.sigma2_u <= _variance_floor(ds.r, ds.n):
         raise DegenerateVariance("control-function residual variance is numerically zero")
@@ -145,7 +151,8 @@ def _gram_factors(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compute_statistics(ds: Dataset) -> Statistics:
-    """Fit all estimators and evaluate the four test statistics."""
+    """Fit all estimators (the rank and variance checks) and evaluate the four
+    test statistics by the core of ``block_statistics`` on a stack of one."""
     ols = fit_ols(ds)
     tsls = fit_tsls(ds)
     cf = fit_cf(ds)
@@ -153,14 +160,17 @@ def compute_statistics(ds: Dataset) -> Statistics:
     for label, s2 in (("ols", ols.sigma2), ("tsls", tsls.sigma2), ("cf", cf.sigma2_u)):
         if s2 <= floor:
             raise DegenerateVariance(f"{label} residual variance is numerically zero")
+    try:
+        values = _statistics_core(ds.r[None], ds.n, ds.d_z1, ds.d_z2)[0][:, 0]
+    except np.linalg.LinAlgError:  # a K3 that underflows to singular
+        values = np.full(len(TEST_NAMES), np.nan)
+    if not np.isfinite(values).all():  # e.g. coefficients that overflow
+        raise InvalidDataset("the test statistics are not finite in double precision; rescale the data")
     b2, b1 = _gram_factors(ds)
     gram_ols = b1.T @ b1
     gap = ols.beta_hat - tsls.beta_hat
     return Statistics(
-        t_h1=hausman_statistic(gap, b2, b1, ols.sigma2, ols.sigma2),
-        t_h2=hausman_statistic(gap, b2, b1, tsls.sigma2, tsls.sigma2),
-        t_h3=hausman_statistic(gap, b2, b1, tsls.sigma2, ols.sigma2),
-        t_cf=cf_statistic(cf, ds),
+        *(float(v) for v in values),
         h_n=compute_h_n(gap, gram_ols, tsls.sigma2, ds.n),
         df=ds.d_y1,
         beta_gap=gap,
@@ -174,14 +184,8 @@ def compute_statistics(ds: Dataset) -> Statistics:
 
 # How far the block screen stays from each threshold at which
 # compute_statistics raises: a rank check's pivot tolerance and the variance
-# floor (times _SCREEN_MARGIN), and K's conditioning (lambda_min above
-# _K_MARGIN * ||K||). _ROUNDING_LIMIT bounds the estimated rounding error of
-# the statistics against 1 + t_cf, far below the ordering slack of
-# run_monte_carlo (1e-9 * (1 + t_cf)).
+# floor.
 _SCREEN_MARGIN = 1e4
-_K_MARGIN = 1e-8
-_ROUNDING_LIMIT = 1e-12
-_EPS = np.finfo(float).eps
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
@@ -196,47 +200,76 @@ def _least_squares_block(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(t[:, :k, :k], t[:, :k, k:])[..., 0]
 
 
-def _sq_norm(a: np.ndarray) -> np.ndarray:
-    return np.einsum("bi,bi->b", a, a)
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("bi,bi->b", a, b)
 
 
-def _near_singular(k: np.ndarray) -> np.ndarray:
-    """For each symmetric matrix of the stack ``k``: whether it is not finite
-    or its smallest eigenvalue is at most ``_K_MARGIN`` times its norm."""
-    bad = ~np.isfinite(k).all(axis=(-2, -1))
-    lam = np.linalg.eigvalsh(np.where(bad[:, None, None], np.eye(k.shape[-1]), k))
-    return bad | ~(lam[:, 0] > _K_MARGIN * np.abs(lam).max(axis=1))
+def _statistics_core(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (4, B) statistics ``t_h1, t_h2, t_h3, t_cf`` and (3, B) variances
+    ``sigma2_ols, sigma2_2sls, sigma2_u`` of full-rank stacked R factors
+    ``r`` (B, p, p). With ``R23``, ``R33`` the Z2 and Y1 rows of the Y1
+    columns and ``r24``, ``r34``, ``r44`` the matching pieces of the y2
+    column (Z1 is concentrated out by dropping its rows):
+
+    * ``beta_2sls`` and ``beta_ols`` solve ``R23 b = r24`` and
+      ``[R23; R33] b = [r24; r34]`` by least squares;
+    * ``n*sigma2`` for OLS and 2SLS is ``r44^2 + ||[r24; r34] - [R23; R33] b||^2``
+      at their ``b``, and ``n*sigma2_u`` is ``r44^2 + ||r24 - R23 beta_2sls||^2``;
+    * with ``e = r34 - R33 beta_2sls`` and ``f = r34 - R33 beta_ols``,
+      ``G1 gap = R33'e`` and ``G2 gap = R33'f``, so the Hausman ``K`` of
+      ``t_h1`` and ``t_h2`` is ``sigma2 * R33'R33`` and both are
+      ``q / sigma2`` with ``q = e'f``;
+    * ``t_h3 = (R33'e)' K3^-1 R23'(R23 gap)`` with ``K3 = sigma2_ols *
+      R33'R33 + (sigma2_2sls - sigma2_ols) * G1``, the variance difference
+      taken as ``||[R23; R33] gap||^2 / n``: SPD by construction, and scaled
+      by ``1 / sigma2_2sls`` so that it does not overflow. ``R23'(R23 gap)``
+      keeps the weak direction of ``R23`` (the gap itself is a difference of
+      two fits, ROADMAP item 7);
+    * ``t_cf`` is the control-function Wald statistic by the direct route
+      ``(SSR_ols - SSR_u) / sigma2_u = (||R23 gap||^2 + ||f||^2) / sigma2_u``.
+
+    A replication's values depend, bit for bit, on its own R only.
+    """
+    dz = d_z1 + d_z2
+    k = r.shape[-1] - dz - 1
+    b1 = r[:, d_z1:dz + k, dz:dz + k]  # [R23; R33]
+    r33 = b1[:, d_z2:]
+    y = r[:, d_z1:dz + k, -1]          # [r24; r34]
+    r44_sq = np.square(r[:, -1, -1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        beta_ols = _least_squares_block(b1, y)
+        beta_2sls = _least_squares_block(b1[:, :d_z2], y[:, :d_z2])
+        e_ols = y - (b1 @ beta_ols[..., None])[..., 0]
+        e_2sls = y - (b1 @ beta_2sls[..., None])[..., 0]
+        s_ols = (r44_sq + _dot(e_ols, e_ols)) / n
+        s_2sls = (r44_sq + _dot(e_2sls, e_2sls)) / n
+        s_u = (r44_sq + _dot(e_2sls[:, :d_z2], e_2sls[:, :d_z2])) / n
+        e, f = e_2sls[:, d_z2:], e_ols[:, d_z2:]
+        q = _dot(e, f)
+        b1_gap = (b1 @ (beta_ols - beta_2sls)[..., None])[..., 0]
+        k3 = ((s_ols / s_2sls)[:, None, None] * (_mT(r33) @ r33)
+              + (_dot(b1_gap, b1_gap) / (n * s_2sls))[:, None, None] * (_mT(b1) @ b1))
+        b2_gap = b1_gap[:, :d_z2]
+        g2_gap = _mT(b1[:, :d_z2]) @ b2_gap[..., None]
+        t_h3 = (e[:, None] @ r33 @ np.linalg.solve(k3, g2_gap))[:, 0, 0] / s_2sls
+        t_cf = (_dot(b2_gap, b2_gap) + _dot(f, f)) / s_u
+        stats = np.array([q / s_ols, q / s_2sls, t_h3, t_cf])
+    return stats, np.array([s_ols, s_2sls, s_u])
 
 
 def block_statistics(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[StatisticValues, np.ndarray]:
     """The four statistics of a block of datasets from their stacked R factors alone.
 
     ``r`` is (B, m, p): R of each dataset's ``W = [Z1 | Z2 | Y1 | y2]``, with
-    ``m = min(n, p)``. With ``R23``, ``R33`` the Z2 and Y1 rows of the Y1
-    columns and ``r24``, ``r34``, ``r44`` the matching pieces of the y2
-    column (Z1 is concentrated out by dropping its rows):
+    ``m = min(n, p)``. The statistics come from the core that
+    ``compute_statistics`` runs on a stack of one, so they equal its values
+    bit for bit.
 
-    * ``G2 = R23'R23`` and ``G1 = G2 + R33'R33``;
-    * ``beta_2sls`` and ``beta_ols`` are the least-squares solutions of
-      ``R23 b = r24`` and ``[R23; R33] b = [r24; r34]``;
-    * ``n*sigma2`` for OLS and 2SLS is ``r44^2 + ||[r24; r34] - [R23; R33] b||^2``
-      at their ``b``, and ``n*sigma2_u`` is ``r44^2 + ||r24 - R23 beta_2sls||^2``;
-    * ``t_h1..t_h3`` are the K form of ``hausman_statistic``;
-    * ``t_cf`` is the control-function Wald statistic by the direct route
-      ``(SSR_ols - SSR_u) / sigma2_u``, the difference taken as the squared
-      norm of the difference of the two residuals,
-      ``||R23 gap||^2 + ||r34 - R33 beta_ols||^2``.
-
-    Returns the statistics as (B,) arrays and a (B,) flag. The flag is a
-    conservative screen: it marks every dataset on which
-    ``compute_statistics`` could raise, or could come out different enough
-    to change a decision of the Monte Carlo: ``n < p``; ``sigma_min`` of X,
-    P_Z X, Z or [X | V] within ``_SCREEN_MARGIN`` of the rank tolerance; a
-    variance within ``_SCREEN_MARGIN`` of the floor; a K with ``lambda_min``
-    at most ``_K_MARGIN * ||K||``; an estimated rounding error of the
-    statistics above ``_ROUNDING_LIMIT * (1 + t_cf)``, which also covers a K
-    that rounds to non-positive in ``compute_statistics``; a non-finite
-    statistic. Flagged entries hold nan.
+    Returns the statistics as (B,) arrays and a (B,) flag. The flag marks
+    every dataset on which ``compute_statistics`` could raise: ``n < p``;
+    ``sigma_min`` of X, P_Z X, Z or [X | V] within ``_SCREEN_MARGIN`` of the
+    rank tolerance; a variance within ``_SCREEN_MARGIN`` of the floor; a
+    non-finite statistic. Flagged entries hold nan.
     """
     size, m, p = r.shape
     dz = d_z1 + d_z2
@@ -249,70 +282,18 @@ def block_statistics(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[Stati
     v = np.zeros((size, dz + k, k))
     v[:, dz:] = r[:, y1, y1]  # V_hat = M_Z Y1
     flagged = np.zeros(size, dtype=bool)
-    sigma_min = []  # of X, P_Z X, Z and [X | V]
     for a in (x, x[:, :dz], r[:, :dz, :dz], np.concatenate([x, v], axis=2)):
         sigma, tol = linalg.smallest_singular_value(a)
         flagged |= sigma <= _SCREEN_MARGIN * tol
-        sigma_min.append(sigma)
     kept = np.flatnonzero(~flagged)
     if kept.size:
-        sigma_x, sigma_pzx = sigma_min[0][kept], sigma_min[1][kept]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            stats, unsafe = _screened_statistics(r[kept], n, d_z1, d_z2, sigma_x, sigma_pzx)
+        r_kept = r[kept]
+        stats, variances = _statistics_core(r_kept, n, d_z1, d_z2)
+        unsafe = ((variances <= _SCREEN_MARGIN * _variance_floor(r_kept, n)).any(axis=0)
+                  | ~np.isfinite(stats).all(axis=0))
         values[:, kept] = np.where(unsafe, np.nan, stats)
         flagged[kept] = unsafe
     return StatisticValues(*values), flagged
-
-
-def _screened_statistics(r: np.ndarray, n: int, d_z1: int, d_z2: int,
-                         sigma_x: np.ndarray, sigma_pzx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``block_statistics`` on R factors that passed the rank screen, given
-    ``sigma_min`` of X and P_Z X: the (4, B) statistics and the rest of the
-    screen's flag."""
-    dz = d_z1 + d_z2
-    k = r.shape[-1] - dz - 1
-    b2 = r[:, d_z1:dz, dz:dz + k]       # R23
-    b1 = r[:, d_z1:dz + k, dz:dz + k]   # [R23; R33]
-    y = r[:, d_z1:dz + k, -1]           # [r24; r34]
-    r44_sq = np.square(r[:, -1, -1])
-    beta_ols = _least_squares_block(b1, y)
-    beta_2sls = _least_squares_block(b2, y[:, :d_z2])
-    e_ols = y - (b1 @ beta_ols[..., None])[..., 0]
-    e_2sls = y - (b1 @ beta_2sls[..., None])[..., 0]
-    s_ols = (r44_sq + _sq_norm(e_ols)) / n
-    s_2sls = (r44_sq + _sq_norm(e_2sls)) / n
-    s_u = (r44_sq + _sq_norm(e_2sls[:, :d_z2])) / n
-    floor = _SCREEN_MARGIN * _variance_floor(r, n)
-    unsafe = (s_ols <= floor) | (s_2sls <= floor) | (s_u <= floor)
-
-    # Relative rounding error of the statistics, over eps: the gap is a
-    # difference of two fits, each off by about eps * ||y|| / sigma_min; K is
-    # a difference of grams that cancels down to R33'R33 (||G1|| over
-    # sigma_min(R33)^2), weighted by variances that are residuals of y
-    # (||y|| / ||e||).
-    y_norm = np.linalg.norm(r[:, :, -1], axis=1)
-    gap = beta_ols - beta_2sls
-    r33_min = np.linalg.svd(r[:, dz:dz + k, dz:dz + k], compute_uv=False)[:, -1]
-    kappa = ((y_norm / sigma_x + np.linalg.norm(r[:, :dz, -1], axis=1) / sigma_pzx) / np.linalg.norm(gap, axis=1)
-             + _sq_norm(b1.reshape(len(r), -1)) / np.square(r33_min) * y_norm / np.sqrt(n * s_ols))
-
-    gap = gap[..., None]
-    b2_gap, b1_gap = b2 @ gap, b1 @ gap
-    g1_gap = _mT(b1) @ b1_gap
-    g2_gap = _mT(b2) @ b2_gap
-    gram_2sls = _mT(b2) @ b2
-    gram_ols = _mT(b1) @ b1
-    hausman = []
-    for s1, s2 in ((s_ols, s_ols), (s_2sls, s_2sls), (s_2sls, s_ols)):
-        kk = s1[:, None, None] * gram_ols - s2[:, None, None] * gram_2sls
-        not_pd = _near_singular(kk)
-        kk[not_pd] = np.eye(k)
-        unsafe |= not_pd
-        hausman.append((_mT(g1_gap) @ np.linalg.solve(kk, g2_gap))[:, 0, 0])
-    t_cf = (_sq_norm(b2_gap[..., 0]) + _sq_norm(e_ols[:, d_z2:])) / s_u
-    stats = np.array([*hausman, t_cf])
-    unsafe |= ~(_EPS * kappa * t_cf <= _ROUNDING_LIMIT * (1.0 + t_cf))
-    return stats, unsafe | ~np.isfinite(stats).all(axis=0)
 
 
 @dataclass(frozen=True)
@@ -335,7 +316,7 @@ def run_all_tests(ds: Dataset, alphas=(0.01, 0.05, 0.10)) -> TestReport:
     p_values = {name: float(chdtrc(stats.df, max(t, 0.0))) for name, t in values.items()}
     decisions = {}
     for alpha in alphas:
-        crit = chi2_quantile(stats.df, 1.0 - alpha)
+        crit = float(chdtri(stats.df, alpha))  # 1 - alpha rounds to 1 below ~1.1e-16
         decisions[float(alpha)] = {name: bool(t > crit) for name, t in values.items()}
     return TestReport(**vars(stats), p_values=p_values, decisions=decisions)
 
@@ -398,16 +379,19 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     rho_closed = linalg.spd_solve(gram_mz, stats.gram_ols @ gap)
 
     # Direct Wald form against the Hausman form at the CF variance.
-    t_cf_hausman = hausman_statistic(gap, *_gram_factors(ds), cf.sigma2_u, cf.sigma2_u)
+    factors = _gram_factors(ds)
+    t_cf_hausman = hausman_statistic(gap, *factors, cf.sigma2_u, cf.sigma2_u)
 
     # Structural coefficient gap as a linear transform of the beta gap.
     z1y1 = linalg.solve_least_squares(ds.r[:ds.d_z1, :ds.d_z1], y1[:ds.d_z1])  # (Z1'Z1)^-1 Z1'Y1
     transform = np.vstack([np.eye(ds.d_y1), -z1y1])
     theta_gap_pred = transform @ gap
 
+    # sigma2 * t is q = e'f for both t_h1 and t_h2 of compute_statistics, so
+    # the 2SLS side comes from the Hausman K form.
     scaled = (
         ols.sigma2 * stats.t_h1,
-        tsls.sigma2 * stats.t_h2,
+        tsls.sigma2 * hausman_statistic(gap, *factors, tsls.sigma2, tsls.sigma2),
         cf.sigma2_u * stats.t_cf,
     )
     scaled_gap = max(

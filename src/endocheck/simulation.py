@@ -21,10 +21,10 @@ import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import chdtri, ndtri
 
 from .data import Dataset
-from .endogeneity import TEST_NAMES, StatisticValues, block_statistics, chi2_quantile, compute_statistics
+from .endogeneity import TEST_NAMES, StatisticValues, block_statistics, compute_statistics
 from .errors import ConfigInvalid, EndocheckError
 
 SCHEMA_VERSION = 1
@@ -130,6 +130,8 @@ class SimConfig:
 
     def __post_init__(self):
         _require_types(self)
+        if not isinstance(self.tests, (list, tuple)):
+            raise ConfigInvalid(f"'tests' must be a list of test names, got {self.tests!r}")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "tests", tuple(self.tests))
         if self.replications < 1:
@@ -141,6 +143,11 @@ class SimConfig:
             raise ConfigInvalid(f"unknown test name(s): {unknown}")
         if not self.tests:
             raise ConfigInvalid("at least one test must be selected")
+        # Each entry is one tally; a repeat would be counted twice.
+        for name in ("alphas", "tests"):
+            entries = getattr(self, name)
+            if len(set(entries)) < len(entries):
+                raise ConfigInvalid(f"'{name}' has repeated entries: {list(entries)}")
 
 
 @dataclass
@@ -180,7 +187,10 @@ def _draw_block(cfg: DgpConfig, seed: int, reps: range) -> np.ndarray:
     n, d_z1, k = cfg.n, cfg.d_z1, cfg.d_y1
     dz = d_z1 + cfg.d_z2
     # 53-bit uniforms shifted off the endpoints, then the normal inverse CDF.
-    normal = np.empty((len(reps), n * (dz + k + 1)))
+    try:
+        normal = np.empty((len(reps), n * (dz + k + 1)))
+    except (ValueError, MemoryError):  # beyond the address space, or the memory
+        raise ConfigInvalid(f"n={n} is too large: its data cannot be allocated") from None
     for row, rep in zip(normal, reps):
         rng = np.random.Generator(np.random.PCG64(_substream_seed(seed, rep)))
         np.add(rng.integers(0, 1 << 53, size=row.size), 0.5, out=row)
@@ -251,7 +261,7 @@ def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
     Per-replication ordering violations of the four statistics are counted
     and expected to be zero.
     """
-    crit = {alpha: chi2_quantile(dgp.d_y1, 1.0 - alpha) for alpha in sim.alphas}
+    crit = {alpha: float(chdtri(dgp.d_y1, alpha)) for alpha in sim.alphas}  # upper tail, as the p-values
     counts = {t: {a: 0 for a in sim.alphas} for t in sim.tests}
     degenerate = 0
     ordering_violations = 0

@@ -4,14 +4,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import chdtri, ndtri
 
 from endocheck import (
     Dataset,
     DgpConfig,
     EndocheckError,
     SimConfig,
-    chi2_quantile,
     compute_statistics,
     generate_dataset,
     load_csv,
@@ -66,6 +65,28 @@ def random_admissible_dataset(rng: np.random.Generator, n=None, d_y1=None, d_z1=
     return generate_dataset(cfg, int(rng.integers(0, 2**31)), int(rng.integers(0, 2**31)))
 
 
+# Strong first stages (ROADMAP item 7): configs and seeds where the OLS and
+# 2SLS fits nearly coincide.
+STRONG_FIRST_STAGE = {
+    # Many instruments and a near-exact fit: the OLS-2SLS gap is a tiny
+    # difference of two fits.
+    "strong_first_stage_near_exact_fit": (
+        DgpConfig(n=22, d_z2=12, beta=(1.4609409072760302,), gamma=(1.3364302338994016,),
+                  pi2_strength=1000.0, rho=(-0.1740429339000813,), sigma_u=1e-8,
+                  sigma_v=0.238639328289179),
+        3297685043,
+    ),
+    # K = sigma2 * R33'R33 > 0, but formed as a difference of grams it rounds
+    # to non-positive.
+    "strong_first_stage_k_rounds_to_zero": (
+        DgpConfig(n=41, d_z2=10, beta=(-1.710518843226951,), gamma=(1.064941783085851,),
+                  pi2_strength=1e5, rho=(0.910911162014417,), sigma_u=1e-4,
+                  sigma_v=0.6342116697838713, intercept=False),
+        2990666190,
+    ),
+}
+
+
 # Reference versions of the Monte Carlo: one replication at a time.
 
 def reference_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Dataset:
@@ -90,7 +111,7 @@ def reference_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Data
 def reference_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> dict:
     """The tallies of ``run_monte_carlo`` from ``generate_dataset`` + ``compute_statistics``
     on each replication in turn."""
-    crit = {a: chi2_quantile(dgp.d_y1, 1.0 - a) for a in sim.alphas}
+    crit = {a: float(chdtri(dgp.d_y1, a)) for a in sim.alphas}
     counts = {t: {a: 0 for a in sim.alphas} for t in sim.tests}
     degenerate = ordering_violations = 0
     for rep in range(sim.replications):

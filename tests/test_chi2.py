@@ -84,3 +84,16 @@ def test_run_all_tests_tail_p_values(monkeypatch, df, t):
         expected = float(mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(t) / 2, mpmath.inf, regularized=True))
     for name, p in report.p_values.items():
         assert p == pytest.approx(expected, rel=1e-12, abs=0.0), name
+
+
+@pytest.mark.parametrize("t, rejects", [(73.50, False), (73.53, True)])
+def test_run_all_tests_critical_value_below_double_resolution(monkeypatch, t, rejects):
+    """At alpha = 1e-17, 1 - alpha rounds to 1; the df=1 critical value is
+    73.5125... (the mpmath root of the upper tail)."""
+    stats = endogeneity.Statistics(
+        t_h1=t, t_h2=t, t_h3=t, t_cf=t, h_n=0.0, df=1, beta_gap=np.zeros(1),
+        ols=None, tsls=None, cf=None, gram_2sls=None, gram_ols=None,
+    )
+    monkeypatch.setattr(endogeneity, "compute_statistics", lambda ds: stats)
+    report = endogeneity.run_all_tests(None, alphas=(1e-17,))
+    assert report.decisions[1e-17] == {name: rejects for name in endogeneity.TEST_NAMES}

@@ -116,6 +116,13 @@ class TestCmdTest:
         assert err
 
 
+    def test_alpha_below_double_resolution_of_one(self, capsys, f1_path):
+        # 1 - 1e-17 rounds to 1; the critical value comes from the upper tail.
+        code, out, err = run(capsys, ["test", str(f1_path), *F1_ARGS, "--alpha", "1e-17", "--format", "json"])
+        assert code == 0, err
+        assert strict_json(out)["decisions"]["1e-17"] == {name: False for name in ("t_h1", "t_h2", "t_h3", "t_cf")}
+
+
 class TestCmdVerify:
     def test_f1_passes(self, capsys, f1_path):
         code, out, _ = run(capsys, ["verify", str(f1_path), *F1_ARGS])
@@ -277,6 +284,13 @@ class TestCmdSimulate:
         assert err.startswith("endocheck: ") and err.count("\n") == 1
         assert "overflows" in err
 
+    def test_alpha_below_double_resolution_of_one(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, sim={"replications": 20, "alphas": [1e-17, 0.05]})
+        code, out, err = run(capsys, ["simulate", "--config", str(cfg), "--format", "json"])
+        assert code == 0, err
+        rates = strict_json(out)["points"][0]["rates"]
+        assert all(r["count"] == 0 for r in rates if r["alpha"] == 1e-17)
+
     def test_all_degenerate_run_is_strict_json(self, capsys, tmp_path):
         cfg = self.config(tmp_path, dgp={"n": 50, "rho": [0.0], "sigma_u": 1e-300},
                           sim={"replications": 3})
@@ -324,6 +338,13 @@ BAD_INPUTS = {
     "config_sigma_u_infinity": lambda tmp: _config_argv(tmp, dgp={"sigma_u": float("inf")}),
     "config_rho_entry_nan": lambda tmp: _config_argv(tmp, dgp={"rho": [float("nan")]}),
     "config_sigma_u_integer_beyond_float": lambda tmp: _config_argv(tmp, dgp={"sigma_u": 10**400}),
+    "config_alphas_repeated": lambda tmp: _config_argv(tmp, dgp={"rho": [3.0]}, sim={"alphas": [0.5, 0.5]}),
+    "config_tests_repeated": lambda tmp: _config_argv(tmp, sim={"tests": ["t_h1", "t_cf", "t_h1"]}),
+    "config_tests_string": lambda tmp: _config_argv(tmp, sim={"tests": "t_h1"}),
+    # 2**61 rows are past the address space: the allocation fails before
+    # any memory is touched.
+    "random_n_beyond_address_space": lambda tmp: ["verify", "--random", f"n={2**61}"],
+    "config_n_beyond_address_space": lambda tmp: _config_argv(tmp, dgp={"n": 2**61}),
 }
 
 
@@ -333,3 +354,9 @@ def test_bad_input_exits_5_with_one_line(capsys, tmp_path, case):
     assert code == 5
     assert out == ""
     assert err.startswith("endocheck: ") and err.count("\n") == 1
+
+
+def test_bare_test_name_is_not_split_into_characters(capsys, tmp_path):
+    code, _, err = run(capsys, _config_argv(tmp_path, sim={"tests": "t_h1"}))
+    assert code == 5
+    assert "must be a list of test names" in err

@@ -7,6 +7,7 @@ from endocheck import (
     Dataset,
     DegenerateVariance,
     DgpConfig,
+    EndocheckError,
     NotPositiveDefinite,
     cf_statistic,
     compute_h_n,
@@ -21,7 +22,7 @@ from endocheck import (
 from endocheck import linalg
 from endocheck.cli import _random_dataset
 
-from conftest import annihilate, design_matrices, random_admissible_dataset
+from conftest import STRONG_FIRST_STAGE, annihilate, design_matrices, random_admissible_dataset
 from test_estimators import exact_fit_dataset
 
 
@@ -42,6 +43,18 @@ ILL_CONDITIONED_DRAWS = {
                   rho=(-0.25934038458711484, -2.4286149700989267e-149)),
         1417, 1782221302,
     ),
+}
+
+
+def _near_exact_fit() -> Dataset:
+    dgp, seed = STRONG_FIRST_STAGE["strong_first_stage_near_exact_fit"]
+    return generate_dataset(dgp, 42, seed)
+
+
+# Strong first stages, where the OLS and 2SLS fits nearly coincide.
+STRONG_FIRST_STAGE_DRAWS = {
+    "near_exact_fit": _near_exact_fit,
+    "c_10000": lambda: _random_dataset(["n=60", "d_y1=2", "d_z2=3", "c=10000", "seed=1"]),
 }
 
 
@@ -77,6 +90,21 @@ class TestHausmanStatistic:
         for name in ("t_h1", "t_h2", "t_h3"):
             assert getattr(stats, name) == pytest.approx(expected[name], rel=1e-7)
 
+    @pytest.mark.parametrize("draw", sorted(STRONG_FIRST_STAGE_DRAWS))
+    def test_strong_first_stage_draws_match_oracle(self, draw):
+        # A K formed as a difference of nearly equal grams lost 4e-6
+        # (near_exact_fit) and 2e-7 (c_10000) of t_h1. t_h3 is not asserted:
+        # its K3 still weights G1 by a gap taken as a difference of two fits
+        # (ROADMAP item 7).
+        pytest.importorskip("mpmath")
+        import oracle
+
+        ds = STRONG_FIRST_STAGE_DRAWS[draw]()
+        expected = oracle.compute(ds.y2, ds.y1, ds.z1, ds.z2)
+        stats = compute_statistics(ds)
+        for name in ("t_h1", "t_h2", "t_cf"):
+            assert getattr(stats, name) == pytest.approx(expected[name], rel=1e-7), name
+
     def test_one_spd_solve_per_statistic(self, monkeypatch):
         calls = []
         solve = linalg.spd_solve
@@ -88,10 +116,10 @@ class TestHausmanStatistic:
         monkeypatch.setattr(linalg, "spd_solve", counting)
         ds = random_admissible_dataset(np.random.default_rng(10), n=80, d_y1=2)
         compute_statistics(ds)
-        assert len(calls) == 3
+        assert len(calls) == 0  # the statistics core solves K3 itself, SPD by construction
         calls.clear()
         verify_identities(ds)
-        assert len(calls) == 5
+        assert len(calls) == 3  # rho's closed form and the K forms of t_cf and t_h2
 
     def test_small_factorization_budget(self, monkeypatch):
         # Every factorization after the cached n-row one is a pivoted QR of
@@ -107,7 +135,7 @@ class TestHausmanStatistic:
 
         ds = random_admissible_dataset(np.random.default_rng(10), n=80, d_y1=2)
         monkeypatch.setattr(scipy.linalg, "qr", counting)
-        for run, expected in ((compute_statistics, 5), (verify_identities, 6), (validate, 4)):
+        for run, expected in ((compute_statistics, 4), (verify_identities, 5), (validate, 4)):
             calls.clear()
             run(ds)
             assert len(calls) == expected, run.__name__
@@ -121,6 +149,27 @@ class TestHausmanStatistic:
             object.__setattr__(ds, name, np.full_like(getattr(ds, name), np.nan))
         for run, expected in zip(runs, before):
             np.testing.assert_equal(dataclasses.asdict(run(ds)), expected)
+
+
+class TestDataScale:
+    @staticmethod
+    def scaled(design_scale: float, outcome_scale: float | None = None) -> Dataset:
+        ds = generate_dataset(DgpConfig(n=40, d_y1=2, d_z2=3, beta=(1.0, 1.0), rho=(0.5, 0.3)), 0, 1)
+        outcome_scale = design_scale if outcome_scale is None else outcome_scale
+        return Dataset(y2=outcome_scale * ds.y2, y1=design_scale * ds.y1, z1=design_scale * ds.z1,
+                       z2=design_scale * ds.z2)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_statistics_invariant_to_data_scale(self, scale):
+        # sigma2 times a gram overflowed here when K was formed unscaled.
+        expected = compute_statistics(self.scaled(1.0)).by_name()
+        for name, value in compute_statistics(self.scaled(scale)).by_name().items():
+            assert value == pytest.approx(expected[name], rel=1e-10), name
+
+    def test_grams_below_the_double_range_raise(self):
+        # R33'R33 underflows to zero: an error, not a LinAlgError traceback.
+        with pytest.raises(EndocheckError):
+            compute_statistics(self.scaled(1e-250, outcome_scale=1.0))
 
 
 class TestCfStatistic:
