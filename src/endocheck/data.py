@@ -136,7 +136,7 @@ class ValidationReport:
     xtx_ok: bool
     xpzx_ok: bool
     xv_ok: bool
-    condition_estimates: tuple[float, float, float]
+    condition_estimates: tuple[float, float, float]  # 2-norm, of X, P_Z X and [X | V_hat]
     messages: list[str] = field(default_factory=list)
 
     @property
@@ -212,44 +212,41 @@ def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Datase
     )
 
 
+# The rank conditions of the four tests, in the order they are checked.
+RANK_MESSAGES = (
+    "X = [Y1 | Z1] is rank deficient; OLS is not identified",
+    "Z = [Z1 | Z2] is rank deficient; instruments are collinear",
+    "projected design P_Z X is rank deficient; 2SLS is not identified",
+    "[X | V_hat] is rank deficient; the control-function regression "
+    "of the outcome on the design plus first-stage residuals is not identified",
+)
+
+
+def rank_designs(r: np.ndarray, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
+    """X = [Y1 | Z1], Z, P_Z X and [X | V_hat] of stacked square R factors
+    ``r`` (B, p, p), in the order of ``RANK_MESSAGES``, as the rows of R they
+    occupy. P_Z X and V_hat = M_Z Y1 are these rows only when Z has full rank."""
+    dz = d_z1 + d_z2
+    k = r.shape[-1] - dz - 1
+    x = np.concatenate([r[:, :dz + k, dz:dz + k], r[:, :dz + k, :d_z1]], axis=2)
+    v = np.zeros((len(r), dz + k, k))
+    v[:, dz:] = x[:, dz:, :k]
+    return x, r[:, :dz, :dz], x[:, :dz], np.concatenate([x, v], axis=2)
+
+
 def validate(ds: Dataset) -> ValidationReport:
-    """Check the non-singularity conditions all four endogeneity tests need.
-
-    Three full-rank checks: the structural design X, its projection onto the
-    instrument space, and the control-function design [X | residualized Y1].
-    Each runs on the rows of ``ds.r``. Failures are reported, never raised.
+    """Check the non-singularity conditions all four endogeneity tests need:
+    the rank rule of ``linalg.rank_report`` on the ``rank_designs`` of ``ds.r``,
+    which ``compute_statistics`` checks too. Failures are reported, never
+    raised; a condition number is inf where its check did not run.
     """
-    dz = ds.d_z1 + ds.d_z2
-    _, x, v = ds._blocks()
-    messages: list[str] = []
-
-    xtx_ok, cond_x = linalg.rank_report(x)
-    if not xtx_ok:
-        messages.append("X = [Y1 | Z1] is rank deficient; OLS is not identified")
-
-    z_ok, cond_z = linalg.rank_report(ds.r[:, :dz])
-    if not z_ok:
-        messages.append("Z = [Z1 | Z2] is rank deficient; instruments are collinear")
-
-    xpzx_ok, cond_pzx = False, float("inf")
-    xv_ok, cond_xv = False, float("inf")
-    if z_ok:
-        xpzx_ok, cond_pzx = linalg.rank_report(x[:dz])
-        if not xpzx_ok:
-            messages.append("projected design P_Z X is rank deficient; 2SLS is not identified")
-        xv_ok, cond_xv = linalg.rank_report(np.hstack([x, v]))
-        if not xv_ok:
-            messages.append(
-                "[X | V_hat] is rank deficient; the control-function regression "
-                "of the outcome on the design plus first-stage residuals is not identified"
-            )
-    else:
+    x, z, pzx, xv = (a[0] for a in rank_designs(ds.r[None], ds.d_z1, ds.d_z2))
+    checks = [linalg.rank_report(x), linalg.rank_report(z)]
+    if checks[1][0]:
+        checks += [linalg.rank_report(pzx), linalg.rank_report(xv)]
+    messages = [msg for msg, (ok, _) in zip(RANK_MESSAGES, checks) if not ok]
+    if not checks[1][0]:
         messages.append("skipping projected-design and control-function checks: Z not full rank")
-
-    return ValidationReport(
-        xtx_ok=xtx_ok,
-        xpzx_ok=xpzx_ok,
-        xv_ok=xv_ok,
-        condition_estimates=(cond_x, cond_pzx, cond_xv),
-        messages=messages,
-    )
+        checks += [(False, float("inf"))] * 2
+    (xtx_ok, cond_x), _, (xpzx_ok, cond_pzx), (xv_ok, cond_xv) = checks
+    return ValidationReport(xtx_ok, xpzx_ok, xv_ok, (cond_x, cond_pzx, cond_xv), messages)

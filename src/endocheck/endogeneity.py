@@ -18,9 +18,9 @@ import numpy as np
 from scipy.special import chdtr, chdtrc, chdtri
 
 from . import linalg
-from .data import Dataset, InvalidDataset
-from .errors import DegenerateVariance
-from .estimators import CfFit, FitResult, fit_cf, fit_ols, fit_tsls
+from .data import RANK_MESSAGES, Dataset, InvalidDataset, rank_designs
+from .errors import DegenerateVariance, EndocheckError, RankDeficient
+from .estimators import CfFit, fit_cf, fit_ols, fit_tsls
 
 TEST_NAMES = ("t_h1", "t_h2", "t_h3", "t_cf")
 
@@ -59,8 +59,9 @@ def hausman_statistic(beta_gap, factor_2sls, factor_ols, sigma2_1: float, sigma2
     direction a formed ill-conditioned gram loses. The weighting matrix
     ``W = sigma2_1 * G2^-1 - sigma2_2 * G1^-1`` has inverse ``G1 K^-1 G2``
     with ``K = sigma2_1 * G1 - sigma2_2 * G2``: one SPD solve, no inverse.
-    K loses accuracy, and can round to non-positive, when the grams nearly
-    coincide (a strong first stage).
+    It solves with ``K / sigma2_1``, which does not overflow where sigma2
+    times a gram would. K loses accuracy, and can round to non-positive,
+    when the grams nearly coincide (a strong first stage).
 
     Raises
     ------
@@ -74,8 +75,8 @@ def hausman_statistic(beta_gap, factor_2sls, factor_ols, sigma2_1: float, sigma2
         return 0.0
     b2 = np.asarray(factor_2sls, dtype=float)
     b1 = np.asarray(factor_ols, dtype=float)
-    k = sigma2_1 * (b1.T @ b1) - sigma2_2 * (b2.T @ b2)
-    return float((b1.T @ (b1 @ gap)) @ linalg.spd_solve(k, b2.T @ (b2 @ gap)))
+    k = b1.T @ b1 - (sigma2_2 / sigma2_1) * (b2.T @ b2)
+    return float((b1.T @ (b1 @ gap)) @ linalg.spd_solve(k, b2.T @ (b2 @ gap))) / sigma2_1
 
 
 def cf_statistic(cf: CfFit, ds: Dataset) -> float:
@@ -132,16 +133,11 @@ class StatisticValues:
 
 @dataclass(frozen=True)
 class Statistics(StatisticValues):
-    """All four statistics plus the p-sized fits and grams behind them."""
+    """All four statistics plus ``h_n``, the degrees of freedom and ``beta_ols - beta_2sls``."""
 
     h_n: float
     df: int
     beta_gap: np.ndarray
-    ols: FitResult
-    tsls: FitResult
-    cf: CfFit
-    gram_2sls: np.ndarray  # Y1_hat' M_Z1 Y1_hat
-    gram_ols: np.ndarray   # Y1' M_Z1 Y1
 
 
 def _gram_factors(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -151,45 +147,29 @@ def _gram_factors(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def compute_statistics(ds: Dataset) -> Statistics:
-    """Fit all estimators (the rank and variance checks) and evaluate the four
-    test statistics by the core of ``block_statistics`` on a stack of one."""
-    ols = fit_ols(ds)
-    tsls = fit_tsls(ds)
-    cf = fit_cf(ds)
-    floor = _variance_floor(ds.r, ds.n)
-    for label, s2 in (("ols", ols.sigma2), ("tsls", tsls.sigma2), ("cf", cf.sigma2_u)):
-        if s2 <= floor:
-            raise DegenerateVariance(f"{label} residual variance is numerically zero")
-    try:
-        values = _statistics_core(ds.r[None], ds.n, ds.d_z1, ds.d_z2)[0][:, 0]
-    except np.linalg.LinAlgError:  # a K3 that underflows to singular
-        values = np.full(len(TEST_NAMES), np.nan)
-    if not np.isfinite(values).all():  # e.g. coefficients that overflow
-        raise InvalidDataset("the test statistics are not finite in double precision; rescale the data")
-    b2, b1 = _gram_factors(ds)
-    gram_ols = b1.T @ b1
-    gap = ols.beta_hat - tsls.beta_hat
-    return Statistics(
-        *(float(v) for v in values),
-        h_n=compute_h_n(gap, gram_ols, tsls.sigma2, ds.n),
-        df=ds.d_y1,
-        beta_gap=gap,
-        ols=ols,
-        tsls=tsls,
-        cf=cf,
-        gram_2sls=b2.T @ b2,
-        gram_ols=gram_ols,
-    )
-
-
-# How far the block screen stays from each threshold at which
-# compute_statistics raises: a rank check's pivot tolerance and the variance
-# floor.
-_SCREEN_MARGIN = 1e4
+    """The four test statistics, ``h_n`` and the beta gap of ``ds`` by the
+    decision of ``block_statistics`` on a stack of one; it runs no fit. Raises
+    its first failed check: ``RankDeficient`` (with ``validate``'s message),
+    ``DegenerateVariance`` or ``InvalidDataset`` (non-finite results)."""
+    values, h_n, gap, failed = _decide(ds.r[None], ds.n, ds.d_z1, ds.d_z2)
+    if failed[0]:
+        raise _failure(int(failed[0]), ds)
+    return Statistics(*(float(v) for v in values[:, 0]), h_n=float(h_n[0]), df=ds.d_y1, beta_gap=gap[0])
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` on stacks, with nan for each singular ``a`` in place
+    of one error for the whole stack."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(b.shape, np.nan)
+        return np.concatenate([_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
 
 
 def _least_squares_block(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -197,19 +177,20 @@ def _least_squares_block(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     the QR of ``[a | y]``, then the triangular system."""
     k = a.shape[-1]
     t = np.linalg.qr(np.concatenate([a, y[..., None]], axis=-1), mode="r")
-    return np.linalg.solve(t[:, :k, :k], t[:, :k, k:])[..., 0]
+    return _solve(t[:, :k, :k], t[:, :k, k:])[..., 0]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi->b", a, b)
 
 
-def _statistics_core(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (4, B) statistics ``t_h1, t_h2, t_h3, t_cf`` and (3, B) variances
-    ``sigma2_ols, sigma2_2sls, sigma2_u`` of full-rank stacked R factors
-    ``r`` (B, p, p). With ``R23``, ``R33`` the Z2 and Y1 rows of the Y1
-    columns and ``r24``, ``r34``, ``r44`` the matching pieces of the y2
-    column (Z1 is concentrated out by dropping its rows):
+def _statistics_core(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
+    """The (4, B) statistics ``t_h1, t_h2, t_h3, t_cf``, (3, B) variances
+    ``sigma2_ols, sigma2_2sls, sigma2_u``, (B, d_y1) gaps ``beta_ols -
+    beta_2sls`` and (B,) ``h_n`` of stacked R factors ``r`` (B, p, p),
+    meaningful where R passes the rank rule. With ``R23``, ``R33`` the Z2
+    and Y1 rows of the Y1 columns and ``r24``, ``r34``, ``r44`` the matching
+    pieces of the y2 column (Z1 is concentrated out by dropping its rows):
 
     * ``beta_2sls`` and ``beta_ols`` solve ``R23 b = r24`` and
       ``[R23; R33] b = [r24; r34]`` by least squares;
@@ -222,7 +203,8 @@ def _statistics_core(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.nd
     * ``t_h3 = (R33'e)' K3^-1 R23'(R23 gap)`` with ``K3 = sigma2_ols *
       R33'R33 + (sigma2_2sls - sigma2_ols) * G1``, the variance difference
       taken as ``||[R23; R33] gap||^2 / n``: SPD by construction, and scaled
-      by ``1 / sigma2_2sls`` so that it does not overflow. ``R23'(R23 gap)``
+      by ``1 / sigma2_2sls`` so that it does not overflow. The weight of G1
+      is ``h_n = gap' G1 gap / (n sigma2_2sls)``. ``R23'(R23 gap)``
       keeps the weak direction of ``R23`` (the gap itself is a difference of
       two fits, ROADMAP item 7);
     * ``t_cf`` is the control-function Wald statistic by the direct route
@@ -246,54 +228,65 @@ def _statistics_core(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.nd
         s_u = (r44_sq + _dot(e_2sls[:, :d_z2], e_2sls[:, :d_z2])) / n
         e, f = e_2sls[:, d_z2:], e_ols[:, d_z2:]
         q = _dot(e, f)
-        b1_gap = (b1 @ (beta_ols - beta_2sls)[..., None])[..., 0]
-        k3 = ((s_ols / s_2sls)[:, None, None] * (_mT(r33) @ r33)
-              + (_dot(b1_gap, b1_gap) / (n * s_2sls))[:, None, None] * (_mT(b1) @ b1))
+        gap = beta_ols - beta_2sls
+        b1_gap = (b1 @ gap[..., None])[..., 0]
+        h_n = _dot(b1_gap, b1_gap) / (n * s_2sls)
+        k3 = (s_ols / s_2sls)[:, None, None] * (_mT(r33) @ r33) + h_n[:, None, None] * (_mT(b1) @ b1)
         b2_gap = b1_gap[:, :d_z2]
         g2_gap = _mT(b1[:, :d_z2]) @ b2_gap[..., None]
-        t_h3 = (e[:, None] @ r33 @ np.linalg.solve(k3, g2_gap))[:, 0, 0] / s_2sls
+        t_h3 = (e[:, None] @ r33 @ _solve(k3, g2_gap))[:, 0, 0] / s_2sls
         t_cf = (_dot(b2_gap, b2_gap) + _dot(f, f)) / s_u
         stats = np.array([q / s_ols, q / s_2sls, t_h3, t_cf])
-    return stats, np.array([s_ols, s_2sls, s_u])
+    return stats, np.array([s_ols, s_2sls, s_u]), gap, h_n
+
+
+_VARIANCE_LABELS = ("ols", "tsls", "cf")
+
+
+def _decide(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
+    """Decide each dataset of the stacked R factors ``r`` (B, m, p), m = min(n, p).
+
+    The checks, in order: the rank rule on the four ``data.rank_designs``;
+    the variance floor on the core's variances (ols, tsls, cf); finite core
+    results. Returns the (4, B) statistics, (B,) ``h_n``, (B, d_y1) beta
+    gaps, all nan where a check fails, and (B,) codes: 1 + the index of the
+    first failed check, or 0.
+    """
+    size, m, p = r.shape
+    r = np.concatenate([r, np.zeros((size, p - m, p))], axis=1)  # square, as Dataset.r
+    stats, variances, gap, h_n = _statistics_core(r, n, d_z1, d_z2)
+    finite = np.isfinite(stats).all(axis=0) & np.isfinite(gap).all(axis=1) & np.isfinite(h_n)
+    fails = np.array([*(~linalg.full_rank(a)[0] for a in rank_designs(r, d_z1, d_z2)),
+                      *(variances <= _variance_floor(r, n)), ~finite])
+    failed = np.where(fails.any(axis=0), fails.argmax(axis=0) + 1, 0)
+    ok = failed == 0
+    return np.where(ok, stats, np.nan), np.where(ok, h_n, np.nan), np.where(ok[:, None], gap, np.nan), failed
+
+
+def _failure(code: int, ds: Dataset) -> EndocheckError:
+    """The error that failure ``code`` of ``_decide`` on ``ds`` raises."""
+    if code <= len(RANK_MESSAGES):
+        a = rank_designs(ds.r[None], ds.d_z1, ds.d_z2)[code - 1][0]
+        weights = np.abs(np.linalg.svd(a)[2][-1])  # the smallest singular direction
+        return RankDeficient(int(weights.argmax()), RANK_MESSAGES[code - 1])
+    code -= len(RANK_MESSAGES)
+    if code <= len(_VARIANCE_LABELS):
+        return DegenerateVariance(f"{_VARIANCE_LABELS[code - 1]} residual variance is numerically zero")
+    return InvalidDataset("the test statistics are not finite in double precision; rescale the data")
 
 
 def block_statistics(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[StatisticValues, np.ndarray]:
     """The four statistics of a block of datasets from their stacked R factors alone.
 
     ``r`` is (B, m, p): R of each dataset's ``W = [Z1 | Z2 | Y1 | y2]``, with
-    ``m = min(n, p)``. The statistics come from the core that
-    ``compute_statistics`` runs on a stack of one, so they equal its values
-    bit for bit.
+    ``m = min(n, p)``. Each dataset is decided as ``compute_statistics``
+    decides it on a stack of one, so the values are equal bit for bit.
 
-    Returns the statistics as (B,) arrays and a (B,) flag. The flag marks
-    every dataset on which ``compute_statistics`` could raise: ``n < p``;
-    ``sigma_min`` of X, P_Z X, Z or [X | V] within ``_SCREEN_MARGIN`` of the
-    rank tolerance; a variance within ``_SCREEN_MARGIN`` of the floor; a
-    non-finite statistic. Flagged entries hold nan.
+    Returns the statistics as (B,) arrays and a (B,) flag, true exactly
+    where ``compute_statistics`` raises. Flagged entries hold nan.
     """
-    size, m, p = r.shape
-    dz = d_z1 + d_z2
-    k = p - dz - 1
-    values = np.full((len(TEST_NAMES), size), np.nan)
-    if m < p:
-        return StatisticValues(*values), np.ones(size, dtype=bool)
-    y1 = slice(dz, dz + k)
-    x = np.concatenate([r[:, :dz + k, y1], r[:, :dz + k, :d_z1]], axis=2)  # X = [Y1 | Z1]
-    v = np.zeros((size, dz + k, k))
-    v[:, dz:] = r[:, y1, y1]  # V_hat = M_Z Y1
-    flagged = np.zeros(size, dtype=bool)
-    for a in (x, x[:, :dz], r[:, :dz, :dz], np.concatenate([x, v], axis=2)):
-        sigma, tol = linalg.smallest_singular_value(a)
-        flagged |= sigma <= _SCREEN_MARGIN * tol
-    kept = np.flatnonzero(~flagged)
-    if kept.size:
-        r_kept = r[kept]
-        stats, variances = _statistics_core(r_kept, n, d_z1, d_z2)
-        unsafe = ((variances <= _SCREEN_MARGIN * _variance_floor(r_kept, n)).any(axis=0)
-                  | ~np.isfinite(stats).all(axis=0))
-        values[:, kept] = np.where(unsafe, np.nan, stats)
-        flagged[kept] = unsafe
-    return StatisticValues(*values), flagged
+    values, _, _, failed = _decide(r, n, d_z1, d_z2)
+    return StatisticValues(*values), failed > 0
 
 
 @dataclass(frozen=True)
@@ -368,18 +361,21 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     ``tol`` only affects ``ordering_ok``: it is the slack for near-ties; the
     gaps themselves are always reported.
     """
-    stats = compute_statistics(ds)
-    ols, tsls, cf = stats.ols, stats.tsls, stats.cf
+    stats = compute_statistics(ds)  # decides the dataset before any fit
+    # The reference side of each identity: the pivoted-QR fits, independent of the core.
+    ols, tsls, cf = fit_ols(ds), fit_tsls(ds), fit_cf(ds)
     n = ds.n
-    gap = stats.beta_gap
+    gap = ols.beta_hat - tsls.beta_hat
+    factors = _gram_factors(ds)
+    gram_ols = factors[1].T @ factors[1]
+    h_n = compute_h_n(gap, gram_ols, tsls.sigma2, n)
 
     # CF estimates against their closed forms in the beta gap.
     y1, _, mz_y1 = ds._blocks()  # mz_y1: annihilator of Z applied to Y1
     gram_mz = mz_y1.T @ mz_y1
-    rho_closed = linalg.spd_solve(gram_mz, stats.gram_ols @ gap)
+    rho_closed = linalg.spd_solve(gram_mz, gram_ols @ gap)
 
     # Direct Wald form against the Hausman form at the CF variance.
-    factors = _gram_factors(ds)
     t_cf_hausman = hausman_statistic(gap, *factors, cf.sigma2_u, cf.sigma2_u)
 
     # Structural coefficient gap as a linear transform of the beta gap.
@@ -405,7 +401,7 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     # only where both exceed the slack; a closer tie is below what floating
     # point resolves, so the chain is then checked up to the slack.
     slack = tol * (1.0 + stats.t_cf)
-    if min(stats.t_cf * stats.t_h1 / n, stats.t_h1 * stats.h_n) > slack:
+    if min(stats.t_cf * stats.t_h1 / n, stats.t_h1 * h_n) > slack:
         ordering_ok = stats.ordered(strict=True)
     else:
         ordering_ok = stats.ordered(slack)
@@ -416,7 +412,7 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
         tcf_equivalence_gap=_rel_scalar(stats.t_cf, t_cf_hausman),
         variance_link_ols_gap=_rel_scalar(cf.sigma2_u, ols.sigma2 * (1.0 - stats.t_h1 / n)),
         variance_link_tsls_gap=_rel_scalar(
-            cf.sigma2_u, tsls.sigma2 * (1.0 - stats.t_h2 / n - stats.h_n)
+            cf.sigma2_u, tsls.sigma2 * (1.0 - stats.t_h2 / n - h_n)
         ),
         scaled_statistic_gap=scaled_gap,
         theta_gap_transform_gap=_rel_vec(ols.theta_hat - tsls.theta_hat, theta_gap_pred),

@@ -6,10 +6,11 @@ class EndocheckError(Exception):
 
 
 class RankDeficient(EndocheckError):
-    """A design matrix lost full column rank during factorization.
+    """A design matrix lost full column rank under the rank rule of ``linalg``.
 
-    ``column`` is the index (in the original column order) of the first
-    column whose pivot fell below the rank tolerance.
+    ``column`` indexes the matrix's columns: from a pivoted QR, the first whose
+    pivot fell to the tolerance; from ``compute_statistics``, the one with the
+    largest weight in the smallest singular direction.
     """
 
     def __init__(self, column: int, message: str | None = None):

@@ -6,6 +6,10 @@ coefficient vectors, so squaring the condition number here is not acceptable.
 The statistics path solves only small problems here, on the rows of the
 triangular factor ``Dataset.r`` of ``[Z1 | Z2 | Y1 | y2]``; the n-row data
 are factored once, there.
+
+The rank rule: a matrix has full column rank when its smallest singular
+value exceeds ``rank_tolerance``, the tolerance the pivot guard of
+``solve_least_squares`` uses too.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import scipy.linalg
 
 from .errors import NotPositiveDefinite, RankDeficient
 
-# Relative pivot threshold below which a column is declared dependent.
+# A matrix whose smallest singular value is at or below this times its
+# largest column norm has lost full column rank.
 RANK_TOL = 1e-10
 
 
@@ -28,23 +33,28 @@ def _as_2d(a) -> np.ndarray:
     return a
 
 
-def _pivoted_qr(a: np.ndarray):
-    """Economy QR with column pivoting, plus the rank evidence.
+def rank_tolerance(a) -> np.ndarray:
+    """``RANK_TOL * max column norm`` of each matrix of the stack ``a``
+    (..., m, k): the one rank tolerance of the package."""
+    return RANK_TOL * np.linalg.norm(a, axis=-2).max(axis=-1, initial=0.0)
 
-    Returns ``(q, r, perm, pivots, tol)`` with ``pivots = |diag(r)|`` and
-    ``tol = RANK_TOL * max column norm``; a pivot at or below ``tol`` marks
-    a dependent column.
-    """
-    q, r, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    col_norms = np.linalg.norm(a, axis=0)
-    tol = RANK_TOL * (col_norms.max() if col_norms.size else 0.0)
-    return q, r, perm, np.abs(np.diag(r)), tol
+
+def full_rank(a) -> tuple[np.ndarray, np.ndarray]:
+    """The rank rule on each matrix of the stack ``a`` (..., m, k), m >= k:
+    whether its smallest singular value exceeds ``rank_tolerance``, and its
+    singular values in descending order."""
+    a = np.asarray(a, dtype=float)
+    sigma = np.linalg.svd(a, compute_uv=False)
+    return sigma[..., -1] > rank_tolerance(a), sigma
 
 
 def _full_rank_qr(a: np.ndarray):
-    """``(q, r, perm)`` of ``_pivoted_qr``; raises ``RankDeficient`` at a dependent column."""
-    q, r, perm, pivots, tol = _pivoted_qr(a)
-    small = np.nonzero(pivots <= tol)[0]
+    """Economy QR with column pivoting, ``(q, r, perm)``; raises ``RankDeficient``
+    at the first pivot at or below ``rank_tolerance(a)``. Every pivot is at
+    least the smallest singular value, so a matrix ``full_rank`` admits
+    passes."""
+    q, r, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    small = np.flatnonzero(np.abs(np.diag(r)) <= rank_tolerance(a))
     if small.size:
         raise RankDeficient(int(perm[small[0]]))
     return q, r, perm
@@ -65,8 +75,8 @@ def solve_least_squares(a, b) -> np.ndarray:
     Raises
     ------
     RankDeficient
-        If a pivot of the QR factorization falls below
-        ``RANK_TOL * max column norm``.
+        If a pivot of the QR factorization is at or below
+        ``rank_tolerance(a)``.
     """
     a = _as_2d(a)
     b_in = np.asarray(b, dtype=float)
@@ -89,13 +99,15 @@ def spd_solve(s, b) -> np.ndarray:
     Raises
     ------
     NotPositiveDefinite
-        If ``s`` is not symmetric to relative 1e-10, or a Cholesky pivot
-        is non-positive.
+        If ``s`` is not finite, is not symmetric to relative 1e-10, or a
+        Cholesky pivot is non-positive.
     """
     s = np.asarray(s, dtype=float)
     b_in = np.asarray(b, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise NotPositiveDefinite("matrix is not finite")
     scale = np.abs(s).max() if s.size else 0.0
     if np.abs(s - s.T).max(initial=0.0) > 1e-10 * max(scale, 1e-300):
         raise NotPositiveDefinite("matrix is not symmetric")
@@ -107,30 +119,14 @@ def spd_solve(s, b) -> np.ndarray:
 
 
 def rank_report(a) -> tuple[bool, float]:
-    """Cheap full-rank check with a condition estimate.
-
-    Returns ``(full_rank, cond_estimate)`` where the estimate is the ratio of
-    extreme pivot magnitudes of the pivoted QR factorization (inf when the
-    smallest pivot is zero).
+    """The rank rule of ``full_rank`` on one matrix, with its 2-norm condition
+    number ``sigma_max / sigma_min`` (inf when ``sigma_min`` is zero). With
+    fewer rows than columns, zero rows are appended, so the rank is short.
     """
     a = _as_2d(a)
-    _, _, _, pivots, tol = _pivoted_qr(a)
-    # With fewer rows than columns, some columns get no pivot at all.
-    dmin = pivots.min() if 0 < pivots.size == a.shape[1] else 0.0
-    dmax = pivots.max() if pivots.size else 0.0
-    cond = float(dmax / dmin) if dmin > 0 else float("inf")
-    return bool(dmin > tol), cond
-
-
-def smallest_singular_value(a) -> tuple[np.ndarray, np.ndarray]:
-    """For each matrix of the stack ``a`` (..., m, k) with m >= k: its
-    smallest singular value and the rank tolerance ``RANK_TOL * max column
-    norm`` that ``_pivoted_qr`` would apply to it.
-
-    Every pivot of ``_pivoted_qr`` is at least the smallest singular value,
-    so where that exceeds the tolerance by a wide margin no rank check on the
-    matrix fails.
-    """
-    a = np.asarray(a, dtype=float)
-    sigma_min = np.linalg.svd(a, compute_uv=False)[..., -1]
-    return sigma_min, RANK_TOL * np.linalg.norm(a, axis=-2).max(axis=-1)
+    m, k = a.shape
+    if m < k:
+        a = np.vstack([a, np.zeros((k - m, k))])
+    ok, sigma = full_rank(a)
+    cond = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
+    return bool(ok), cond

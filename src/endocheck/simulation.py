@@ -230,10 +230,10 @@ def generate_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Datas
 def _run_block(dgp: DgpConfig, seed: int, reps: range) -> tuple[StatisticValues, np.ndarray]:
     """The four statistics of replications ``reps`` as arrays, and which replications completed.
 
-    The stacked R factors go to ``block_statistics``. A replication it flags,
-    or whose data fail the overflow screen, is drawn again and decided by
-    ``compute_statistics``, so its outcome, and any error, are the
-    per-replication ones.
+    The stacked R factors go to ``block_statistics``; a replication it flags
+    is degenerate. A replication whose data fail the overflow screen is
+    drawn again and decided by ``compute_statistics``, so its outcome, and
+    any error, are the per-replication ones.
     """
     w = _draw_block(dgp, seed, reps)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -241,14 +241,14 @@ def _run_block(dgp: DgpConfig, seed: int, reps: range) -> tuple[StatisticValues,
     unsafe = ~(sumsq < _SUMSQ_LIMIT)  # also true for nan
     w[unsafe] = 0.0
     stats, flagged = block_statistics(np.linalg.qr(w, mode="r"), dgp.n, dgp.d_z1, dgp.d_z2)
-    completed = np.ones(len(reps), dtype=bool)
-    for i in np.flatnonzero(flagged | unsafe):
+    completed = ~(flagged | unsafe)
+    for i in np.flatnonzero(unsafe):
         ds = generate_dataset(dgp, reps[i], seed)
         try:
             single = compute_statistics(ds)
         except EndocheckError:
-            completed[i] = False
             continue
+        completed[i] = True
         for name, value in single.by_name().items():
             getattr(stats, name)[i] = value
     return stats, completed

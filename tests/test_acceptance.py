@@ -48,9 +48,9 @@ def test_criterion_1_identity_suite(identity_suite):
     ordering_failures = sum(not ident.ordering_ok for _, _, ident in suite)
     strict_checked = 0
     strict_failures = 0
-    for _, stats, _ in suite:
+    for ds, stats, _ in suite:
         gap_norm = np.linalg.norm(stats.beta_gap)
-        if gap_norm > 1e-8 * (1.0 + np.linalg.norm(stats.ols.beta_hat)):
+        if gap_norm > 1e-8 * (1.0 + np.linalg.norm(ec.fit_ols(ds).beta_hat)):
             strict_checked += 1
             if not (stats.t_cf > stats.t_h1 > stats.t_h2 > stats.t_h3):
                 strict_failures += 1
@@ -65,19 +65,20 @@ def test_criterion_1_identity_suite(identity_suite):
 
 def test_criterion_2_oracle_fixture(f1_dataset, f1_expected):
     stats = ec.compute_statistics(f1_dataset)
+    ols, tsls, cf = ec.fit_ols(f1_dataset), ec.fit_tsls(f1_dataset), ec.fit_cf(f1_dataset)
     rf = ec.fit_reduced_form(f1_dataset)
     rel = lambda a, b: np.max(np.abs(np.atleast_1d(a) - np.atleast_1d(b))) / (
         1.0 + np.max(np.abs(np.atleast_1d(b)))
     )
     checks = {
-        "theta_ols": rel(stats.ols.theta_hat, f1_expected["theta_ols"]),
-        "theta_tsls": rel(stats.tsls.theta_hat, f1_expected["theta_tsls"]),
-        "theta_cf": rel(stats.cf.theta_cf, f1_expected["theta_cf"]),
-        "rho_cf": rel(stats.cf.rho_cf, f1_expected["rho_cf"]),
+        "theta_ols": rel(ols.theta_hat, f1_expected["theta_ols"]),
+        "theta_tsls": rel(tsls.theta_hat, f1_expected["theta_tsls"]),
+        "theta_cf": rel(cf.theta_cf, f1_expected["theta_cf"]),
+        "rho_cf": rel(cf.rho_cf, f1_expected["rho_cf"]),
         "pi_hat": rel(rf.pi_hat[:, 0], f1_expected["pi_hat"]),
-        "sigma2_ols": rel(stats.ols.sigma2, f1_expected["sigma2_ols"]),
-        "sigma2_tsls": rel(stats.tsls.sigma2, f1_expected["sigma2_tsls"]),
-        "sigma2_u": rel(stats.cf.sigma2_u, f1_expected["sigma2_u"]),
+        "sigma2_ols": rel(ols.sigma2, f1_expected["sigma2_ols"]),
+        "sigma2_tsls": rel(tsls.sigma2, f1_expected["sigma2_tsls"]),
+        "sigma2_u": rel(cf.sigma2_u, f1_expected["sigma2_u"]),
         "t_h1": rel(stats.t_h1, f1_expected["t_h1"]),
         "t_h2": rel(stats.t_h2, f1_expected["t_h2"]),
         "t_h3": rel(stats.t_h3, f1_expected["t_h3"]),
@@ -95,7 +96,7 @@ def test_criterion_3_variance_identities(identity_suite):
     ordering_violation = 0.0
     for ds, stats, _ in suite:
         n = ds.n
-        s_u, s_ols, s_tsls = stats.cf.sigma2_u, stats.ols.sigma2, stats.tsls.sigma2
+        s_u, s_ols, s_tsls = ec.fit_cf(ds).sigma2_u, ec.fit_ols(ds).sigma2, ec.fit_tsls(ds).sigma2
         worst_link = max(
             worst_link,
             abs(s_u - s_ols * (1 - stats.t_h1 / n)) / (1 + s_u),

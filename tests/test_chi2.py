@@ -76,7 +76,6 @@ def test_run_all_tests_tail_p_values(monkeypatch, df, t):
     mpmath = pytest.importorskip("mpmath")
     stats = endogeneity.Statistics(
         t_h1=t, t_h2=t, t_h3=t, t_cf=t, h_n=0.0, df=df, beta_gap=np.zeros(df),
-        ols=None, tsls=None, cf=None, gram_2sls=None, gram_ols=None,
     )
     monkeypatch.setattr(endogeneity, "compute_statistics", lambda ds: stats)
     report = endogeneity.run_all_tests(None)
@@ -92,7 +91,6 @@ def test_run_all_tests_critical_value_below_double_resolution(monkeypatch, t, re
     73.5125... (the mpmath root of the upper tail)."""
     stats = endogeneity.Statistics(
         t_h1=t, t_h2=t, t_h3=t, t_cf=t, h_n=0.0, df=1, beta_gap=np.zeros(1),
-        ols=None, tsls=None, cf=None, gram_2sls=None, gram_ols=None,
     )
     monkeypatch.setattr(endogeneity, "compute_statistics", lambda ds: stats)
     report = endogeneity.run_all_tests(None, alphas=(1e-17,))

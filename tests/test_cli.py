@@ -123,6 +123,38 @@ class TestCmdTest:
         assert strict_json(out)["decisions"]["1e-17"] == {name: False for name in ("t_h1", "t_h2", "t_h3", "t_cf")}
 
 
+def scaled_csv(path, design_scale: float, outcome_scale: float):
+    """A 30-row CSV ``y, x, w, z1, z2`` (one exogenous column, no intercept)
+    with the design columns scaled by ``design_scale`` and y by ``outcome_scale``."""
+    rng = np.random.default_rng(12)
+    n = 30
+    z = rng.standard_normal((n, 2))
+    w, v = rng.standard_normal(n), rng.standard_normal(n)
+    x = z @ np.array([1.0, 0.5]) + w + v
+    y = x + w + 0.5 * v + rng.standard_normal(n)
+    cols = [outcome_scale * y] + [design_scale * c for c in (x, w, z[:, 0], z[:, 1])]
+    rows = ["y,x,w,z1,z2"] + [",".join(repr(float(c[i])) for c in cols) for i in range(n)]
+    path.write_text("\n".join(rows) + "\n")
+    return [str(path), "--outcome", "y", "--endog", "x", "--exog", "w", "--iv", "z1,z2"]
+
+
+class TestScaledData:
+    @pytest.mark.parametrize("command", ["test", "verify"])
+    def test_columns_near_1e100_pass(self, capsys, tmp_path, command):
+        # sigma2 times a gram overflowed in verify's Hausman K.
+        code, _, err = run(capsys, [command, *scaled_csv(tmp_path / "big.csv", 1e100, 1e100)])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("command", ["test", "verify"])
+    def test_design_near_1e_300_one_line(self, capsys, tmp_path, command):
+        # The coefficients overflow: one line and exit 2, with no warning
+        # from a fit before it.
+        code, out, err = run(capsys, [command, *scaled_csv(tmp_path / "tiny.csv", 1e-300, 1e50)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("endocheck: ") and err.count("\n") == 1
+
+
 class TestCmdVerify:
     def test_f1_passes(self, capsys, f1_path):
         code, out, _ = run(capsys, ["verify", str(f1_path), *F1_ARGS])

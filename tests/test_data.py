@@ -137,6 +137,16 @@ class TestValidate:
         assert report.xtx_ok and report.xpzx_ok and report.xv_ok
         assert all(np.isfinite(c) for c in report.condition_estimates)
 
+    @pytest.mark.parametrize("which", ["f1", "random"])
+    def test_condition_numbers_are_2_norm(self, which, f1_dataset):
+        from conftest import annihilate, project
+
+        ds = f1_dataset if which == "f1" else random_admissible_dataset(np.random.default_rng(15), d_y1=2)
+        dm = design_matrices(ds)
+        designs = (dm.x, project(dm.z, dm.x), np.hstack([dm.x, annihilate(dm.z, ds.y1)]))
+        expected = [np.linalg.cond(a) for a in designs]
+        assert validate(ds).condition_estimates == pytest.approx(expected, rel=1e-8)
+
     def test_duplicated_instrument_reported(self):
         rng = np.random.default_rng(2)
         ds0 = random_admissible_dataset(rng, n=50, d_y1=1, d_z1=1, d_z2=2)

@@ -13,6 +13,8 @@ from endocheck import (
     compute_h_n,
     compute_statistics,
     fit_cf,
+    fit_ols,
+    fit_tsls,
     generate_dataset,
     hausman_statistic,
     run_all_tests,
@@ -22,7 +24,7 @@ from endocheck import (
 from endocheck import linalg
 from endocheck.cli import _random_dataset
 
-from conftest import STRONG_FIRST_STAGE, annihilate, design_matrices, random_admissible_dataset
+from conftest import STRONG_FIRST_STAGE, annihilate, design_matrices, project, random_admissible_dataset
 from test_estimators import exact_fit_dataset
 
 
@@ -44,6 +46,13 @@ ILL_CONDITIONED_DRAWS = {
         1417, 1782221302,
     ),
 }
+
+
+def grams(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(gram_2sls, gram_ols) = (Y1_hat' M_Z1 Y1_hat, Y1' M_Z1 Y1) from the n-row data."""
+    a2 = annihilate(ds.z1, project(design_matrices(ds).z, ds.y1))
+    a1 = annihilate(ds.z1, ds.y1)
+    return a2.T @ a2, a1.T @ a1
 
 
 def _near_exact_fit() -> Dataset:
@@ -122,8 +131,9 @@ class TestHausmanStatistic:
         assert len(calls) == 3  # rho's closed form and the K forms of t_cf and t_h2
 
     def test_small_factorization_budget(self, monkeypatch):
-        # Every factorization after the cached n-row one is a pivoted QR of
-        # a few rows of R.
+        # compute_statistics and validate decide by the singular values of
+        # R's blocks; only the reference fits of verify_identities make
+        # pivoted QRs, each of a few rows of R.
         import scipy.linalg
 
         calls = []
@@ -135,7 +145,7 @@ class TestHausmanStatistic:
 
         ds = random_admissible_dataset(np.random.default_rng(10), n=80, d_y1=2)
         monkeypatch.setattr(scipy.linalg, "qr", counting)
-        for run, expected in ((compute_statistics, 4), (verify_identities, 5), (validate, 4)):
+        for run, expected in ((compute_statistics, 0), (verify_identities, 5), (validate, 0)):
             calls.clear()
             run(ds)
             assert len(calls) == expected, run.__name__
@@ -193,9 +203,11 @@ class TestCfStatistic:
         for _ in range(100):
             ds = random_admissible_dataset(rng, n=int(rng.integers(30, 100)))
             stats = compute_statistics(ds)
+            sigma2_u = fit_cf(ds).sigma2_u
+            gram_2sls, gram_ols = grams(ds)
             alt = hausman_statistic(
-                stats.beta_gap, np.linalg.cholesky(stats.gram_2sls).T, np.linalg.cholesky(stats.gram_ols).T,
-                stats.cf.sigma2_u, stats.cf.sigma2_u,
+                stats.beta_gap, np.linalg.cholesky(gram_2sls).T, np.linalg.cholesky(gram_ols).T,
+                sigma2_u, sigma2_u,
             )
             assert stats.t_cf == pytest.approx(alt, rel=1e-8)
 
@@ -300,10 +312,10 @@ class TestVerifyIdentities:
             ds = random_admissible_dataset(rng)
             stats = compute_statistics(ds)
             n = ds.n
-            lhs = stats.cf.sigma2_u
-            assert lhs == pytest.approx(stats.ols.sigma2 * (1 - stats.t_h1 / n), rel=1e-8)
+            lhs = fit_cf(ds).sigma2_u
+            assert lhs == pytest.approx(fit_ols(ds).sigma2 * (1 - stats.t_h1 / n), rel=1e-8)
             assert lhs == pytest.approx(
-                stats.tsls.sigma2 * (1 - stats.t_h2 / n - stats.h_n), rel=1e-8
+                fit_tsls(ds).sigma2 * (1 - stats.t_h2 / n - stats.h_n), rel=1e-8
             )
 
     def test_scaled_statistics_equal(self):
@@ -311,9 +323,9 @@ class TestVerifyIdentities:
         for _ in range(50):
             ds = random_admissible_dataset(rng)
             stats = compute_statistics(ds)
-            a = stats.ols.sigma2 * stats.t_h1
-            b = stats.tsls.sigma2 * stats.t_h2
-            c = stats.cf.sigma2_u * stats.t_cf
+            a = fit_ols(ds).sigma2 * stats.t_h1
+            b = fit_tsls(ds).sigma2 * stats.t_h2
+            c = fit_cf(ds).sigma2_u * stats.t_cf
             assert a == pytest.approx(c, rel=1e-8)
             assert b == pytest.approx(c, rel=1e-8)
 
@@ -323,11 +335,9 @@ class TestVerifyIdentities:
         rng = np.random.default_rng(8)
         for _ in range(30):
             ds = random_admissible_dataset(rng)
-            stats = compute_statistics(ds)
+            gram_2sls, gram_ols = grams(ds)
             k = ds.d_y1
-            w = stats.tsls.sigma2 * np.linalg.inv(stats.gram_2sls) - stats.ols.sigma2 * np.linalg.inv(
-                stats.gram_ols
-            )
+            w = fit_tsls(ds).sigma2 * np.linalg.inv(gram_2sls) - fit_ols(ds).sigma2 * np.linalg.inv(gram_ols)
             spd_solve(0.5 * (w + w.T), np.eye(k))
 
     def test_invariance_under_instrument_reparameterization(self):

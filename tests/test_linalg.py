@@ -112,6 +112,10 @@ class TestSpdSolve:
         with pytest.raises(NotPositiveDefinite):
             spd_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            spd_solve(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2))
+
 
 def test_rank_report_flags_collinear_design():
     rng = np.random.default_rng(29)

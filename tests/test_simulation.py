@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,3 +195,42 @@ class TestSerialization:
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0] == "test,alpha,rho,rate,stderr,R,n,seed"
         assert len(lines) == 1 + len(sim.tests) * len(sim.alphas)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# simulate on the benchmark's mc_size config, one output digest pair per seed.
+DIGEST_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+import inputs
+from endocheck import cli
+
+out, digests = Path(sys.argv[2]), {}
+for seed in map(int, sys.argv[3:]):
+    config = out / "config.json"
+    inputs.write_mc_config(config, seed)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == 0, code
+    digests[str(seed)] = {kind: hashlib.sha256((out / f"simulation.{kind}").read_bytes()).hexdigest()
+                          for kind in ("json", "csv")}
+print(json.dumps(digests))
+"""
+
+
+def test_simulate_output_matches_committed_digests(tmp_path):
+    """simulate reproduces perfbench/digests.json byte for byte, run as
+    perfbench/make_digests.py runs it: a fresh interpreter, one BLAS thread."""
+    seeds = ["0", "1", "2"]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", DIGEST_SCRIPT, str(ROOT / "perfbench"), str(tmp_path), *seeds],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    committed = json.loads((ROOT / "perfbench" / "digests.json").read_text())["seeds"]
+    assert json.loads(done.stdout) == {seed: committed[seed] for seed in seeds}
