@@ -51,6 +51,15 @@ class InvalidDataset(DataError):
     pass
 
 
+def factor(w: np.ndarray) -> np.ndarray:
+    """R of ``W = Q R`` for a matrix or a stack ``w`` (..., n, p), as (..., p, p);
+    Q is never formed. With fewer rows than columns, zero rows are appended
+    (``W = [Q | 0] [R; 0]``), so the problems on R are never underdetermined
+    and a rank loss shows up as ``RankDeficient``."""
+    r = np.linalg.qr(w, mode="r")
+    return np.concatenate([r, np.zeros((*r.shape[:-2], w.shape[-1] - r.shape[-2], r.shape[-1]))], axis=-2)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """One observed sample: outcome, endogenous block, included exogenous, instruments."""
@@ -110,15 +119,9 @@ class Dataset:
 
     @cached_property
     def r(self) -> np.ndarray:
-        """R of ``W = [Z1 | Z2 | Y1 | y2] = Q R``; Q is never formed. ``W_S = Q R[:, S]``
-        for any column subset S, and Z1 and Z = [Z1 | Z2] are leading blocks of W.
-
-        R is always square: with fewer rows than columns, zero rows are appended
-        (``W = [Q | 0] [R; 0]``), so the problems on R are never underdetermined
-        and a rank loss shows up as ``RankDeficient``."""
-        w = np.hstack([self.z1, self.z2, self.y1, self.y2[:, None]])
-        r = np.linalg.qr(w, mode="r")
-        return np.vstack([r, np.zeros((w.shape[1] - r.shape[0], w.shape[1]))])
+        """``factor`` of ``W = [Z1 | Z2 | Y1 | y2]``. ``W_S = Q R[:, S]`` for any
+        column subset S, and Z1 and Z = [Z1 | Z2] are leading blocks of W."""
+        return factor(np.hstack([self.z1, self.z2, self.y1, self.y2[:, None]]))
 
     def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Y1, X = [Y1 | Z1] and, for Z of full rank, V_hat = M_Z Y1 in the coordinates of ``r``."""
@@ -234,19 +237,25 @@ def rank_designs(r: np.ndarray, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
     return x, r[:, :dz, :dz], x[:, :dz], np.concatenate([x, v], axis=2)
 
 
+def rank_checks(r: np.ndarray, d_z1: int, d_z2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rank rule of ``linalg.full_rank`` on the four ``rank_designs`` of
+    stacked square R factors ``r`` (B, p, p): (4, B) flags, true where the
+    design has full column rank, and (4, B) 2-norm condition numbers
+    ``sigma_max / sigma_min`` (inf where ``sigma_min`` is zero)."""
+    flags, sigmas = zip(*(linalg.full_rank(a) for a in rank_designs(r, d_z1, d_z2)))
+    hi, lo = np.array([s[..., 0] for s in sigmas]), np.array([s[..., -1] for s in sigmas])
+    return np.array(flags), np.divide(hi, lo, out=np.full(hi.shape, np.inf), where=lo > 0)
+
+
 def validate(ds: Dataset) -> ValidationReport:
     """Check the non-singularity conditions all four endogeneity tests need:
-    the rank rule of ``linalg.rank_report`` on the ``rank_designs`` of ``ds.r``,
-    which ``compute_statistics`` checks too. Failures are reported, never
-    raised; a condition number is inf where its check did not run.
+    ``rank_checks`` on ``ds.r``, the rank stage of ``compute_statistics``.
+    Failures are reported, never raised. Without Z of full rank the last two
+    checks are skipped: reported as failed, with inf condition numbers.
     """
-    x, z, pzx, xv = (a[0] for a in rank_designs(ds.r[None], ds.d_z1, ds.d_z2))
-    checks = [linalg.rank_report(x), linalg.rank_report(z)]
-    if checks[1][0]:
-        checks += [linalg.rank_report(pzx), linalg.rank_report(xv)]
-    messages = [msg for msg, (ok, _) in zip(RANK_MESSAGES, checks) if not ok]
-    if not checks[1][0]:
+    flags, cond = (a[:, 0].tolist() for a in rank_checks(ds.r[None], ds.d_z1, ds.d_z2))
+    messages = [msg for msg, ok in zip(RANK_MESSAGES if flags[1] else RANK_MESSAGES[:2], flags) if not ok]
+    if not flags[1]:
         messages.append("skipping projected-design and control-function checks: Z not full rank")
-        checks += [(False, float("inf"))] * 2
-    (xtx_ok, cond_x), _, (xpzx_ok, cond_pzx), (xv_ok, cond_xv) = checks
-    return ValidationReport(xtx_ok, xpzx_ok, xv_ok, (cond_x, cond_pzx, cond_xv), messages)
+        flags[2:], cond[2:] = [False] * 2, [float("inf")] * 2
+    return ValidationReport(flags[0], flags[2], flags[3], (cond[0], cond[2], cond[3]), messages)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import chdtr, chdtrc, chdtri
 
 from . import linalg
-from .data import RANK_MESSAGES, Dataset, InvalidDataset, rank_designs
+from .data import RANK_MESSAGES, Dataset, InvalidDataset, rank_checks, rank_designs
 from .errors import DegenerateVariance, EndocheckError, RankDeficient
 from .estimators import CfFit, fit_cf, fit_ols, fit_tsls
 
@@ -244,20 +244,17 @@ _VARIANCE_LABELS = ("ols", "tsls", "cf")
 
 
 def _decide(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
-    """Decide each dataset of the stacked R factors ``r`` (B, m, p), m = min(n, p).
+    """Decide each dataset of the stacked square R factors ``r`` (B, p, p) of ``data.factor``.
 
-    The checks, in order: the rank rule on the four ``data.rank_designs``;
-    the variance floor on the core's variances (ols, tsls, cf); finite core
-    results. Returns the (4, B) statistics, (B,) ``h_n``, (B, d_y1) beta
-    gaps, all nan where a check fails, and (B,) codes: 1 + the index of the
-    first failed check, or 0.
+    The checks, in order: ``data.rank_checks``, the rank stage ``validate``
+    reports too; the variance floor on the core's variances (ols, tsls, cf);
+    finite core results. Returns the (4, B) statistics, (B,) ``h_n``,
+    (B, d_y1) beta gaps, all nan where a check fails, and (B,) codes: 1 +
+    the index of the first failed check, or 0.
     """
-    size, m, p = r.shape
-    r = np.concatenate([r, np.zeros((size, p - m, p))], axis=1)  # square, as Dataset.r
     stats, variances, gap, h_n = _statistics_core(r, n, d_z1, d_z2)
     finite = np.isfinite(stats).all(axis=0) & np.isfinite(gap).all(axis=1) & np.isfinite(h_n)
-    fails = np.array([*(~linalg.full_rank(a)[0] for a in rank_designs(r, d_z1, d_z2)),
-                      *(variances <= _variance_floor(r, n)), ~finite])
+    fails = np.array([*~rank_checks(r, d_z1, d_z2)[0], *(variances <= _variance_floor(r, n)), ~finite])
     failed = np.where(fails.any(axis=0), fails.argmax(axis=0) + 1, 0)
     ok = failed == 0
     return np.where(ok, stats, np.nan), np.where(ok, h_n, np.nan), np.where(ok[:, None], gap, np.nan), failed
@@ -278,9 +275,9 @@ def _failure(code: int, ds: Dataset) -> EndocheckError:
 def block_statistics(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[StatisticValues, np.ndarray]:
     """The four statistics of a block of datasets from their stacked R factors alone.
 
-    ``r`` is (B, m, p): R of each dataset's ``W = [Z1 | Z2 | Y1 | y2]``, with
-    ``m = min(n, p)``. Each dataset is decided as ``compute_statistics``
-    decides it on a stack of one, so the values are equal bit for bit.
+    ``r`` is (B, p, p): ``data.factor`` of each dataset's ``W = [Z1 | Z2 | Y1 | y2]``.
+    Each dataset is decided as ``compute_statistics`` decides it on a stack
+    of one, so the values are equal bit for bit.
 
     Returns the statistics as (B,) arrays and a (B,) flag, true exactly
     where ``compute_statistics`` raises. Flagged entries hold nan.

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .data import Dataset
+from .data import Dataset, InvalidDataset
+
+
+def _finite(coef: np.ndarray) -> np.ndarray:
+    if not np.isfinite(coef).all():  # residuals from overflowed coefficients would be nan
+        raise InvalidDataset("the fitted coefficients are not finite in double precision; rescale the data")
+    return coef
 
 
 def _structural_residuals(ds: Dataset, theta: np.ndarray) -> np.ndarray:
@@ -43,7 +49,10 @@ class ReducedFormFit:
     """First-stage regression of the endogenous block on all exogenous columns."""
 
     pi_hat: np.ndarray  # (d_z1 + d_z2, d_y1)
-    v_hat: np.ndarray   # (n, d_y1), residuals orthogonal to Z
+
+    def residuals(self, ds: Dataset) -> np.ndarray:
+        """The (n, d_y1) control functions ``V_hat = Y1 - Z pi_hat`` of ``ds``, orthogonal to Z."""
+        return ds.y1 - ds.z1 @ self.pi_hat[:ds.d_z1] - ds.z2 @ self.pi_hat[ds.d_z1:]
 
 
 @dataclass(frozen=True)
@@ -57,12 +66,12 @@ class CfFit:
     def residuals(self, ds: Dataset) -> np.ndarray:
         """The (n,) residuals ``u_hat = y2 - X theta_cf - V_hat rho_cf`` of ``ds``,
         with ``V_hat`` from ``fit_reduced_form``."""
-        return _structural_residuals(ds, self.theta_cf) - fit_reduced_form(ds).v_hat @ self.rho_cf
+        return _structural_residuals(ds, self.theta_cf) - fit_reduced_form(ds).residuals(ds) @ self.rho_cf
 
 
 def _structural(ds: Dataset, x: np.ndarray, theta: np.ndarray, method: str) -> FitResult:
     """The residual variance is against X = [Y1 | Z1], whichever design gave ``theta``."""
-    resid = ds.r[:, -1] - x @ theta
+    resid = ds.r[:, -1] - x @ _finite(theta)
     return FitResult(theta, theta[:ds.d_y1].copy(), float(resid @ resid) / ds.n, method)
 
 
@@ -89,8 +98,7 @@ def fit_reduced_form(ds: Dataset) -> ReducedFormFit:
     """First stage: Y1 on Z = [Z1 | Z2]; residuals are the control functions."""
     dz = ds.d_z1 + ds.d_z2
     y1, _, _ = ds._blocks()
-    pi_hat = linalg.solve_least_squares(ds.r[:dz, :dz], y1[:dz])
-    return ReducedFormFit(pi_hat=pi_hat, v_hat=ds.y1 - ds.z1 @ pi_hat[:ds.d_z1] - ds.z2 @ pi_hat[ds.d_z1:])
+    return ReducedFormFit(pi_hat=linalg.solve_least_squares(ds.r[:dz, :dz], y1[:dz]))
 
 
 def fit_cf(ds: Dataset) -> CfFit:
@@ -101,7 +109,7 @@ def fit_cf(ds: Dataset) -> CfFit:
     """
     _, x, v = ds._blocks()
     xv = np.hstack([x, v])
-    coef = linalg.solve_least_squares(xv, ds.r[:, -1])
+    coef = _finite(linalg.solve_least_squares(xv, ds.r[:, -1]))
     resid = ds.r[:, -1] - xv @ coef
     k = ds.d_y1 + ds.d_z1
     return CfFit(coef[:k].copy(), coef[k:].copy(), float(resid @ resid) / ds.n)

@@ -35,8 +35,10 @@ def _as_2d(a) -> np.ndarray:
 
 def rank_tolerance(a) -> np.ndarray:
     """``RANK_TOL * max column norm`` of each matrix of the stack ``a``
-    (..., m, k): the one rank tolerance of the package."""
-    return RANK_TOL * np.linalg.norm(a, axis=-2).max(axis=-1, initial=0.0)
+    (..., m, k): the one rank tolerance of the package. The column norms are
+    ``np.linalg.norm(a, axis=-2)``'s, bit for bit, without its argument handling."""
+    a = np.asarray(a, dtype=float)
+    return RANK_TOL * np.sqrt(np.add.reduce(a * a, axis=-2)).max(axis=-1, initial=0.0)
 
 
 def full_rank(a) -> tuple[np.ndarray, np.ndarray]:
@@ -117,16 +119,3 @@ def spd_solve(s, b) -> np.ndarray:
         raise NotPositiveDefinite(str(exc)) from exc
     return scipy.linalg.cho_solve(cf, b_in)
 
-
-def rank_report(a) -> tuple[bool, float]:
-    """The rank rule of ``full_rank`` on one matrix, with its 2-norm condition
-    number ``sigma_max / sigma_min`` (inf when ``sigma_min`` is zero). With
-    fewer rows than columns, zero rows are appended, so the rank is short.
-    """
-    a = _as_2d(a)
-    m, k = a.shape
-    if m < k:
-        a = np.vstack([a, np.zeros((k - m, k))])
-    ok, sigma = full_rank(a)
-    cond = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else float("inf")
-    return bool(ok), cond

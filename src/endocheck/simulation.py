@@ -23,9 +23,9 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 from scipy.special import chdtri, ndtri
 
-from .data import Dataset
-from .endogeneity import TEST_NAMES, StatisticValues, block_statistics, compute_statistics
-from .errors import ConfigInvalid, EndocheckError
+from .data import Dataset, factor
+from .endogeneity import TEST_NAMES, StatisticValues, block_statistics
+from .errors import ConfigInvalid
 
 SCHEMA_VERSION = 1
 
@@ -167,8 +167,8 @@ class SimResult:
 # once n*p passes it, one.
 _BLOCK_ELEMENTS = 1 << 17
 
-# A block whose sum of squares comes within this of overflow is decided by
-# the Dataset checks, one replication at a time.
+# A replication whose sum of squares comes within this of overflow goes
+# through the Dataset checks before its block is factored.
 _SUMSQ_LIMIT = 1e-4 * np.finfo(float).max
 
 
@@ -216,42 +216,36 @@ def _draw_block(cfg: DgpConfig, seed: int, reps: range) -> np.ndarray:
     return np.swapaxes(columns, 1, 2)
 
 
+def _dataset(cfg: DgpConfig, w: np.ndarray) -> Dataset:
+    """The Dataset of one replication's slice ``w`` (n, p), through its input checks."""
+    dz = cfg.d_z1 + cfg.d_z2
+    return Dataset(y2=w[:, -1], y1=w[:, dz:-1], z1=w[:, :cfg.d_z1], z2=w[:, cfg.d_z1:dz])
+
+
 def generate_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Dataset:
     """Draw one dataset from the configured process: the one-replication block.
 
     Draw order is fixed (z block, then v, then u) so identical
     (cfg, index, seed) triples reproduce byte-identical datasets.
     """
-    w = _draw_block(cfg, seed, range(replication_index, replication_index + 1))[0]
-    dz = cfg.d_z1 + cfg.d_z2
-    return Dataset(y2=w[:, -1], y1=w[:, dz:-1], z1=w[:, :cfg.d_z1], z2=w[:, cfg.d_z1:dz])
+    return _dataset(cfg, _draw_block(cfg, seed, range(replication_index, replication_index + 1))[0])
 
 
 def _run_block(dgp: DgpConfig, seed: int, reps: range) -> tuple[StatisticValues, np.ndarray]:
     """The four statistics of replications ``reps`` as arrays, and which replications completed.
 
-    The stacked R factors go to ``block_statistics``; a replication it flags
-    is degenerate. A replication whose data fail the overflow screen is
-    drawn again and decided by ``compute_statistics``, so its outcome, and
-    any error, are the per-replication ones.
+    A replication whose data fail the overflow screen goes through the
+    Dataset checks, which raise ``InvalidDataset`` as ``generate_dataset``
+    does. The stacked R factors then go to ``block_statistics``; a
+    replication it flags is degenerate.
     """
     w = _draw_block(dgp, seed, reps)
     with np.errstate(over="ignore", invalid="ignore"):
         sumsq = np.einsum("bij,bij->b", w, w)
-    unsafe = ~(sumsq < _SUMSQ_LIMIT)  # also true for nan
-    w[unsafe] = 0.0
-    stats, flagged = block_statistics(np.linalg.qr(w, mode="r"), dgp.n, dgp.d_z1, dgp.d_z2)
-    completed = ~(flagged | unsafe)
-    for i in np.flatnonzero(unsafe):
-        ds = generate_dataset(dgp, reps[i], seed)
-        try:
-            single = compute_statistics(ds)
-        except EndocheckError:
-            continue
-        completed[i] = True
-        for name, value in single.by_name().items():
-            getattr(stats, name)[i] = value
-    return stats, completed
+    for i in np.flatnonzero(~(sumsq < _SUMSQ_LIMIT)):  # also true for nan
+        _dataset(dgp, w[i])
+    stats, flagged = block_statistics(factor(w), dgp.n, dgp.d_z1, dgp.d_z2)
+    return stats, ~flagged
 
 
 def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:

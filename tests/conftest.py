@@ -23,6 +23,27 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 F1_ROLES = {"y": "outcome", "x": "endogenous", "z1": "instrument", "z2": "instrument"}
 
 
+def scaled_csv(path, design_scale: float, outcome_scale: float):
+    """A 30-row CSV ``y, x, w, z1, z2`` (one exogenous column, no intercept)
+    with the design columns scaled by ``design_scale`` and y by ``outcome_scale``."""
+    rng = np.random.default_rng(12)
+    n = 30
+    z = rng.standard_normal((n, 2))
+    w, v = rng.standard_normal(n), rng.standard_normal(n)
+    x = z @ np.array([1.0, 0.5]) + w + v
+    y = x + w + 0.5 * v + rng.standard_normal(n)
+    cols = [outcome_scale * y] + [design_scale * c for c in (x, w, z[:, 0], z[:, 1])]
+    rows = ["y,x,w,z1,z2"] + [",".join(repr(float(c[i])) for c in cols) for i in range(n)]
+    path.write_text("\n".join(rows) + "\n")
+    return [str(path), "--outcome", "y", "--endog", "x", "--exog", "w", "--iv", "z1,z2"]
+
+
+# The roles that the arguments of ``scaled_csv`` assign, for ``load_csv``.
+SCALED_ROLES = {
+    "y": "outcome", "x": "endogenous", "w": "included_exogenous", "z1": "instrument", "z2": "instrument",
+}
+
+
 @pytest.fixture(scope="session")
 def f1_path():
     return os.path.join(FIXTURES, "f1.csv")

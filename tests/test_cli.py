@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from endocheck import simulation
+from endocheck import endogeneity, simulation
 from endocheck.cli import main
+
+from conftest import scaled_csv
 
 F1_ARGS = ["--outcome", "y", "--endog", "x", "--exog", "none", "--add-intercept", "--iv", "z1,z2"]
 
@@ -123,21 +125,6 @@ class TestCmdTest:
         assert strict_json(out)["decisions"]["1e-17"] == {name: False for name in ("t_h1", "t_h2", "t_h3", "t_cf")}
 
 
-def scaled_csv(path, design_scale: float, outcome_scale: float):
-    """A 30-row CSV ``y, x, w, z1, z2`` (one exogenous column, no intercept)
-    with the design columns scaled by ``design_scale`` and y by ``outcome_scale``."""
-    rng = np.random.default_rng(12)
-    n = 30
-    z = rng.standard_normal((n, 2))
-    w, v = rng.standard_normal(n), rng.standard_normal(n)
-    x = z @ np.array([1.0, 0.5]) + w + v
-    y = x + w + 0.5 * v + rng.standard_normal(n)
-    cols = [outcome_scale * y] + [design_scale * c for c in (x, w, z[:, 0], z[:, 1])]
-    rows = ["y,x,w,z1,z2"] + [",".join(repr(float(c[i])) for c in cols) for i in range(n)]
-    path.write_text("\n".join(rows) + "\n")
-    return [str(path), "--outcome", "y", "--endog", "x", "--exog", "w", "--iv", "z1,z2"]
-
-
 class TestScaledData:
     @pytest.mark.parametrize("command", ["test", "verify"])
     def test_columns_near_1e100_pass(self, capsys, tmp_path, command):
@@ -160,6 +147,16 @@ class TestCmdVerify:
         code, out, _ = run(capsys, ["verify", str(f1_path), *F1_ARGS])
         assert code == 0
         assert "ok" in out
+
+    def test_f1_csv_format(self, capsys, f1_path, f1_dataset):
+        code, out, _ = run(capsys, ["verify", str(f1_path), *F1_ARGS, "--format", "csv"])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()]
+        names = list(endogeneity.verify_identities(f1_dataset).gaps())
+        assert rows[0] == ["identity", "gap"]
+        assert [name for name, _ in rows[1:-1]] == names
+        assert all(0.0 <= float(gap) < 1e-8 for _, gap in rows[1:-1])
+        assert rows[-1] == ["ordering_ok", "1"]
 
     def test_impossible_tolerance(self, capsys, f1_path):
         code, _, _ = run(capsys, ["verify", str(f1_path), *F1_ARGS, "--tol", "1e-300"])
@@ -292,6 +289,14 @@ class TestCmdSimulate:
         assert code == 0
         point = strict_json(out)["points"][0]
         assert point["completed"] == 0 and point["degenerate_count"] == 5
+
+    def test_table_notes_degenerate_replications(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, dgp={"n": 10, "d_z2": 12, "rho": [0.0]}, sim={"replications": 5})
+        code, out, _ = run(capsys, ["simulate", "--config", str(cfg)])
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 4 * 3 + 1
+        assert lines[-1] == "note: rho=(0.0,): 5 degenerate replications, 0 ordering violations"
 
     def test_out_is_a_file_exits_2(self, capsys, tmp_path, monkeypatch):
         def no_run(*args, **kwargs):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from endocheck import Dataset, RankDeficient, fit_cf, fit_ols, fit_reduced_form, fit_tsls
+from endocheck import Dataset, RankDeficient, fit_cf, fit_ols, fit_reduced_form, fit_tsls, load_csv
+from endocheck.data import InvalidDataset
 
-from conftest import annihilate, design_matrices, project, random_admissible_dataset
+from conftest import SCALED_ROLES, annihilate, design_matrices, project, random_admissible_dataset, scaled_csv
 
 
 def exact_fit_dataset(rng, n=40):
@@ -87,7 +88,7 @@ class TestReducedForm:
         ds = Dataset(y2=rng.standard_normal(n), y1=y1, z1=z1, z2=z2)
         rf = fit_reduced_form(ds)
         np.testing.assert_allclose(rf.pi_hat, pi0, rtol=1e-10)
-        assert np.abs(rf.v_hat).max() < 1e-12
+        assert np.abs(rf.residuals(ds)).max() < 1e-12
 
     def test_f1_oracle(self, f1_dataset, f1_expected):
         rf = fit_reduced_form(f1_dataset)
@@ -100,7 +101,7 @@ class TestReducedForm:
             dm = design_matrices(ds)
             rf = fit_reduced_form(ds)
             bound = 1e-10 * np.linalg.norm(dm.z) * np.linalg.norm(ds.y1)
-            assert np.abs(dm.z.T @ rf.v_hat).max() <= bound
+            assert np.abs(dm.z.T @ rf.residuals(ds)).max() <= bound
 
 
 class TestCf:
@@ -129,7 +130,7 @@ class TestCf:
         ds = random_admissible_dataset(rng, n=70)
         dm = design_matrices(ds)
         cf = fit_cf(ds)
-        design = np.hstack([dm.x, fit_reduced_form(ds).v_hat])
+        design = np.hstack([dm.x, fit_reduced_form(ds).residuals(ds)])
         bound = 1e-10 * np.linalg.norm(design) * np.linalg.norm(ds.y2)
         assert np.abs(design.T @ cf.residuals(ds)).max() <= bound
 
@@ -141,7 +142,7 @@ class TestCf:
             cf = fit_cf(ds)
             gap = fit_ols(ds).beta_hat - fit_tsls(ds).beta_hat
             m1 = annihilate(ds.z1, ds.y1)
-            v_hat = fit_reduced_form(ds).v_hat
+            v_hat = fit_reduced_form(ds).residuals(ds)
             closed = np.linalg.solve(v_hat.T @ v_hat, (m1.T @ m1) @ gap)
             np.testing.assert_allclose(cf.rho_cf, closed, rtol=1e-8, atol=1e-12)
 
@@ -172,3 +173,12 @@ class TestCrossEstimatorIdentities:
             s_tsls = fit_tsls(ds).sigma2
             assert s_u <= s_ols + 1e-12
             assert s_ols <= s_tsls + 1e-12
+
+
+@pytest.mark.parametrize("fit", [fit_ols, fit_tsls, fit_cf], ids=["ols", "tsls", "cf"])
+def test_overflowing_coefficients_raise_before_residuals(fit, tmp_path):
+    # A design near 1e-300 with y near 1e50: the coefficients overflow to inf,
+    # and residuals formed from them would be nan.
+    path = scaled_csv(tmp_path / "tiny.csv", 1e-300, 1e50)[0]
+    with pytest.raises(InvalidDataset, match="not finite in double precision; rescale the data"):
+        fit(load_csv(path, SCALED_ROLES))

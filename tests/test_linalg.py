@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from endocheck import NotPositiveDefinite, RankDeficient
-from endocheck.linalg import rank_report, solve_least_squares, spd_solve
+from endocheck.linalg import RANK_TOL, full_rank, rank_tolerance, solve_least_squares, spd_solve
 
 from conftest import annihilate, project
 
@@ -117,11 +117,21 @@ class TestSpdSolve:
             spd_solve(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2))
 
 
-def test_rank_report_flags_collinear_design():
+def test_full_rank_flags_collinear_design():
     rng = np.random.default_rng(29)
     a = rng.standard_normal((12, 3))
-    ok, cond = rank_report(a)
-    assert ok and np.isfinite(cond)
+    ok, sigma = full_rank(a)
+    assert ok and np.isfinite(sigma[0] / sigma[-1])
     bad = np.column_stack([a, a[:, 0] + a[:, 1]])
-    ok_bad, _ = rank_report(bad)
+    ok_bad, _ = full_rank(bad)
     assert not ok_bad
+
+
+def test_rank_tolerance_is_the_max_column_norm_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        shape = tuple(int(d) for d in rng.integers(1, 9, size=int(rng.integers(2, 4))))
+        c = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150)
+        for a in (c, np.asfortranarray(c), np.swapaxes(c, -1, -2)):  # the summation order follows the layout
+            expected = RANK_TOL * np.linalg.norm(a, axis=-2).max(axis=-1, initial=0.0)
+            assert np.array_equal(rank_tolerance(a), expected)

@@ -22,10 +22,14 @@ from endocheck import (
     validate,
 )
 from endocheck import endogeneity, linalg, simulation
-from endocheck.data import Dataset, InvalidDataset
+from endocheck.data import Dataset, InvalidDataset, factor
 from endocheck.endogeneity import StatisticValues, block_statistics
 
 from conftest import STRONG_FIRST_STAGE, random_dgp_config, reference_dataset, reference_monte_carlo
+
+# Every replication's sum of squares fails the overflow screen, and every
+# replication completes.
+NEAR_OVERFLOW = DgpConfig(n=40, rho=(0.0,), sigma_u=5e151)
 
 CRITERION_5 = DgpConfig(n=2000, rho=(0.0,), pi2_strength=1.0, sigma_u=1.0, sigma_v=1.0)
 
@@ -45,8 +49,7 @@ def stacked(ds) -> np.ndarray:
 
 def block_of(cfg: DgpConfig, seed: int, reps: range):
     """The block statistics and flags of replications ``reps``."""
-    w = simulation._draw_block(cfg, seed, reps)
-    return block_statistics(np.linalg.qr(w, mode="r"), cfg.n, cfg.d_z1, cfg.d_z2)
+    return block_statistics(factor(simulation._draw_block(cfg, seed, reps)), cfg.n, cfg.d_z1, cfg.d_z2)
 
 
 class TestBlockDraws:
@@ -142,12 +145,31 @@ def test_rank_boundary_has_one_decision(d_y1, d_z1, extra, n, column, data_seed,
         DgpConfig(n=5, d_z1=1, d_z2=3, rho=(0.0,)),
         DgpConfig(n=40, d_y1=2, d_z2=2, beta=(1.0, 1.0), rho=(0.3, 0.3), pi2_strength=0.05),
         DgpConfig(n=60, pi2_strength=1000.0),
+        NEAR_OVERFLOW,
     ],
-    ids=["tiny_sigma_u", "n_below_p", "n_equals_p", "n_one_below_p", "weak_d_y1_2", "strong_pi2"],
+    ids=["tiny_sigma_u", "n_below_p", "n_equals_p", "n_one_below_p", "weak_d_y1_2", "strong_pi2",
+         "near_overflow"],
 )
 def test_edge_configs_match_reference_loop(dgp):
     sim = SimConfig(replications=40, seed=5)
     assert tallies(run_monte_carlo(dgp, sim)) == reference_monte_carlo(dgp, sim)
+
+
+def test_screened_replications_stay_in_the_block(monkeypatch):
+    """Replications that fail the overflow screen are decided by the block
+    statistics, as all others are: no per-replication draw or decision runs."""
+    sim = SimConfig(replications=40, seed=5)
+    w = simulation._draw_block(NEAR_OVERFLOW, sim.seed, range(sim.replications))
+    assert (np.einsum("bij,bij->b", w, w) >= simulation._SUMSQ_LIMIT).all()
+    expected = reference_monte_carlo(NEAR_OVERFLOW, sim)
+    assert expected["completed"] == sim.replications
+
+    def per_replication(*args):
+        raise AssertionError("the Monte Carlo left the block for one replication")
+
+    monkeypatch.setattr(simulation, "generate_dataset", per_replication)
+    monkeypatch.setattr(endogeneity, "compute_statistics", per_replication)
+    assert tallies(run_monte_carlo(NEAR_OVERFLOW, sim)) == expected
 
 
 @pytest.mark.parametrize("case", sorted(STRONG_FIRST_STAGE))
