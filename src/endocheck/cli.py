@@ -201,6 +201,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.within(args.tol) else EXIT_VERIFY_FAILED
 
 
+def _table_cell(value: float | None) -> str:
+    """A rate or stderr of the ``simulate`` table from ``result_document``:
+    ``-`` where the document holds null (no completed replication)."""
+    return f"{'-' if value is None else format(value, '.4f'):>8}"
+
+
 def cmd_simulate(args) -> int:
     dgp, sim, grid = simulation.load_config(args.config)
     if args.seed is not None:
@@ -227,20 +233,15 @@ def cmd_simulate(args) -> int:
         print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(f"{'test':<6} {'alpha':>6} {'rho':>12} {'rate':>8} {'stderr':>8}")
-        for rho, res in entries:
-            rho_str = ";".join(f"{r:g}" for r in rho)
-            for t in sim.tests:
-                for a in sim.alphas:
-                    print(
-                        f"{t:<6} {a:>6g} {rho_str:>12} "
-                        f"{res.rejection_rate[t][a]:>8.4f} {res.mc_stderr[t][a]:>8.4f}"
-                    )
-        for rho, res in entries:
-            if res.degenerate_count or res.ordering_violations:
-                print(
-                    f"note: rho={rho}: {res.degenerate_count} degenerate replications, "
-                    f"{res.ordering_violations} ordering violations"
-                )
+        rhos = [";".join(f"{r:g}" for r in point["rho"]) for point in document["points"]]
+        for rho, point in zip(rhos, document["points"]):
+            for row in point["rates"]:
+                print(f"{row['test']:<6} {row['alpha']:>6g} {rho:>12} "
+                      f"{_table_cell(row['rate'])} {_table_cell(row['stderr'])}")
+        for rho, point in zip(rhos, document["points"]):
+            if point["degenerate_count"] or point["ordering_violations"]:
+                print(f"note: rho={rho}: {point['degenerate_count']} degenerate replications, "
+                      f"{point['ordering_violations']} ordering violations")
     return EXIT_OK
 
 

@@ -264,8 +264,7 @@ def _failure(code: int, ds: Dataset) -> EndocheckError:
     """The error that failure ``code`` of ``_decide`` on ``ds`` raises."""
     if code <= len(RANK_MESSAGES):
         a = rank_designs(ds.r[None], ds.d_z1, ds.d_z2)[code - 1][0]
-        weights = np.abs(np.linalg.svd(a)[2][-1])  # the smallest singular direction
-        return RankDeficient(int(weights.argmax()), RANK_MESSAGES[code - 1])
+        return RankDeficient(linalg.weakest_column(np.linalg.svd(a)[2]), RANK_MESSAGES[code - 1])
     code -= len(RANK_MESSAGES)
     if code <= len(_VARIANCE_LABELS):
         return DegenerateVariance(f"{_VARIANCE_LABELS[code - 1]} residual variance is numerically zero")
@@ -359,7 +358,7 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     gaps themselves are always reported.
     """
     stats = compute_statistics(ds)  # decides the dataset before any fit
-    # The reference side of each identity: the pivoted-QR fits, independent of the core.
+    # The reference side of each identity: the SVD fits, independent of the core.
     ols, tsls, cf = fit_ols(ds), fit_tsls(ds), fit_cf(ds)
     n = ds.n
     gap = ols.beta_hat - tsls.beta_hat

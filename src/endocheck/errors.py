@@ -6,16 +6,12 @@ class EndocheckError(Exception):
 
 
 class RankDeficient(EndocheckError):
-    """A design matrix lost full column rank under the rank rule of ``linalg``.
-
-    ``column`` indexes the matrix's columns: from a pivoted QR, the first whose
-    pivot fell to the tolerance; from ``compute_statistics``, the one with the
-    largest weight in the smallest singular direction.
-    """
+    """A design matrix lost full column rank under the rank rule of ``linalg``;
+    ``column`` is its ``linalg.weakest_column``."""
 
     def __init__(self, column: int, message: str | None = None):
         self.column = column
-        super().__init__(message or f"rank-deficient matrix: pivot for column {column} below tolerance")
+        super().__init__(message or f"rank-deficient matrix: column {column} is nearly a combination of the others")
 
 
 class NotPositiveDefinite(EndocheckError):

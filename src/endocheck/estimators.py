@@ -89,7 +89,7 @@ def fit_tsls(ds: Dataset) -> FitResult:
     the outcome's Z rows on X's Z rows once Z is checked for full rank.
     """
     dz = ds.d_z1 + ds.d_z2
-    linalg._full_rank_qr(ds.r[:dz, :dz])
+    linalg.full_rank_svd(ds.r[:dz, :dz])
     x = ds._blocks()[1]
     return _structural(ds, x, linalg.solve_least_squares(x[:dz], ds.r[:dz, -1]), "tsls")
 

@@ -1,21 +1,19 @@
 """Dense linear algebra primitives used by the estimators.
 
-Least squares goes through a column-pivoted QR factorization rather than the
-normal equations: the test statistics downstream difference two nearly equal
-coefficient vectors, so squaring the condition number here is not acceptable.
+Least squares goes through a thin SVD rather than the normal equations: the
+test statistics downstream difference two nearly equal coefficient vectors,
+so squaring the condition number here is not acceptable.
 The statistics path solves only small problems here, on the rows of the
 triangular factor ``Dataset.r`` of ``[Z1 | Z2 | Y1 | y2]``; the n-row data
 are factored once, there.
 
 The rank rule: a matrix has full column rank when its smallest singular
-value exceeds ``rank_tolerance``, the tolerance the pivot guard of
-``solve_least_squares`` uses too.
+value exceeds ``rank_tolerance``; ``RankDeficient`` names ``weakest_column``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveDefinite, RankDeficient
 
@@ -50,16 +48,19 @@ def full_rank(a) -> tuple[np.ndarray, np.ndarray]:
     return sigma[..., -1] > rank_tolerance(a), sigma
 
 
-def _full_rank_qr(a: np.ndarray):
-    """Economy QR with column pivoting, ``(q, r, perm)``; raises ``RankDeficient``
-    at the first pivot at or below ``rank_tolerance(a)``. Every pivot is at
-    least the smallest singular value, so a matrix ``full_rank`` admits
-    passes."""
-    q, r, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    small = np.flatnonzero(np.abs(np.diag(r)) <= rank_tolerance(a))
-    if small.size:
-        raise RankDeficient(int(perm[small[0]]))
-    return q, r, perm
+def weakest_column(vt: np.ndarray) -> int:
+    """The column of largest weight in the smallest singular direction, the
+    last row of the right singular vectors ``vt``."""
+    return int(np.abs(vt[-1]).argmax())
+
+
+def full_rank_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``(u, sigma, vt)`` of ``a`` (m, k), m >= k; raises
+    ``RankDeficient`` naming ``weakest_column`` where ``full_rank`` is false."""
+    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    if not sigma[-1] > rank_tolerance(a):
+        raise RankDeficient(weakest_column(vt))
+    return u, sigma, vt
 
 
 def solve_least_squares(a, b) -> np.ndarray:
@@ -77,7 +78,7 @@ def solve_least_squares(a, b) -> np.ndarray:
     Raises
     ------
     RankDeficient
-        If a pivot of the QR factorization is at or below
+        If the smallest singular value of ``a`` is at or below
         ``rank_tolerance(a)``.
     """
     a = _as_2d(a)
@@ -88,15 +89,14 @@ def solve_least_squares(a, b) -> np.ndarray:
         raise ValueError(f"shape mismatch: A has {n} rows, B has {b2.shape[0]}")
     if n < k:
         raise ValueError(f"underdetermined system: n={n} < k={k}")
-    q, r, perm = _full_rank_qr(a)
-    c_perm = scipy.linalg.solve_triangular(r, q.T @ b2)
-    c = np.empty_like(c_perm)
-    c[perm] = c_perm
+    u, sigma, vt = full_rank_svd(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers reject non-finite coefficients
+        c = vt.T @ ((u.T @ b2) / sigma[:, None])
     return c[:, 0] if b_in.ndim == 1 else c
 
 
 def spd_solve(s, b) -> np.ndarray:
-    """Solve S X = B for symmetric positive definite S via Cholesky.
+    """Solve S X = B for symmetric positive definite S; Cholesky decides SPD.
 
     Raises
     ------
@@ -114,8 +114,8 @@ def spd_solve(s, b) -> np.ndarray:
     if np.abs(s - s.T).max(initial=0.0) > 1e-10 * max(scale, 1e-300):
         raise NotPositiveDefinite("matrix is not symmetric")
     try:
-        cf = scipy.linalg.cho_factor(s, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(s)
+        return np.linalg.solve(s, b_in)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
-    return scipy.linalg.cho_solve(cf, b_in)
 

@@ -124,6 +124,23 @@ class TestCmdTest:
         assert code == 0, err
         assert strict_json(out)["decisions"]["1e-17"] == {name: False for name in ("t_h1", "t_h2", "t_h3", "t_cf")}
 
+    @pytest.mark.parametrize("alpha", ["0.05,x", "1.5"])
+    def test_bad_alpha_is_a_usage_error(self, capsys, f1_path, alpha):
+        with pytest.raises(SystemExit) as exc:
+            main(["test", str(f1_path), *F1_ARGS, "--alpha", alpha])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.count("usage:") == 1
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--alpha" in errors[0]
+
+    def test_column_with_two_roles_exits_2(self, capsys, f1_path):
+        code, out, err = run(capsys, ["test", str(f1_path), "--endog", "x", "--iv", "x,z2"])
+        assert code == 2
+        assert out == ""
+        assert err == "endocheck: column 'x' assigned more than one role\n"
+
 
 class TestScaledData:
     @pytest.mark.parametrize("command", ["test", "verify"])
@@ -212,7 +229,7 @@ class TestCmdVerify:
         assert err.startswith("endocheck: ") and err.count("\n") == 1
         assert "pi2_strength" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "abc"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--random", "--tol", tol])
@@ -296,7 +313,8 @@ class TestCmdSimulate:
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 1 + 4 * 3 + 1
-        assert lines[-1] == "note: rho=(0.0,): 5 degenerate replications, 0 ordering violations"
+        assert all(line.split()[2:] == ["0", "-", "-"] for line in lines[1:-1])  # null in simulation.json
+        assert lines[-1] == "note: rho=0: 5 degenerate replications, 0 ordering violations"
 
     def test_out_is_a_file_exits_2(self, capsys, tmp_path, monkeypatch):
         def no_run(*args, **kwargs):
@@ -342,16 +360,19 @@ class TestCmdSimulate:
         assert "nan" not in (out_dir / "simulation.csv").read_text()
 
 
+def _raw_config_argv(tmp_path, doc):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    return ["simulate", "--config", str(p)]
+
+
 def _config_argv(tmp_path, dgp=None, sim=None, **top):
-    doc = {
+    return _raw_config_argv(tmp_path, {
         "schema_version": 1,
         "dgp": {"n": 40, "rho": [0.0], **(dgp or {})},
         "sim": {"replications": 5, "seed": 1, **(sim or {})},
         **top,
-    }
-    p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(doc))
-    return ["simulate", "--config", str(p)]
+    })
 
 
 BAD_INPUTS = {
@@ -378,6 +399,14 @@ BAD_INPUTS = {
     "config_alphas_repeated": lambda tmp: _config_argv(tmp, dgp={"rho": [3.0]}, sim={"alphas": [0.5, 0.5]}),
     "config_tests_repeated": lambda tmp: _config_argv(tmp, sim={"tests": ["t_h1", "t_cf", "t_h1"]}),
     "config_tests_string": lambda tmp: _config_argv(tmp, sim={"tests": "t_h1"}),
+    "config_gamma_wrong_length": lambda tmp: _config_argv(tmp, dgp={"gamma": [1.0, 2.0]}),
+    "config_replications_zero": lambda tmp: _config_argv(tmp, sim={"replications": 0}),
+    "config_alpha_above_one": lambda tmp: _config_argv(tmp, sim={"alphas": [1.5]}),
+    "config_tests_unknown_name": lambda tmp: _config_argv(tmp, sim={"tests": ["t_x"]}),
+    "config_tests_empty": lambda tmp: _config_argv(tmp, sim={"tests": []}),
+    "config_sim_not_an_object": lambda tmp: _raw_config_argv(tmp, {"dgp": {"n": 40}, "sim": 3}),
+    "config_root_a_list": lambda tmp: _raw_config_argv(tmp, [{"dgp": {"n": 40}, "sim": {}}]),
+    "config_rho_grid_empty": lambda tmp: _config_argv(tmp, rho_grid=[]),
     # 2**61 rows are past the address space: the allocation fails before
     # any memory is touched.
     "random_n_beyond_address_space": lambda tmp: ["verify", "--random", f"n={2**61}"],

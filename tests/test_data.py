@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from endocheck import (
     Dataset,
@@ -63,12 +62,36 @@ class TestLoadCsv:
         with pytest.raises(RoleConflict):
             load_csv(p, {"y": "outcome", "x": "outcome", "z": "instrument"})
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        roles = {"y": "outcome", "x": "endogenous", "z": "instrument"}
+        lines = SMALL.splitlines(keepends=True)
+        padded = "".join([lines[0], "\n", lines[1], "   \n", lines[2], "\t\n", *lines[3:], "\n"])
+        expected = load_csv(write(tmp_path, SMALL), roles, add_intercept=True)
+        ds = load_csv(write(tmp_path, padded, "padded.csv"), roles, add_intercept=True)
+        for name in ("y2", "y1", "z1", "z2"):
+            np.testing.assert_array_equal(getattr(ds, name), getattr(expected, name))
+
     def test_f1_shape(self, f1_dataset):
         ds = f1_dataset
         assert (ds.n, ds.d_y1, ds.d_z1, ds.d_z2) == (16, 1, 1, 2)
 
 
 class TestDatasetInvariants:
+    def test_one_dimensional_endogenous_block(self):
+        rng = np.random.default_rng(2)
+        y1 = rng.standard_normal(10)
+        ds = Dataset(y2=rng.standard_normal(10), y1=y1, z1=np.ones(10), z2=rng.standard_normal((10, 2)))
+        assert ds.y1.shape == (10, 1)
+        np.testing.assert_array_equal(ds.y1[:, 0], y1)
+
+    @pytest.mark.parametrize("block", ["y1", "z1", "z2"])
+    def test_mismatched_row_counts(self, block):
+        rng = np.random.default_rng(3)
+        blocks = {"y1": rng.standard_normal((10, 1)), "z1": np.ones((10, 1)), "z2": rng.standard_normal((10, 2))}
+        blocks[block] = blocks[block][:9]
+        with pytest.raises(InvalidDataset, match=f"'{block}' has 9 rows, expected 10"):
+            Dataset(y2=rng.standard_normal(10), **blocks)
+
     def test_too_few_rows(self):
         with pytest.raises(InvalidDataset):
             Dataset(y2=np.ones(3), y1=np.ones((3, 1)), z1=np.ones((3, 1)), z2=np.ones((3, 1)))
@@ -101,14 +124,14 @@ class TestFactor:
         # Every fit, gram and rank check reads the one cached factor ds.r.
         rows = []
 
-        def recording(qr):
+        def recording(factorize):
             def wrapper(a, *args, **kwargs):
-                rows.append(np.shape(a)[0])
-                return qr(a, *args, **kwargs)
+                rows.append(np.shape(a)[-2])
+                return factorize(a, *args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr))
-        monkeypatch.setattr(scipy.linalg, "qr", recording(scipy.linalg.qr))
+        monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
         ds = random_admissible_dataset(np.random.default_rng(13), n=200, d_y1=2, d_z1=2, d_z2=3)
         assert validate(ds).all_ok
         run_all_tests(ds)

@@ -132,19 +132,17 @@ class TestHausmanStatistic:
 
     def test_small_factorization_budget(self, monkeypatch):
         # compute_statistics and validate decide by the singular values of
-        # R's blocks; only the reference fits of verify_identities make
-        # pivoted QRs, each of a few rows of R.
-        import scipy.linalg
-
+        # R's blocks; only the reference fits of verify_identities make thin
+        # SVDs, each of a few rows of R.
         calls = []
-        qr = scipy.linalg.qr
+        svd = linalg.full_rank_svd
 
-        def counting(a, *args, **kwargs):
+        def counting(a):
             calls.append(np.shape(a))
-            return qr(a, *args, **kwargs)
+            return svd(a)
 
         ds = random_admissible_dataset(np.random.default_rng(10), n=80, d_y1=2)
-        monkeypatch.setattr(scipy.linalg, "qr", counting)
+        monkeypatch.setattr(linalg, "full_rank_svd", counting)
         for run, expected in ((compute_statistics, 0), (verify_identities, 5), (validate, 0)):
             calls.clear()
             run(ds)

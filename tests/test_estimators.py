@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from endocheck import Dataset, RankDeficient, fit_cf, fit_ols, fit_reduced_form, fit_tsls, load_csv
+from endocheck import (
+    Dataset,
+    RankDeficient,
+    compute_statistics,
+    fit_cf,
+    fit_ols,
+    fit_reduced_form,
+    fit_tsls,
+    load_csv,
+)
 from endocheck.data import InvalidDataset
 
 from conftest import SCALED_ROLES, annihilate, design_matrices, project, random_admissible_dataset, scaled_csv
@@ -38,6 +47,19 @@ class TestOls:
             m1y1 = annihilate(ds.z1, ds.y1)
             beta = np.linalg.solve(m1y1.T @ m1y1, m1y1.T @ annihilate(ds.z1, ds.y2))
             np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-8)
+
+
+    def test_rank_deficient_column_matches_compute_statistics(self):
+        # An included exogenous column twice the endogenous one: X = [y1 | 1 | 2 y1].
+        rng = np.random.default_rng(4)
+        y1 = rng.standard_normal(40)
+        ds = Dataset(y2=rng.standard_normal(40), y1=y1, z1=np.column_stack([np.ones(40), 2.0 * y1]),
+                     z2=rng.standard_normal((40, 2)))
+        with pytest.raises(RankDeficient) as fit:
+            fit_ols(ds)
+        with pytest.raises(RankDeficient) as core:
+            compute_statistics(ds)
+        assert fit.value.column == core.value.column == 0
 
 
 class TestTsls:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,7 +50,7 @@ class TestSolveLeastSquares:
         a = np.column_stack([np.ones(6), np.arange(6.0), 2.0 * np.arange(6.0)])
         with pytest.raises(RankDeficient) as err:
             solve_least_squares(a, np.ones(6))
-        assert err.value.column in (1, 2)
+        assert err.value.column == 1  # weight 2/sqrt(5) in the null direction (0, 2, -1)/sqrt(5)
 
 
 class TestProjectAnnihilate:
@@ -135,3 +140,38 @@ def test_rank_tolerance_is_the_max_column_norm_bit_for_bit():
         for a in (c, np.asfortranarray(c), np.swapaxes(c, -1, -2)):  # the summation order follows the layout
             expected = RANK_TOL * np.linalg.norm(a, axis=-2).max(axis=-1, initial=0.0)
             assert np.array_equal(rank_tolerance(a), expected)
+
+
+def test_solve_least_squares_follows_the_rank_rule():
+    # One column a combination of the others plus delta * noise, delta
+    # log-uniform across the tolerance: the solve raises exactly where
+    # full_rank is false.
+    rng = np.random.default_rng(41)
+    admitted = []
+    for _ in range(400):
+        k = int(rng.integers(2, 6))
+        m = int(rng.integers(k, 30))
+        a = rng.standard_normal((m, k))
+        j = int(rng.integers(k))
+        delta = 10.0 ** rng.uniform(-13, -7)
+        a[:, j] = np.delete(a, j, axis=1) @ rng.standard_normal(k - 1) + delta * rng.standard_normal(m)
+        ok = bool(full_rank(a)[0])
+        try:
+            solve_least_squares(a, rng.standard_normal(m))
+        except RankDeficient:
+            assert not ok, delta
+        else:
+            assert ok, delta
+        admitted.append(ok)
+    assert 0 < sum(admitted) < len(admitted)  # both sides of the rule are swept
+
+
+def test_package_import_leaves_scipy_linalg_unloaded():
+    # Only scipy.special is needed; scipy.linalg would add to every CLI call's start-up.
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", "import sys, endocheck, endocheck.cli; print('scipy.linalg' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
