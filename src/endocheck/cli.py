@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -80,7 +81,7 @@ def _add_dataset_args(p: argparse.ArgumentParser, data_required: bool = True):
 def _test_report_dict(report: endogeneity.TestReport) -> dict:
     return {
         "schema_version": 1,
-        "statistics": report.statistics(),
+        "statistics": report.by_name(),
         "h_n": report.h_n,
         "df": report.df,
         "p_values": report.p_values,
@@ -91,14 +92,14 @@ def _test_report_dict(report: endogeneity.TestReport) -> dict:
 
 def _print_test_report(report: endogeneity.TestReport, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_test_report_dict(report), indent=2, sort_keys=True))
+        print(json.dumps(_test_report_dict(report), indent=2, sort_keys=True, allow_nan=False))
         return
     alphas = sorted(report.decisions)
     if fmt == "csv":
         out = io.StringIO()
         header = ["test", "statistic", "p_value"] + [f"reject_at_{a:g}" for a in alphas]
         out.write(",".join(header) + "\n")
-        for name, value in report.statistics().items():
+        for name, value in report.by_name().items():
             row = [name, repr(value), repr(report.p_values[name])]
             row += [str(int(report.decisions[a][name])) for a in alphas]
             out.write(",".join(row) + "\n")
@@ -106,7 +107,7 @@ def _print_test_report(report: endogeneity.TestReport, fmt: str) -> None:
         return
     print(f"Endogeneity tests (df = {report.df}, h_n = {report.h_n:.6g})")
     print(f"{'test':<6} {'statistic':>14} {'p-value':>10}  " + "  ".join(f"a={a:g}" for a in alphas))
-    for name, value in report.statistics().items():
+    for name, value in report.by_name().items():
         marks = "  ".join(
             ("reject" if report.decisions[a][name] else "accept").center(max(6, len(f"a={a:g}")))
             for a in alphas
@@ -114,28 +115,32 @@ def _print_test_report(report: endogeneity.TestReport, fmt: str) -> None:
         print(f"{name:<6} {value:>14.6f} {report.p_values[name]:>10.4g}  {marks}")
 
 
+def _finite_or_null(gap: float) -> float | None:
+    # Strict JSON has no NaN or Infinity: a non-finite gap is written as null.
+    return gap if math.isfinite(gap) else None
+
+
 def _identity_report_dict(report: endogeneity.IdentityReport) -> dict:
     return {
         "schema_version": 1,
-        "gaps": report.gaps(),
-        "max_gap": report.max_gap(),
+        "gaps": {name: _finite_or_null(gap) for name, gap in report.gaps().items()},
+        "max_gap": _finite_or_null(report.max_gap()),
         "ordering_ok": report.ordering_ok,
     }
 
 
 def _print_identity_report(report: endogeneity.IdentityReport, fmt: str, tol: float) -> None:
-    doc = _identity_report_dict(report)
     if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(_identity_report_dict(report), indent=2, sort_keys=True, allow_nan=False))
         return
     if fmt == "csv":
         print("identity,gap")
-        for name, gap in doc["gaps"].items():
+        for name, gap in report.gaps().items():
             print(f"{name},{gap!r}")
         print(f"ordering_ok,{int(report.ordering_ok)}")
         return
     print(f"Identity verification (tolerance {tol:g})")
-    for name, gap in doc["gaps"].items():
+    for name, gap in report.gaps().items():
         status = "ok" if gap < tol else "FAIL"
         print(f"  {name:<22} {gap:12.3e}  {status}")
     print(f"  {'ordering':<22} {'strict/weak':>12}  {'ok' if report.ordering_ok else 'FAIL'}")
@@ -225,7 +230,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         try:
             simulation.write_result_json(os.path.join(args.out, "simulation.json"), document)
-            simulation.write_result_csv(os.path.join(args.out, "simulation.csv"), dgp, sim, entries)
+            simulation.write_result_csv(os.path.join(args.out, "simulation.csv"), document)
         except OSError as exc:
             print(f"endocheck: cannot write results to '{args.out}': {exc.strerror or exc}", file=sys.stderr)
             return EXIT_VALIDATION

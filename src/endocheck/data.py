@@ -60,6 +60,20 @@ def factor(w: np.ndarray) -> np.ndarray:
     return np.concatenate([r, np.zeros((*r.shape[:-2], w.shape[-1] - r.shape[-2], r.shape[-1]))], axis=-2)
 
 
+def designs(r: np.ndarray, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
+    """The one reader of R's layout: X = [Y1 | Z1], Z, P_Z X, [X | V_hat] (the order
+    of ``RANK_MESSAGES``), the outcome's rows ``y`` and ``r44`` of ``factor`` ``r``
+    (..., p, p), as the rows of R they occupy. P_Z keeps the Z rows and V_hat = M_Z Y1
+    drops them, exact only when Z has full rank. The outcome's residual on
+    A = X or [X | V_hat] at c has squared norm ``r44^2 + ||y - A c||^2``."""
+    dz = d_z1 + d_z2
+    m = r.shape[-1] - 1
+    x = np.concatenate([r[..., :m, dz:m], r[..., :m, :d_z1]], axis=-1)
+    v = np.zeros((*r.shape[:-2], m, m - dz))
+    v[..., dz:, :] = x[..., dz:, :m - dz]
+    return x, r[..., :dz, :dz], x[..., :dz, :], np.concatenate([x, v], axis=-1), r[..., :m, m], r[..., m, m]
+
+
 @dataclass(frozen=True)
 class Dataset:
     """One observed sample: outcome, endogenous block, included exogenous, instruments."""
@@ -119,17 +133,13 @@ class Dataset:
 
     @cached_property
     def r(self) -> np.ndarray:
-        """``factor`` of ``W = [Z1 | Z2 | Y1 | y2]``. ``W_S = Q R[:, S]`` for any
-        column subset S, and Z1 and Z = [Z1 | Z2] are leading blocks of W."""
+        """``factor`` of ``W = [Z1 | Z2 | Y1 | y2]``; ``designs`` reads its layout."""
         return factor(np.hstack([self.z1, self.z2, self.y1, self.y2[:, None]]))
 
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Y1, X = [Y1 | Z1] and, for Z of full rank, V_hat = M_Z Y1 in the coordinates of ``r``."""
-        dz = self.d_z1 + self.d_z2
-        y1 = self.r[:, dz:dz + self.d_y1]
-        v = y1.copy()
-        v[:dz] = 0.0
-        return y1, np.hstack([y1, self.r[:, :self.d_z1]]), v
+    @cached_property
+    def designs(self) -> tuple[np.ndarray, ...]:
+        """``designs`` of ``r``: X, Z, P_Z X, [X | V_hat], y and r44."""
+        return designs(self.r, self.d_z1, self.d_z2)
 
 
 @dataclass
@@ -225,35 +235,23 @@ RANK_MESSAGES = (
 )
 
 
-def rank_designs(r: np.ndarray, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
-    """X = [Y1 | Z1], Z, P_Z X and [X | V_hat] of stacked square R factors
-    ``r`` (B, p, p), in the order of ``RANK_MESSAGES``, as the rows of R they
-    occupy. P_Z X and V_hat = M_Z Y1 are these rows only when Z has full rank."""
-    dz = d_z1 + d_z2
-    k = r.shape[-1] - dz - 1
-    x = np.concatenate([r[:, :dz + k, dz:dz + k], r[:, :dz + k, :d_z1]], axis=2)
-    v = np.zeros((len(r), dz + k, k))
-    v[:, dz:] = x[:, dz:, :k]
-    return x, r[:, :dz, :dz], x[:, :dz], np.concatenate([x, v], axis=2)
-
-
-def rank_checks(r: np.ndarray, d_z1: int, d_z2: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rank rule of ``linalg.full_rank`` on the four ``rank_designs`` of
-    stacked square R factors ``r`` (B, p, p): (4, B) flags, true where the
-    design has full column rank, and (4, B) 2-norm condition numbers
+def rank_checks(designs: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The rank rule of ``linalg.full_rank`` on the four rank designs of
+    ``designs`` (one dataset's or a stack's): (4, ...) flags, true where the
+    design has full column rank, and (4, ...) 2-norm condition numbers
     ``sigma_max / sigma_min`` (inf where ``sigma_min`` is zero)."""
-    flags, sigmas = zip(*(linalg.full_rank(a) for a in rank_designs(r, d_z1, d_z2)))
+    flags, sigmas = zip(*(linalg.full_rank(a) for a in designs[:len(RANK_MESSAGES)]))
     hi, lo = np.array([s[..., 0] for s in sigmas]), np.array([s[..., -1] for s in sigmas])
     return np.array(flags), np.divide(hi, lo, out=np.full(hi.shape, np.inf), where=lo > 0)
 
 
 def validate(ds: Dataset) -> ValidationReport:
     """Check the non-singularity conditions all four endogeneity tests need:
-    ``rank_checks`` on ``ds.r``, the rank stage of ``compute_statistics``.
+    ``rank_checks`` on ``ds.designs``, the rank stage of ``compute_statistics``.
     Failures are reported, never raised. Without Z of full rank the last two
     checks are skipped: reported as failed, with inf condition numbers.
     """
-    flags, cond = (a[:, 0].tolist() for a in rank_checks(ds.r[None], ds.d_z1, ds.d_z2))
+    flags, cond = (a.tolist() for a in rank_checks(ds.designs))
     messages = [msg for msg, ok in zip(RANK_MESSAGES if flags[1] else RANK_MESSAGES[:2], flags) if not ok]
     if not flags[1]:
         messages.append("skipping projected-design and control-function checks: Z not full rank")

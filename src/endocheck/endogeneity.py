@@ -5,20 +5,23 @@ the endogenous block through a difference of their estimated asymptotic
 variances; its three named versions differ only in which residual-variance
 estimates enter the weighting matrix. The control-function Wald statistic
 coincides with the Hausman form evaluated at the control-function residual
-variance. One core on the triangular factor R gives all four statistics of a
-dataset or of a Monte Carlo block; ``hausman_statistic`` and ``cf_statistic``
-are the independent routes that ``verify_identities`` compares against.
+variance. One core on the designs of the triangular factor R
+(``data.designs``) gives all four statistics of a dataset or of a Monte Carlo
+block. ``verify_identities`` compares the core against the fits and the
+Hausman K form of ``hausman_statistic``; ``cf_statistic`` is the direct Wald
+route on the control-function fit, which the tests compare against the core.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import chdtr, chdtrc, chdtri
 
 from . import linalg
-from .data import RANK_MESSAGES, Dataset, InvalidDataset, rank_checks, rank_designs
+from .data import RANK_MESSAGES, Dataset, InvalidDataset, designs, rank_checks
 from .errors import DegenerateVariance, EndocheckError, RankDeficient
 from .estimators import CfFit, fit_cf, fit_ols, fit_tsls
 
@@ -86,10 +89,10 @@ def cf_statistic(cf: CfFit, ds: Dataset) -> float:
     ``||M_X V_hat rho||^2 / sigma2_u``, one least-squares fit on R's rows:
     a route independent of ``compute_statistics``.
     """
-    if cf.sigma2_u <= _variance_floor(ds.r, ds.n):
+    if cf.sigma2_u <= _variance_floor(ds.designs, ds.n):
         raise DegenerateVariance("control-function residual variance is numerically zero")
-    _, x, v = ds._blocks()
-    v_rho = v @ cf.rho_cf
+    x, _, _, xv, _, _ = ds.designs
+    v_rho = xv[:, x.shape[1]:] @ cf.rho_cf
     mv = v_rho - x @ linalg.solve_least_squares(x, v_rho)
     return float(mv @ mv) / cf.sigma2_u
 
@@ -101,11 +104,12 @@ def compute_h_n(beta_gap, gram_ols, sigma2_2sls: float, n: int) -> float:
     return float(gap @ gram @ gap) / (n * sigma2_2sls)
 
 
-def _variance_floor(r: np.ndarray, n: int):
+def _variance_floor(designs: tuple[np.ndarray, ...], n: int):
     # Exact fits leave residuals at rounding scale; anything this small is
-    # a degenerate variance, not sampling noise. mean(y2^2) is read from R,
-    # one value per stacked R.
-    return 1e-24 * (np.sum(np.square(r[..., -1]), axis=-1) / n + 1.0)
+    # a degenerate variance, not sampling noise. mean(y2^2) is read from the
+    # outcome's rows of R, one value per stacked R.
+    *_, y, r44 = designs
+    return 1e-24 * ((np.sum(np.square(y), axis=-1) + np.square(r44)) / n + 1.0)
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,9 @@ class StatisticValues:
     def ordered(self, slack=0.0, strict: bool = False):
         """Whether ``t_cf >= t_h1 >= t_h2 >= t_h3`` holds, each step up to
         ``slack``; with ``strict``, ``>`` in place of ``>=``. A bool for
-        floats, a bool array (elementwise) for arrays."""
+        floats, a bool array (elementwise) for arrays. The Monte Carlo counts
+        a violation at ``ordering_slack(t_cf)``; ``verify_identities`` takes
+        ``tol * (1 + t_cf)``, with the user's tolerance (``verify --tol``)."""
         chain = (self.t_cf, self.t_h1, self.t_h2, self.t_h3)
         holds = np.greater if strict else np.greater_equal
         ok = np.logical_and.reduce([holds(a, b - slack) for a, b in zip(chain, chain[1:])])
@@ -140,10 +146,9 @@ class Statistics(StatisticValues):
     beta_gap: np.ndarray
 
 
-def _gram_factors(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    # (gram_2sls, gram_ols) = B'B: M_Z1 drops the Z1 rows of R; P_Z then keeps the Z2 rows.
-    y1, _, _ = ds._blocks()
-    return y1[ds.d_z1:ds.d_z1 + ds.d_z2], y1[ds.d_z1:]
+def ordering_slack(t_cf):
+    """The slack of the Monte Carlo's ordering check, relative to ``t_cf``."""
+    return 1e-9 * (1.0 + t_cf)
 
 
 def compute_statistics(ds: Dataset) -> Statistics:
@@ -184,13 +189,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi->b", a, b)
 
 
-def _statistics_core(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
+def _statistics_core(designs: tuple[np.ndarray, ...], n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
     """The (4, B) statistics ``t_h1, t_h2, t_h3, t_cf``, (3, B) variances
     ``sigma2_ols, sigma2_2sls, sigma2_u``, (B, d_y1) gaps ``beta_ols -
-    beta_2sls`` and (B,) ``h_n`` of stacked R factors ``r`` (B, p, p),
-    meaningful where R passes the rank rule. With ``R23``, ``R33`` the Z2
-    and Y1 rows of the Y1 columns and ``r24``, ``r34``, ``r44`` the matching
-    pieces of the y2 column (Z1 is concentrated out by dropping its rows):
+    beta_2sls`` and (B,) ``h_n`` of the ``data.designs`` of stacked R factors,
+    meaningful where they pass the rank rule. With ``R23``, ``R33`` the Z2
+    and Y1 rows of X's Y1 columns and ``r24``, ``r34`` the matching rows of
+    ``y`` (Z1 is concentrated out by dropping its rows):
 
     * ``beta_2sls`` and ``beta_ols`` solve ``R23 b = r24`` and
       ``[R23; R33] b = [r24; r34]`` by least squares;
@@ -212,12 +217,11 @@ def _statistics_core(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.nd
 
     A replication's values depend, bit for bit, on its own R only.
     """
-    dz = d_z1 + d_z2
-    k = r.shape[-1] - dz - 1
-    b1 = r[:, d_z1:dz + k, dz:dz + k]  # [R23; R33]
+    x, _, _, _, y, r44 = designs
+    b1 = x[:, d_z1:, :x.shape[-1] - d_z1]  # [R23; R33]
     r33 = b1[:, d_z2:]
-    y = r[:, d_z1:dz + k, -1]          # [r24; r34]
-    r44_sq = np.square(r[:, -1, -1])
+    y = y[:, d_z1:]                        # [r24; r34]
+    r44_sq = np.square(r44)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         beta_ols = _least_squares_block(b1, y)
         beta_2sls = _least_squares_block(b1[:, :d_z2], y[:, :d_z2])
@@ -252,9 +256,10 @@ def _decide(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, ..
     (B, d_y1) beta gaps, all nan where a check fails, and (B,) codes: 1 +
     the index of the first failed check, or 0.
     """
-    stats, variances, gap, h_n = _statistics_core(r, n, d_z1, d_z2)
+    d = designs(r, d_z1, d_z2)
+    stats, variances, gap, h_n = _statistics_core(d, n, d_z1, d_z2)
     finite = np.isfinite(stats).all(axis=0) & np.isfinite(gap).all(axis=1) & np.isfinite(h_n)
-    fails = np.array([*~rank_checks(r, d_z1, d_z2)[0], *(variances <= _variance_floor(r, n)), ~finite])
+    fails = np.array([*~rank_checks(d)[0], *(variances <= _variance_floor(d, n)), ~finite])
     failed = np.where(fails.any(axis=0), fails.argmax(axis=0) + 1, 0)
     ok = failed == 0
     return np.where(ok, stats, np.nan), np.where(ok, h_n, np.nan), np.where(ok[:, None], gap, np.nan), failed
@@ -263,8 +268,8 @@ def _decide(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, ..
 def _failure(code: int, ds: Dataset) -> EndocheckError:
     """The error that failure ``code`` of ``_decide`` on ``ds`` raises."""
     if code <= len(RANK_MESSAGES):
-        a = rank_designs(ds.r[None], ds.d_z1, ds.d_z2)[code - 1][0]
-        return RankDeficient(linalg.weakest_column(np.linalg.svd(a)[2]), RANK_MESSAGES[code - 1])
+        vt = np.linalg.svd(ds.designs[code - 1])[2]
+        return RankDeficient(linalg.weakest_column(vt), RANK_MESSAGES[code - 1])
     code -= len(RANK_MESSAGES)
     if code <= len(_VARIANCE_LABELS):
         return DegenerateVariance(f"{_VARIANCE_LABELS[code - 1]} residual variance is numerically zero")
@@ -291,9 +296,6 @@ class TestReport(Statistics):
 
     p_values: dict[str, float]
     decisions: dict[float, dict[str, bool]]
-
-    def statistics(self) -> dict[str, float]:
-        return self.by_name()
 
 
 def run_all_tests(ds: Dataset, alphas=(0.01, 0.05, 0.10)) -> TestReport:
@@ -337,14 +339,17 @@ class IdentityReport:
                 for f in fields(self) if f.name.endswith("_gap")}
 
     def max_gap(self) -> float:
-        return max(self.gaps().values())
+        """The largest gap; nan when any gap is nan."""
+        return float(np.max(list(self.gaps().values())))
 
     def within(self, tol: float) -> bool:
+        """Every gap finite and below ``tol``, and the ordering holds."""
         return self.max_gap() < tol and self.ordering_ok
 
 
 def _rel_vec(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)))
+    # hypot scales, so coefficients near 1e160 do not overflow the norm.
+    return math.hypot(*(a - b)) / (1.0 + math.hypot(*b))
 
 
 def _rel_scalar(a: float, b: float) -> float:
@@ -362,12 +367,14 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     ols, tsls, cf = fit_ols(ds), fit_tsls(ds), fit_cf(ds)
     n = ds.n
     gap = ols.beta_hat - tsls.beta_hat
-    factors = _gram_factors(ds)
+    x, z, pzx, xv, _, _ = ds.designs
+    # (gram_2sls, gram_ols) = B'B: M_Z1 drops the Z1 rows; P_Z then keeps the Z2 rows.
+    factors = pzx[ds.d_z1:, :ds.d_y1], x[ds.d_z1:, :ds.d_y1]
     gram_ols = factors[1].T @ factors[1]
     h_n = compute_h_n(gap, gram_ols, tsls.sigma2, n)
 
     # CF estimates against their closed forms in the beta gap.
-    y1, _, mz_y1 = ds._blocks()  # mz_y1: annihilator of Z applied to Y1
+    mz_y1 = xv[:, x.shape[1]:]  # V_hat: annihilator of Z applied to Y1
     gram_mz = mz_y1.T @ mz_y1
     rho_closed = linalg.spd_solve(gram_mz, gram_ols @ gap)
 
@@ -375,7 +382,7 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     t_cf_hausman = hausman_statistic(gap, *factors, cf.sigma2_u, cf.sigma2_u)
 
     # Structural coefficient gap as a linear transform of the beta gap.
-    z1y1 = linalg.solve_least_squares(ds.r[:ds.d_z1, :ds.d_z1], y1[:ds.d_z1])  # (Z1'Z1)^-1 Z1'Y1
+    z1y1 = linalg.solve_least_squares(z[:ds.d_z1, :ds.d_z1], x[:ds.d_z1, :ds.d_y1])  # (Z1'Z1)^-1 Z1'Y1
     transform = np.vstack([np.eye(ds.d_y1), -z1y1])
     theta_gap_pred = transform @ gap
 

@@ -5,9 +5,9 @@ finite-sample identities between the variance estimators are exact only under
 that convention. 2SLS residuals are computed against the original design, not
 the instrumented one.
 
-Every fit reads only ``Dataset.r``: ``y2 - W_S c = Q (R[:, -1] - R[:, S] c)``,
-so residual norms are taken in R's coordinates and the fits hold no n-row
-array; ``residuals(ds)`` forms the n-row vector on request.
+Every fit solves the matrices of ``Dataset.designs`` that the rank stage of
+``data.validate`` judges, and takes residual norms in R's coordinates, so the
+fits hold no n-row array; ``residuals(ds)`` forms the n-row vector on request.
 """
 
 from __future__ import annotations
@@ -69,36 +69,40 @@ class CfFit:
         return _structural_residuals(ds, self.theta_cf) - fit_reduced_form(ds).residuals(ds) @ self.rho_cf
 
 
-def _structural(ds: Dataset, x: np.ndarray, theta: np.ndarray, method: str) -> FitResult:
+def _sigma2(ds: Dataset, a: np.ndarray, coef: np.ndarray) -> float:
+    """``||y2 - A coef||^2 / n`` for A = X or [X | V_hat]; ``InvalidDataset`` if ``coef`` is not finite."""
+    *_, y, r44 = ds.designs
+    resid = y - a @ _finite(coef)
+    return float(r44 * r44 + resid @ resid) / ds.n
+
+
+def _structural(ds: Dataset, theta: np.ndarray, method: str) -> FitResult:
     """The residual variance is against X = [Y1 | Z1], whichever design gave ``theta``."""
-    resid = ds.r[:, -1] - x @ _finite(theta)
-    return FitResult(theta, theta[:ds.d_y1].copy(), float(resid @ resid) / ds.n, method)
+    return FitResult(theta, theta[:ds.d_y1].copy(), _sigma2(ds, ds.designs[0], theta), method)
 
 
 def fit_ols(ds: Dataset) -> FitResult:
     """Least squares of the outcome on X = [Y1 | Z1]."""
-    x = ds._blocks()[1]
-    return _structural(ds, x, linalg.solve_least_squares(x, ds.r[:, -1]), "ols")
+    x, *_, y, _ = ds.designs
+    return _structural(ds, linalg.solve_least_squares(x, y), "ols")
 
 
 def fit_tsls(ds: Dataset) -> FitResult:
     """Two-stage least squares: regress the outcome on the projection of X
     onto the instrument space; residuals are taken against the original X.
 
-    In R's coordinates P_Z keeps the leading ``d_z1 + d_z2`` rows, so this is
-    the outcome's Z rows on X's Z rows once Z is checked for full rank.
+    In R's coordinates P_Z keeps the leading Z rows, so this is the outcome's
+    Z rows on P_Z X once Z is checked for full rank.
     """
-    dz = ds.d_z1 + ds.d_z2
-    linalg.full_rank_svd(ds.r[:dz, :dz])
-    x = ds._blocks()[1]
-    return _structural(ds, x, linalg.solve_least_squares(x[:dz], ds.r[:dz, -1]), "tsls")
+    _, z, pzx, _, y, _ = ds.designs
+    linalg.full_rank_svd(z)
+    return _structural(ds, linalg.solve_least_squares(pzx, y[:len(pzx)]), "tsls")
 
 
 def fit_reduced_form(ds: Dataset) -> ReducedFormFit:
     """First stage: Y1 on Z = [Z1 | Z2]; residuals are the control functions."""
-    dz = ds.d_z1 + ds.d_z2
-    y1, _, _ = ds._blocks()
-    return ReducedFormFit(pi_hat=linalg.solve_least_squares(ds.r[:dz, :dz], y1[:dz]))
+    _, z, pzx, *_ = ds.designs
+    return ReducedFormFit(pi_hat=linalg.solve_least_squares(z, pzx[:, :ds.d_y1]))
 
 
 def fit_cf(ds: Dataset) -> CfFit:
@@ -107,9 +111,7 @@ def fit_cf(ds: Dataset) -> CfFit:
     Raises RankDeficient when V_hat has no variation left (Y1 perfectly
     explained by Z).
     """
-    _, x, v = ds._blocks()
-    xv = np.hstack([x, v])
-    coef = _finite(linalg.solve_least_squares(xv, ds.r[:, -1]))
-    resid = ds.r[:, -1] - xv @ coef
+    *_, xv, y, _ = ds.designs
+    coef = linalg.solve_least_squares(xv, y)
     k = ds.d_y1 + ds.d_z1
-    return CfFit(coef[:k].copy(), coef[k:].copy(), float(resid @ resid) / ds.n)
+    return CfFit(coef[:k].copy(), coef[k:].copy(), _sigma2(ds, xv, coef))

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import chdtri, ndtri
 
 from .data import Dataset, factor
-from .endogeneity import TEST_NAMES, StatisticValues, block_statistics
+from .endogeneity import TEST_NAMES, StatisticValues, block_statistics, ordering_slack
 from .errors import ConfigInvalid
 
 SCHEMA_VERSION = 1
@@ -263,7 +263,7 @@ def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
     for start in range(0, sim.replications, size):
         stats, completed = _run_block(dgp, sim.seed, range(start, min(start + size, sim.replications)))
         degenerate += int(np.count_nonzero(~completed))
-        in_order = stats.ordered(1e-9 * (1.0 + stats.t_cf))
+        in_order = stats.ordered(ordering_slack(stats.t_cf))
         ordering_violations += int(np.count_nonzero(completed & ~in_order))
         values = stats.by_name()
         for t in sim.tests:
@@ -394,18 +394,15 @@ def write_result_json(path, document: dict) -> None:
         fh.write("\n")
 
 
-def write_result_csv(path, dgp: DgpConfig, sim: SimConfig,
-                     entries: list[tuple[tuple[float, ...], SimResult]]) -> None:
-    """Flat CSV: one row per (test, alpha, rho grid point)."""
+def write_result_csv(path, document: dict) -> None:
+    """Flat CSV of a ``result_document``: one row per (test, alpha, rho grid point)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["test", "alpha", "rho", "rate", "stderr", "R", "n", "seed"])
-        for rho, res in entries:
-            rho_str = ";".join(repr(r) for r in rho)
-            for t in sim.tests:
-                for a in sim.alphas:
-                    # csv writes a float as its repr and None as an empty cell.
-                    writer.writerow(
-                        [t, repr(a), rho_str, _null_if_nan(res.rejection_rate[t][a]),
-                         _null_if_nan(res.mc_stderr[t][a]), sim.replications, dgp.n, sim.seed]
-                    )
+        sim = document["sim"]
+        for point in document["points"]:
+            rho_str = ";".join(repr(r) for r in point["rho"])
+            for row in point["rates"]:
+                # csv writes a float as its repr and None (a nan rate) as an empty cell.
+                writer.writerow([row["test"], repr(row["alpha"]), rho_str, row["rate"], row["stderr"],
+                                 sim["replications"], document["dgp"]["n"], sim["seed"]])

@@ -15,6 +15,7 @@ from endocheck import (
     generate_dataset,
     load_csv,
 )
+from endocheck.endogeneity import ordering_slack
 from endocheck.linalg import solve_least_squares
 from endocheck.simulation import _substream_seed
 
@@ -142,7 +143,7 @@ def reference_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> dict:
         except EndocheckError:
             degenerate += 1
             continue
-        if not stats.ordered(1e-9 * (1.0 + stats.t_cf)):
+        if not stats.ordered(ordering_slack(stats.t_cf)):
             ordering_violations += 1
         values = stats.by_name()
         for t in sim.tests:

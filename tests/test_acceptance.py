@@ -177,7 +177,7 @@ def test_criterion_7_determinism(tmp_path):
         doc = result_document(dgp, sim, [(dgp.rho, res)])
         jp, cp = tmp_path / f"{run}.json", tmp_path / f"{run}.csv"
         write_result_json(jp, doc)
-        write_result_csv(cp, dgp, sim, [(dgp.rho, res)])
+        write_result_csv(cp, doc)
         blobs.append(jp.read_bytes() + cp.read_bytes())
     ok = blobs[0] == blobs[1]
     # the JSON must also parse back to the same document

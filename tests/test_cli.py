@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +161,20 @@ class TestScaledData:
         assert err.startswith("endocheck: ") and err.count("\n") == 1
 
 
+    def test_design_near_1e_minus_160_verify_is_strict_json(self, capsys, tmp_path):
+        # Coefficients near 1e160 overflowed a vector norm into a bare NaN gap.
+        # Subnormal grams leave gaps near 7e-6, so verify fails with exit 4.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["verify", *scaled_csv(tmp_path / "small.csv", 1e-160, 1.0),
+                                          "--format", "json"])
+        assert code == 4
+        assert err == ""
+        doc = strict_json(out)
+        assert all(math.isfinite(gap) for gap in doc["gaps"].values())
+        assert doc["max_gap"] > 1e-8
+
+
 class TestCmdVerify:
     def test_f1_passes(self, capsys, f1_path):
         code, out, _ = run(capsys, ["verify", str(f1_path), *F1_ARGS])
@@ -174,6 +190,14 @@ class TestCmdVerify:
         assert [name for name, _ in rows[1:-1]] == names
         assert all(0.0 <= float(gap) < 1e-8 for _, gap in rows[1:-1])
         assert rows[-1] == ["ordering_ok", "1"]
+
+    def test_nan_gap_is_null_and_fails(self, capsys, monkeypatch, f1_path):
+        report = endogeneity.IdentityReport(1e-17, math.nan, 0.0, 0.0, 0.0, 0.0, 0.0, True)
+        monkeypatch.setattr(endogeneity, "verify_identities", lambda ds, tol: report)
+        code, out, _ = run(capsys, ["verify", str(f1_path), *F1_ARGS, "--format", "json"])
+        assert code == 4
+        doc = strict_json(out)
+        assert doc["gaps"]["rho_closed_form"] is None and doc["max_gap"] is None
 
     def test_impossible_tolerance(self, capsys, f1_path):
         code, _, _ = run(capsys, ["verify", str(f1_path), *F1_ARGS, "--tol", "1e-300"])

@@ -8,6 +8,7 @@ from endocheck import (
     DegenerateVariance,
     DgpConfig,
     EndocheckError,
+    IdentityReport,
     NotPositiveDefinite,
     cf_statistic,
     compute_h_n,
@@ -230,11 +231,11 @@ class TestRunAllTests:
 
     def test_f1_oracle(self, f1_dataset, f1_expected):
         report = run_all_tests(f1_dataset)
-        for name, value in report.statistics().items():
+        for name, value in report.by_name().items():
             assert value == pytest.approx(f1_expected[name], rel=1e-8)
             assert report.p_values[name] == pytest.approx(f1_expected["p_values"][name], rel=1e-8)
         assert report.df == 1
-        t = report.statistics()
+        t = report.by_name()
         assert t["t_cf"] > t["t_h1"] > t["t_h2"] > t["t_h3"]
 
     def test_pvalues_antitone_in_statistics(self):
@@ -242,7 +243,7 @@ class TestRunAllTests:
         for _ in range(20):
             ds = random_admissible_dataset(rng)
             report = run_all_tests(ds)
-            t = report.statistics()
+            t = report.by_name()
             order = sorted(t, key=t.get)
             ps = [report.p_values[name] for name in order]
             assert all(b <= a + 1e-15 for a, b in zip(ps, ps[1:]))
@@ -269,6 +270,12 @@ class TestVerifyIdentities:
         report = verify_identities(f1_dataset)
         assert report.max_gap() < 1e-8
         assert report.ordering_ok
+
+    def test_nan_gap_is_not_within(self):
+        # A nan after the first gap was skipped by a plain max.
+        report = IdentityReport(1e-17, np.nan, 0.0, 0.0, 0.0, 0.0, 0.0, True)
+        assert np.isnan(report.max_gap())
+        assert not report.within(1e-8)
 
     def test_rank_one_draw_within_gate(self):
         # A formed 2SLS gram put this draw's Hausman routes 3.2e-7 apart.

@@ -10,8 +10,10 @@ from endocheck import (
     fit_reduced_form,
     fit_tsls,
     load_csv,
+    validate,
 )
-from endocheck.data import InvalidDataset
+from endocheck import linalg
+from endocheck.data import InvalidDataset, designs
 
 from conftest import SCALED_ROLES, annihilate, design_matrices, project, random_admissible_dataset, scaled_csv
 
@@ -195,6 +197,28 @@ class TestCrossEstimatorIdentities:
             s_tsls = fit_tsls(ds).sigma2
             assert s_u <= s_ols + 1e-12
             assert s_ols <= s_tsls + 1e-12
+
+
+def test_fits_solve_the_matrices_of_the_rank_stage(monkeypatch):
+    # Every rank decision of a fit (each least squares, and tsls's check of Z)
+    # is a thin SVD of the very array that validate's rank stage judges.
+    ds = random_admissible_dataset(np.random.default_rng(13), n=50, d_y1=2, d_z1=2, d_z2=3)
+    x, z, pzx, xv, _, _ = designs(ds.r, ds.d_z1, ds.d_z2)
+    calls = []
+
+    def recording(name):
+        fn = getattr(linalg, name)
+        return lambda a: (calls.append(np.array(a)), fn(a))[1]
+
+    monkeypatch.setattr(linalg, "full_rank", recording("full_rank"))
+    monkeypatch.setattr(linalg, "full_rank_svd", recording("full_rank_svd"))
+    for run, expected in ((validate, [x, z, pzx, xv]), (fit_ols, [x]), (fit_tsls, [z, pzx]),
+                          (fit_reduced_form, [z]), (fit_cf, [xv])):
+        calls.clear()
+        run(ds)
+        assert len(calls) == len(expected), run.__name__
+        for got, want in zip(calls, expected):
+            np.testing.assert_array_equal(got, want, err_msg=run.__name__, strict=True)
 
 
 @pytest.mark.parametrize("fit", [fit_ols, fit_tsls, fit_cf], ids=["ols", "tsls", "cf"])

@@ -183,7 +183,7 @@ class TestSerialization:
             res = run_monte_carlo(dgp, sim)
             doc = result_document(dgp, sim, [(dgp.rho, res)])
             write_result_json(tmp_path / f"{run}.json", doc)
-            write_result_csv(tmp_path / f"{run}.csv", dgp, sim, [(dgp.rho, res)])
+            write_result_csv(tmp_path / f"{run}.csv", doc)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -191,7 +191,7 @@ class TestSerialization:
         dgp = DgpConfig(n=40)
         sim = SimConfig(replications=20, seed=2)
         res = run_monte_carlo(dgp, sim)
-        write_result_csv(tmp_path / "r.csv", dgp, sim, [(dgp.rho, res)])
+        write_result_csv(tmp_path / "r.csv", result_document(dgp, sim, [(dgp.rho, res)]))
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0] == "test,alpha,rho,rate,stderr,R,n,seed"
         assert len(lines) == 1 + len(sim.tests) * len(sim.alphas)
