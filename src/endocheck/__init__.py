@@ -11,10 +11,6 @@ from .endogeneity import (
     Statistics,
     TestReport,
     TEST_NAMES,
-    cf_statistic,
-    chi2_cdf,
-    chi2_quantile,
-    compute_h_n,
     compute_statistics,
     hausman_statistic,
     run_all_tests,
@@ -27,7 +23,7 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficient,
 )
-from .estimators import CfFit, FitResult, ReducedFormFit, fit_cf, fit_ols, fit_reduced_form, fit_tsls
+from .estimators import CfFit, FitResult, fit_cf, fit_ols, fit_tsls
 from .simulation import DgpConfig, SimConfig, SimResult, generate_dataset, power_curve, run_monte_carlo
 
 __version__ = "0.1.0"
@@ -41,10 +37,6 @@ __all__ = [
     "Statistics",
     "TestReport",
     "TEST_NAMES",
-    "cf_statistic",
-    "chi2_cdf",
-    "chi2_quantile",
-    "compute_h_n",
     "compute_statistics",
     "hausman_statistic",
     "run_all_tests",
@@ -56,10 +48,8 @@ __all__ = [
     "RankDeficient",
     "CfFit",
     "FitResult",
-    "ReducedFormFit",
     "fit_cf",
     "fit_ols",
-    "fit_reduced_form",
     "fit_tsls",
     "DgpConfig",
     "SimConfig",

@@ -133,13 +133,18 @@ class Dataset:
 
     @cached_property
     def r(self) -> np.ndarray:
-        """``factor`` of ``W = [Z1 | Z2 | Y1 | y2]``; ``designs`` reads its layout."""
-        return factor(np.hstack([self.z1, self.z2, self.y1, self.y2[:, None]]))
+        """``factor`` of ``W = [Z1 | Z2 | Y1 | y2]``, read-only; ``designs`` reads its layout."""
+        r = factor(np.hstack([self.z1, self.z2, self.y1, self.y2[:, None]]))
+        r.flags.writeable = False  # writing into the cache would change every later result
+        return r
 
     @cached_property
     def designs(self) -> tuple[np.ndarray, ...]:
-        """``designs`` of ``r``: X, Z, P_Z X, [X | V_hat], y and r44."""
-        return designs(self.r, self.d_z1, self.d_z2)
+        """``designs`` of ``r``, read-only: X, Z, P_Z X, [X | V_hat], y and r44."""
+        d = designs(self.r, self.d_z1, self.d_z2)
+        for a in d:
+            a.flags.writeable = False
+        return d
 
 
 @dataclass

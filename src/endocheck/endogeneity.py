@@ -8,8 +8,8 @@ coincides with the Hausman form evaluated at the control-function residual
 variance. One core on the designs of the triangular factor R
 (``data.designs``) gives all four statistics of a dataset or of a Monte Carlo
 block. ``verify_identities`` compares the core against the fits and the
-Hausman K form of ``hausman_statistic``; ``cf_statistic`` is the direct Wald
-route on the control-function fit, which the tests compare against the core.
+Hausman K form of ``hausman_statistic``. P-values and critical values are the
+chi-square upper tail of ``chi2_sf`` and ``chi2_critical``.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import chdtr, chdtrc, chdtri
+from scipy.special import chdtrc, chdtri
 
 from . import linalg
 from .data import RANK_MESSAGES, Dataset, InvalidDataset, designs, rank_checks
 from .errors import DegenerateVariance, EndocheckError, RankDeficient
-from .estimators import CfFit, fit_cf, fit_ols, fit_tsls
+from .estimators import fit_cf, fit_ols, fit_tsls
 
 TEST_NAMES = ("t_h1", "t_h2", "t_h3", "t_cf")
 
@@ -32,21 +32,22 @@ TEST_NAMES = ("t_h1", "t_h2", "t_h3", "t_cf")
 # Chi-square distribution
 # ---------------------------------------------------------------------------
 
-def chi2_cdf(df: int, x: float) -> float:
-    """CDF of the chi-square distribution with ``df`` degrees of freedom."""
+def chi2_sf(df: int, x: float) -> float:
+    """Upper tail ``P(X > x)`` of the chi-square distribution with ``df``
+    degrees of freedom, accurate where ``1 - CDF`` rounds to zero."""
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    # chdtr is nan below zero, where the CDF is zero.
-    return float(chdtr(df, x)) if x > 0.0 else 0.0
+    return float(chdtrc(df, max(x, 0.0)))  # chdtrc is nan below zero, where the tail is one
 
 
-def chi2_quantile(df: int, p: float) -> float:
-    """Inverse chi-square CDF: the ``x`` with ``chi2_cdf(df, x) == p``."""
+def chi2_critical(df: int, alpha: float) -> float:
+    """The ``x`` with ``chi2_sf(df, x) == alpha``: the level-``alpha`` critical
+    value, also for levels below ~1.1e-16, where ``1 - alpha`` rounds to one."""
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    return float(chdtri(df, 1.0 - p))
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    return float(chdtri(df, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -80,28 +81,6 @@ def hausman_statistic(beta_gap, factor_2sls, factor_ols, sigma2_1: float, sigma2
     b1 = np.asarray(factor_ols, dtype=float)
     k = b1.T @ b1 - (sigma2_2 / sigma2_1) * (b2.T @ b2)
     return float((b1.T @ (b1 @ gap)) @ linalg.spd_solve(k, b2.T @ (b2 @ gap))) / sigma2_1
-
-
-def cf_statistic(cf: CfFit, ds: Dataset) -> float:
-    """Wald statistic for a zero coefficient on the control-function block.
-
-    Computed directly from the augmented regression as
-    ``||M_X V_hat rho||^2 / sigma2_u``, one least-squares fit on R's rows:
-    a route independent of ``compute_statistics``.
-    """
-    if cf.sigma2_u <= _variance_floor(ds.designs, ds.n):
-        raise DegenerateVariance("control-function residual variance is numerically zero")
-    x, _, _, xv, _, _ = ds.designs
-    v_rho = xv[:, x.shape[1]:] @ cf.rho_cf
-    mv = v_rho - x @ linalg.solve_least_squares(x, v_rho)
-    return float(mv @ mv) / cf.sigma2_u
-
-
-def compute_h_n(beta_gap, gram_ols, sigma2_2sls: float, n: int) -> float:
-    """Scalar linking the control-function and 2SLS variance estimates."""
-    gap = np.asarray(beta_gap, dtype=float).reshape(-1)
-    gram = np.asarray(gram_ols, dtype=float)
-    return float(gap @ gram @ gap) / (n * sigma2_2sls)
 
 
 def _variance_floor(designs: tuple[np.ndarray, ...], n: int):
@@ -211,7 +190,7 @@ def _statistics_core(designs: tuple[np.ndarray, ...], n: int, d_z1: int, d_z2: i
       by ``1 / sigma2_2sls`` so that it does not overflow. The weight of G1
       is ``h_n = gap' G1 gap / (n sigma2_2sls)``. ``R23'(R23 gap)``
       keeps the weak direction of ``R23`` (the gap itself is a difference of
-      two fits, ROADMAP item 7);
+      two fits, which a strong first stage makes nearly cancel);
     * ``t_cf`` is the control-function Wald statistic by the direct route
       ``(SSR_ols - SSR_u) / sigma2_u = (||R23 gap||^2 + ||f||^2) / sigma2_u``.
 
@@ -302,12 +281,10 @@ def run_all_tests(ds: Dataset, alphas=(0.01, 0.05, 0.10)) -> TestReport:
     """Compute all four statistics, p-values, and per-level reject decisions."""
     stats = compute_statistics(ds)
     values = stats.by_name()
-    # The upper tail straight from chdtrc stays accurate where 1 - CDF rounds
-    # to zero; chdtrc is nan below zero, where the tail is one.
-    p_values = {name: float(chdtrc(stats.df, max(t, 0.0))) for name, t in values.items()}
+    p_values = {name: chi2_sf(stats.df, t) for name, t in values.items()}
     decisions = {}
     for alpha in alphas:
-        crit = float(chdtri(stats.df, alpha))  # 1 - alpha rounds to 1 below ~1.1e-16
+        crit = chi2_critical(stats.df, alpha)
         decisions[float(alpha)] = {name: bool(t > crit) for name, t in values.items()}
     return TestReport(**vars(stats), p_values=p_values, decisions=decisions)
 
@@ -371,7 +348,7 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     # (gram_2sls, gram_ols) = B'B: M_Z1 drops the Z1 rows; P_Z then keeps the Z2 rows.
     factors = pzx[ds.d_z1:, :ds.d_y1], x[ds.d_z1:, :ds.d_y1]
     gram_ols = factors[1].T @ factors[1]
-    h_n = compute_h_n(gap, gram_ols, tsls.sigma2, n)
+    h_n = float(gap @ gram_ols @ gap) / (n * tsls.sigma2)
 
     # CF estimates against their closed forms in the beta gap.
     mz_y1 = xv[:, x.shape[1]:]  # V_hat: annihilator of Z applied to Y1

@@ -1,4 +1,4 @@
-"""OLS, 2SLS, reduced-form, and control-function estimation.
+"""OLS, 2SLS and control-function estimation.
 
 All residual variances use divisor n (no degrees-of-freedom correction); the
 finite-sample identities between the variance estimators are exact only under
@@ -7,7 +7,7 @@ the instrumented one.
 
 Every fit solves the matrices of ``Dataset.designs`` that the rank stage of
 ``data.validate`` judges, and takes residual norms in R's coordinates, so the
-fits hold no n-row array; ``residuals(ds)`` forms the n-row vector on request.
+fits hold no n-row array.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ def _finite(coef: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _structural_residuals(ds: Dataset, theta: np.ndarray) -> np.ndarray:
-    return ds.y2 - ds.y1 @ theta[:ds.d_y1] - ds.z1 @ theta[ds.d_y1:]
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Coefficients and residual variance of one structural-equation fit."""
@@ -37,22 +33,6 @@ class FitResult:
     theta_hat: np.ndarray  # (d_y1 + d_z1,)
     beta_hat: np.ndarray   # leading (d_y1,) subvector of theta_hat
     sigma2: float          # ||y2 - X theta_hat||^2 / n
-    method: str            # 'ols' or 'tsls'
-
-    def residuals(self, ds: Dataset) -> np.ndarray:
-        """The (n,) residuals ``y2 - X theta_hat`` of ``ds``, from its data blocks."""
-        return _structural_residuals(ds, self.theta_hat)
-
-
-@dataclass(frozen=True)
-class ReducedFormFit:
-    """First-stage regression of the endogenous block on all exogenous columns."""
-
-    pi_hat: np.ndarray  # (d_z1 + d_z2, d_y1)
-
-    def residuals(self, ds: Dataset) -> np.ndarray:
-        """The (n, d_y1) control functions ``V_hat = Y1 - Z pi_hat`` of ``ds``, orthogonal to Z."""
-        return ds.y1 - ds.z1 @ self.pi_hat[:ds.d_z1] - ds.z2 @ self.pi_hat[ds.d_z1:]
 
 
 @dataclass(frozen=True)
@@ -63,11 +43,6 @@ class CfFit:
     rho_cf: np.ndarray    # (d_y1,), coefficients on the residual block
     sigma2_u: float       # ||u_hat||^2 / n
 
-    def residuals(self, ds: Dataset) -> np.ndarray:
-        """The (n,) residuals ``u_hat = y2 - X theta_cf - V_hat rho_cf`` of ``ds``,
-        with ``V_hat`` from ``fit_reduced_form``."""
-        return _structural_residuals(ds, self.theta_cf) - fit_reduced_form(ds).residuals(ds) @ self.rho_cf
-
 
 def _sigma2(ds: Dataset, a: np.ndarray, coef: np.ndarray) -> float:
     """``||y2 - A coef||^2 / n`` for A = X or [X | V_hat]; ``InvalidDataset`` if ``coef`` is not finite."""
@@ -76,15 +51,15 @@ def _sigma2(ds: Dataset, a: np.ndarray, coef: np.ndarray) -> float:
     return float(r44 * r44 + resid @ resid) / ds.n
 
 
-def _structural(ds: Dataset, theta: np.ndarray, method: str) -> FitResult:
+def _structural(ds: Dataset, theta: np.ndarray) -> FitResult:
     """The residual variance is against X = [Y1 | Z1], whichever design gave ``theta``."""
-    return FitResult(theta, theta[:ds.d_y1].copy(), _sigma2(ds, ds.designs[0], theta), method)
+    return FitResult(theta, theta[:ds.d_y1].copy(), _sigma2(ds, ds.designs[0], theta))
 
 
 def fit_ols(ds: Dataset) -> FitResult:
     """Least squares of the outcome on X = [Y1 | Z1]."""
     x, *_, y, _ = ds.designs
-    return _structural(ds, linalg.solve_least_squares(x, y), "ols")
+    return _structural(ds, linalg.solve_least_squares(x, y))
 
 
 def fit_tsls(ds: Dataset) -> FitResult:
@@ -96,13 +71,7 @@ def fit_tsls(ds: Dataset) -> FitResult:
     """
     _, z, pzx, _, y, _ = ds.designs
     linalg.full_rank_svd(z)
-    return _structural(ds, linalg.solve_least_squares(pzx, y[:len(pzx)]), "tsls")
-
-
-def fit_reduced_form(ds: Dataset) -> ReducedFormFit:
-    """First stage: Y1 on Z = [Z1 | Z2]; residuals are the control functions."""
-    _, z, pzx, *_ = ds.designs
-    return ReducedFormFit(pi_hat=linalg.solve_least_squares(z, pzx[:, :ds.d_y1]))
+    return _structural(ds, linalg.solve_least_squares(pzx, y[:len(pzx)]))
 
 
 def fit_cf(ds: Dataset) -> CfFit:

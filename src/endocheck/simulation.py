@@ -21,10 +21,10 @@ import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.special import chdtri, ndtri
+from scipy.special import ndtri
 
 from .data import Dataset, factor
-from .endogeneity import TEST_NAMES, StatisticValues, block_statistics, ordering_slack
+from .endogeneity import TEST_NAMES, StatisticValues, block_statistics, chi2_critical, ordering_slack
 from .errors import ConfigInvalid
 
 SCHEMA_VERSION = 1
@@ -255,7 +255,7 @@ def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
     Per-replication ordering violations of the four statistics are counted
     and expected to be zero.
     """
-    crit = {alpha: float(chdtri(dgp.d_y1, alpha)) for alpha in sim.alphas}  # upper tail, as the p-values
+    crit = {alpha: chi2_critical(dgp.d_y1, alpha) for alpha in sim.alphas}
     counts = {t: {a: 0 for a in sim.alphas} for t in sim.tests}
     degenerate = 0
     ordering_violations = 0

@@ -87,8 +87,8 @@ def random_admissible_dataset(rng: np.random.Generator, n=None, d_y1=None, d_z1=
     return generate_dataset(cfg, int(rng.integers(0, 2**31)), int(rng.integers(0, 2**31)))
 
 
-# Strong first stages (ROADMAP item 7): configs and seeds where the OLS and
-# 2SLS fits nearly coincide.
+# Strong first stages: configs and seeds where the OLS and 2SLS fits nearly
+# coincide, so their coefficient gap is a difference of two fits.
 STRONG_FIRST_STAGE = {
     # Many instruments and a near-exact fit: the OLS-2SLS gap is a tiny
     # difference of two fits.
@@ -174,3 +174,10 @@ def annihilate(a, y) -> np.ndarray:
 def design_matrices(ds: Dataset) -> SimpleNamespace:
     """X = [Y1 | Z1] and Z = [Z1 | Z2] stacked from the blocks of ``ds``."""
     return SimpleNamespace(x=np.hstack([ds.y1, ds.z1]), z=np.hstack([ds.z1, ds.z2]))
+
+
+def first_stage(ds: Dataset) -> np.ndarray:
+    """The (d_z1 + d_z2, d_y1) first-stage coefficients of Y1 on Z = [Z1 | Z2],
+    solved on R's rows: Z against P_Z X's Y1 columns (``data.designs``)."""
+    _, z, pzx, *_ = ds.designs
+    return solve_least_squares(z, pzx[:, :ds.d_y1])

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import endocheck as ec
+from endocheck.endogeneity import chi2_critical, chi2_sf
 from endocheck.simulation import result_document, write_result_csv, write_result_json
 
-from conftest import random_admissible_dataset
+from conftest import first_stage, random_admissible_dataset
 from test_chi2 import chi2_cdf_integration_oracle
 
 N_SUITE_DATASETS = 1000
@@ -66,7 +67,6 @@ def test_criterion_1_identity_suite(identity_suite):
 def test_criterion_2_oracle_fixture(f1_dataset, f1_expected):
     stats = ec.compute_statistics(f1_dataset)
     ols, tsls, cf = ec.fit_ols(f1_dataset), ec.fit_tsls(f1_dataset), ec.fit_cf(f1_dataset)
-    rf = ec.fit_reduced_form(f1_dataset)
     rel = lambda a, b: np.max(np.abs(np.atleast_1d(a) - np.atleast_1d(b))) / (
         1.0 + np.max(np.abs(np.atleast_1d(b)))
     )
@@ -75,7 +75,7 @@ def test_criterion_2_oracle_fixture(f1_dataset, f1_expected):
         "theta_tsls": rel(tsls.theta_hat, f1_expected["theta_tsls"]),
         "theta_cf": rel(cf.theta_cf, f1_expected["theta_cf"]),
         "rho_cf": rel(cf.rho_cf, f1_expected["rho_cf"]),
-        "pi_hat": rel(rf.pi_hat[:, 0], f1_expected["pi_hat"]),
+        "pi_hat": rel(first_stage(f1_dataset)[:, 0], f1_expected["pi_hat"]),
         "sigma2_ols": rel(ols.sigma2, f1_expected["sigma2_ols"]),
         "sigma2_tsls": rel(tsls.sigma2, f1_expected["sigma2_tsls"]),
         "sigma2_u": rel(cf.sigma2_u, f1_expected["sigma2_u"]),
@@ -112,21 +112,19 @@ def test_criterion_3_variance_identities(identity_suite):
 
 
 def test_criterion_4_chi_square_accuracy():
-    worst_cdf = max(
-        abs(ec.chi2_cdf(2, x) - (1.0 - math.exp(-x / 2.0))) for x in np.linspace(0.0, 50.0, 501)
-    )
-    q95 = ec.chi2_quantile(1, 0.95)
+    worst_sf = max(abs(chi2_sf(2, x) - math.exp(-x / 2.0)) for x in np.linspace(0.0, 50.0, 501))
+    q95 = chi2_critical(1, 0.05)
     oracle_err = abs(q95 - 3.8414588)
     oracle_cdf = chi2_cdf_integration_oracle(1, q95)
     worst_rt = 0.0
     for df in (1, 2, 5, 20):
         for p in np.arange(0.01, 1.0, 0.01):
-            worst_rt = max(worst_rt, abs(ec.chi2_cdf(df, ec.chi2_quantile(df, float(p))) - p))
-    ok = worst_cdf < 1e-12 and oracle_err < 1e-5 and abs(oracle_cdf - 0.95) < 1e-8 and worst_rt < 1e-9
+            worst_rt = max(worst_rt, abs(chi2_sf(df, chi2_critical(df, float(p))) - p))
+    ok = worst_sf < 1e-12 and oracle_err < 1e-5 and abs(oracle_cdf - 0.95) < 1e-8 and worst_rt < 1e-9
     report(
         "4 (chi-square accuracy)",
         ok,
-        f"df=2 cdf err {worst_cdf:.2e}, q(1,.95) err {oracle_err:.2e}, round trip {worst_rt:.2e}",
+        f"df=2 sf err {worst_sf:.2e}, q(1,.95) err {oracle_err:.2e}, round trip {worst_rt:.2e}",
     )
 
 

@@ -153,6 +153,18 @@ class TestFactor:
             with pytest.raises(ValueError):
                 block[0] = 0.0
 
+    def test_cached_factor_and_designs_are_read_only(self):
+        # A write into the cache would silently move every later statistic.
+        ds = random_admissible_dataset(np.random.default_rng(1), n=50)
+        before = compute_statistics(ds)
+        with pytest.raises(ValueError):
+            ds.r[-1, -1] *= 10
+        for a in ds.designs:
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+        after = compute_statistics(ds)
+        np.testing.assert_equal(vars(after), vars(before))
+
 
 class TestValidate:
     def test_f1_admissible(self, f1_dataset):

@@ -10,8 +10,6 @@ from endocheck import (
     EndocheckError,
     IdentityReport,
     NotPositiveDefinite,
-    cf_statistic,
-    compute_h_n,
     compute_statistics,
     fit_cf,
     fit_ols,
@@ -104,8 +102,8 @@ class TestHausmanStatistic:
     def test_strong_first_stage_draws_match_oracle(self, draw):
         # A K formed as a difference of nearly equal grams lost 4e-6
         # (near_exact_fit) and 2e-7 (c_10000) of t_h1. t_h3 is not asserted:
-        # its K3 still weights G1 by a gap taken as a difference of two fits
-        # (ROADMAP item 7).
+        # its K3 still weights G1 by a gap taken as a difference of two fits,
+        # which loses digits as the fits nearly coincide.
         pytest.importorskip("mpmath")
         import oracle
 
@@ -182,6 +180,8 @@ class TestDataScale:
 
 
 class TestCfStatistic:
+    """The core's control-function Wald statistic ``t_cf``."""
+
     def test_zero_rho_gives_zero(self):
         rng = np.random.default_rng(0)
         ds0, theta0 = exact_fit_dataset(rng)
@@ -189,13 +189,7 @@ class TestCfStatistic:
         v_hat = annihilate(dm.z, ds0.y1)
         remainder = annihilate(np.hstack([dm.x, v_hat]), rng.standard_normal(ds0.n))
         ds = Dataset(y2=dm.x @ theta0 + remainder, y1=ds0.y1, z1=ds0.z1, z2=ds0.z2)
-        cf = fit_cf(ds)
-        assert cf_statistic(cf, ds) == pytest.approx(0.0, abs=1e-12)
-
-    def test_f1_oracle(self, f1_dataset, f1_expected):
-        assert cf_statistic(fit_cf(f1_dataset), f1_dataset) == pytest.approx(
-            f1_expected["t_cf"], rel=1e-8
-        )
+        assert compute_statistics(ds).t_cf == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_hausman_form(self):
         rng = np.random.default_rng(1)
@@ -212,12 +206,6 @@ class TestCfStatistic:
 
 
 class TestHn:
-    def test_zero_gap(self):
-        assert compute_h_n(np.zeros(2), np.eye(2), 1.0, 10) == 0.0
-
-    def test_scalar_arithmetic(self):
-        assert compute_h_n([2.0], [[3.0]], 1.0, 4) == pytest.approx(3.0, rel=1e-14)
-
     def test_f1_oracle(self, f1_dataset, f1_expected):
         stats = compute_statistics(f1_dataset)
         assert stats.h_n == pytest.approx(f1_expected["h_n"], rel=1e-10)

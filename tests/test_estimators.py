@@ -7,7 +7,6 @@ from endocheck import (
     compute_statistics,
     fit_cf,
     fit_ols,
-    fit_reduced_form,
     fit_tsls,
     load_csv,
     validate,
@@ -15,7 +14,9 @@ from endocheck import (
 from endocheck import linalg
 from endocheck.data import InvalidDataset, designs
 
-from conftest import SCALED_ROLES, annihilate, design_matrices, project, random_admissible_dataset, scaled_csv
+from conftest import (
+    SCALED_ROLES, annihilate, design_matrices, first_stage, project, random_admissible_dataset, scaled_csv,
+)
 
 
 def exact_fit_dataset(rng, n=40):
@@ -98,7 +99,8 @@ class TestTsls:
         ds = random_admissible_dataset(rng, n=60)
         dm = design_matrices(ds)
         fit = fit_tsls(ds)
-        np.testing.assert_allclose(fit.residuals(ds), ds.y2 - dm.x @ fit.theta_hat, rtol=1e-12)
+        resid = ds.y2 - dm.x @ fit.theta_hat
+        assert fit.sigma2 == pytest.approx(resid @ resid / ds.n, rel=1e-12)
 
 
 class TestReducedForm:
@@ -110,22 +112,21 @@ class TestReducedForm:
         pi0 = np.array([[0.5], [1.0], [-1.0]])
         y1 = np.hstack([z1, z2]) @ pi0
         ds = Dataset(y2=rng.standard_normal(n), y1=y1, z1=z1, z2=z2)
-        rf = fit_reduced_form(ds)
-        np.testing.assert_allclose(rf.pi_hat, pi0, rtol=1e-10)
-        assert np.abs(rf.residuals(ds)).max() < 1e-12
+        pi_hat = first_stage(ds)
+        np.testing.assert_allclose(pi_hat, pi0, rtol=1e-10)
+        assert np.abs(ds.y1 - design_matrices(ds).z @ pi_hat).max() < 1e-12
 
     def test_f1_oracle(self, f1_dataset, f1_expected):
-        rf = fit_reduced_form(f1_dataset)
-        np.testing.assert_allclose(rf.pi_hat[:, 0], f1_expected["pi_hat"], rtol=1e-10)
+        np.testing.assert_allclose(first_stage(f1_dataset)[:, 0], f1_expected["pi_hat"], rtol=1e-10)
 
     def test_residuals_orthogonal_to_instruments(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             ds = random_admissible_dataset(rng, n=int(rng.integers(30, 80)))
             dm = design_matrices(ds)
-            rf = fit_reduced_form(ds)
+            v_hat = ds.y1 - dm.z @ first_stage(ds)
             bound = 1e-10 * np.linalg.norm(dm.z) * np.linalg.norm(ds.y1)
-            assert np.abs(dm.z.T @ rf.residuals(ds)).max() <= bound
+            assert np.abs(dm.z.T @ v_hat).max() <= bound
 
 
 class TestCf:
@@ -154,9 +155,10 @@ class TestCf:
         ds = random_admissible_dataset(rng, n=70)
         dm = design_matrices(ds)
         cf = fit_cf(ds)
-        design = np.hstack([dm.x, fit_reduced_form(ds).residuals(ds)])
+        design = np.hstack([dm.x, ds.y1 - dm.z @ first_stage(ds)])
+        u_hat = ds.y2 - design @ np.concatenate([cf.theta_cf, cf.rho_cf])
         bound = 1e-10 * np.linalg.norm(design) * np.linalg.norm(ds.y2)
-        assert np.abs(design.T @ cf.residuals(ds)).max() <= bound
+        assert np.abs(design.T @ u_hat).max() <= bound
 
     def test_rho_closed_form(self):
         # rho equals a fixed linear transform of the OLS/2SLS beta gap
@@ -166,7 +168,7 @@ class TestCf:
             cf = fit_cf(ds)
             gap = fit_ols(ds).beta_hat - fit_tsls(ds).beta_hat
             m1 = annihilate(ds.z1, ds.y1)
-            v_hat = fit_reduced_form(ds).residuals(ds)
+            v_hat = ds.y1 - design_matrices(ds).z @ first_stage(ds)
             closed = np.linalg.solve(v_hat.T @ v_hat, (m1.T @ m1) @ gap)
             np.testing.assert_allclose(cf.rho_cf, closed, rtol=1e-8, atol=1e-12)
 
@@ -212,8 +214,7 @@ def test_fits_solve_the_matrices_of_the_rank_stage(monkeypatch):
 
     monkeypatch.setattr(linalg, "full_rank", recording("full_rank"))
     monkeypatch.setattr(linalg, "full_rank_svd", recording("full_rank_svd"))
-    for run, expected in ((validate, [x, z, pzx, xv]), (fit_ols, [x]), (fit_tsls, [z, pzx]),
-                          (fit_reduced_form, [z]), (fit_cf, [xv])):
+    for run, expected in ((validate, [x, z, pzx, xv]), (fit_ols, [x]), (fit_tsls, [z, pzx]), (fit_cf, [xv])):
         calls.clear()
         run(ds)
         assert len(calls) == len(expected), run.__name__

@@ -240,7 +240,7 @@ class TestBatchedCore:
             t_cf.append(stats.t_cf)
         t_h1, t_cf = np.concatenate(t_h1), np.concatenate(t_cf)
         for alpha in (0.01, 0.05, 0.10, 0.5):
-            c = endogeneity.chi2_quantile(1, 1.0 - alpha)
+            c = endogeneity.chi2_critical(1, alpha)
             assert np.count_nonzero(t_h1 > c) == np.count_nonzero(t_cf > c * n / (n - c))
 
     def test_rank_loss_is_flagged(self):
