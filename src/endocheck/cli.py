@@ -64,8 +64,6 @@ def _roles_from_args(args) -> dict[str, str]:
 
 
 def _load_dataset(args) -> data.Dataset:
-    if not os.path.isfile(args.data):
-        raise data.MissingColumn(f"input file not found: {args.data}")
     return data.load_csv(args.data, _roles_from_args(args), add_intercept=args.add_intercept)
 
 

@@ -3,12 +3,16 @@
 CSV files are RFC-4180 style: header row required, UTF-8 (a leading
 byte-order mark is skipped), '.' decimal separator. Column roles (outcome /
 endogenous / included exogenous / instrument) are supplied by the caller; an
-intercept is only ever added explicitly via ``add_intercept``.
+intercept is only ever added explicitly via ``add_intercept``. ``load_csv``
+parses each row straight into W = [Z1 | Z2 | Y1 | y2]; ``split_w`` cuts W.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
+from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,7 +25,7 @@ ROLE_OUTCOME = "outcome"
 ROLE_ENDOGENOUS = "endogenous"
 ROLE_EXOGENOUS = "included_exogenous"
 ROLE_INSTRUMENT = "instrument"
-_ROLES = (ROLE_OUTCOME, ROLE_ENDOGENOUS, ROLE_EXOGENOUS, ROLE_INSTRUMENT)
+_ROLES = (ROLE_EXOGENOUS, ROLE_INSTRUMENT, ROLE_ENDOGENOUS, ROLE_OUTCOME)  # W's block order
 
 
 class DataError(EndocheckError):
@@ -74,9 +78,19 @@ def designs(r: np.ndarray, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
     return x, r[..., :dz, :dz], x[..., :dz, :], np.concatenate([x, v], axis=-1), r[..., :m, m], r[..., m, m]
 
 
+def split_w(w: np.ndarray, d_z1: int, d_z2: int) -> Dataset:
+    """The one slicer of W = [Z1 | Z2 | Y1 | y2] (n, p): the Dataset whose four
+    blocks are read-only views of ``w``, through the Dataset input checks."""
+    dz = d_z1 + d_z2
+    return Dataset(y2=w[:, -1], y1=w[:, dz:-1], z1=w[:, :d_z1], z2=w[:, d_z1:dz])
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """One observed sample: outcome, endogenous block, included exogenous, instruments."""
+    """One observed sample: outcome, endogenous block, included exogenous, instruments.
+
+    The blocks are read-only views of the arrays passed in, not copies: a later
+    write into those arrays reaches them but not the cached ``r``."""
 
     y2: np.ndarray  # (n,)
     y1: np.ndarray  # (n, d_y1)
@@ -162,15 +176,23 @@ class ValidationReport:
         return self.xtx_ok and self.xpzx_ok and self.xv_ok
 
 
-def _utf8_lines(fh, path):
+def _rows(path):
+    """The records of the CSV file at ``path``; one not readable as UTF-8 CSV raises ``DataError``."""
+    i = -1  # the last record read: the header is record 0, data row i is record i + 1
     try:
-        yield from fh
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            for i, row in enumerate(csv.reader(fh)):
+                yield row
+    except OSError as exc:
+        raise DataError(f"cannot read '{path}': {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DataError(f"'{path}' is not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"'{path}' is not valid CSV at {f'data row {i}' if i >= 0 else 'header'}: {exc}") from None
 
 
 def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Dataset:
-    """Read a CSV file and group columns by role into a Dataset.
+    """Read a CSV file into the Dataset of its W, one ``float()`` per cell in ``roles`` order.
 
     Parameters
     ----------
@@ -183,51 +205,36 @@ def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Datase
     for col, role in roles.items():
         if role not in _ROLES:
             raise RoleConflict(f"unknown role '{role}' for column '{col}'")
-    outcomes = [c for c, r in roles.items() if r == ROLE_OUTCOME]
-    if len(outcomes) != 1:
-        raise RoleConflict(f"expected exactly one outcome column, got {len(outcomes)}")
+    count = Counter(roles.values())
+    if count[ROLE_OUTCOME] != 1:
+        raise RoleConflict(f"expected exactly one outcome column, got {count[ROLE_OUTCOME]}")
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"'{path}' is empty") from None
+    with closing(_rows(path)) as rows:
+        header = next(rows, None)
+        if header is None:
+            raise EmptyFile(f"'{path}' is empty")
         header = [h.strip() for h in header]
         missing = [c for c in roles if c not in header]
         if missing:
             raise MissingColumn(f"column(s) {missing} not found in '{path}' (header: {header})")
-        idx = {c: header.index(c) for c in roles}
-        columns: dict[str, list[float]] = {c: [] for c in roles}
-        n = 0
-        for i, row in enumerate(reader):
+        # Each role column's slot in W; the intercept's slot keeps the row's 1.0.
+        order = sorted(roles, key=lambda c: _ROLES.index(roles[c]))
+        cells = [(c, header.index(c), order.index(c) + add_intercept) for c in roles]
+        p = len(order) + add_intercept
+        w = array("d")
+        for i, row in enumerate(rows):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            for c in roles:
-                cell = row[idx[c]].strip() if idx[c] < len(row) else ""
+            w_row = [1.0] * p
+            for c, k, j in cells:
                 try:
-                    columns[c].append(float(cell))
+                    w_row[j] = float(row[k].strip() if k < len(row) else "")
                 except ValueError:
                     raise NonNumericCell(i, c) from None
-            n += 1
-    if n == 0:
+            w.extend(w_row)
+    if not w:
         raise EmptyFile(f"'{path}' has a header but no data rows")
-
-    def block(role: str) -> np.ndarray:
-        cols = [columns[c] for c in roles if roles[c] == role]
-        if not cols:
-            return np.empty((n, 0))
-        return np.column_stack(cols)
-
-    z1 = block(ROLE_EXOGENOUS)
-    if add_intercept:
-        z1 = np.hstack([np.ones((n, 1)), z1])
-    return Dataset(
-        y2=np.asarray(columns[outcomes[0]]),
-        y1=block(ROLE_ENDOGENOUS),
-        z1=z1,
-        z2=block(ROLE_INSTRUMENT),
-    )
+    return split_w(np.frombuffer(w).reshape(-1, p), count[ROLE_EXOGENOUS] + add_intercept, count[ROLE_INSTRUMENT])
 
 
 # The rank conditions of the four tests, in the order they are checked.

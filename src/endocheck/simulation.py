@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .data import Dataset, factor
+from .data import Dataset, factor, split_w
 from .endogeneity import TEST_NAMES, StatisticValues, block_statistics, chi2_critical, ordering_slack
 from .errors import ConfigInvalid
 
@@ -216,19 +216,13 @@ def _draw_block(cfg: DgpConfig, seed: int, reps: range) -> np.ndarray:
     return np.swapaxes(columns, 1, 2)
 
 
-def _dataset(cfg: DgpConfig, w: np.ndarray) -> Dataset:
-    """The Dataset of one replication's slice ``w`` (n, p), through its input checks."""
-    dz = cfg.d_z1 + cfg.d_z2
-    return Dataset(y2=w[:, -1], y1=w[:, dz:-1], z1=w[:, :cfg.d_z1], z2=w[:, cfg.d_z1:dz])
-
-
 def generate_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Dataset:
     """Draw one dataset from the configured process: the one-replication block.
 
     Draw order is fixed (z block, then v, then u) so identical
     (cfg, index, seed) triples reproduce byte-identical datasets.
     """
-    return _dataset(cfg, _draw_block(cfg, seed, range(replication_index, replication_index + 1))[0])
+    return split_w(_draw_block(cfg, seed, range(replication_index, replication_index + 1))[0], cfg.d_z1, cfg.d_z2)
 
 
 def _run_block(dgp: DgpConfig, seed: int, reps: range) -> tuple[StatisticValues, np.ndarray]:
@@ -243,7 +237,7 @@ def _run_block(dgp: DgpConfig, seed: int, reps: range) -> tuple[StatisticValues,
     with np.errstate(over="ignore", invalid="ignore"):
         sumsq = np.einsum("bij,bij->b", w, w)
     for i in np.flatnonzero(~(sumsq < _SUMSQ_LIMIT)):  # also true for nan
-        _dataset(dgp, w[i])
+        split_w(w[i], dgp.d_z1, dgp.d_z2)
     stats, flagged = block_statistics(factor(w), dgp.n, dgp.d_z1, dgp.d_z2)
     return stats, ~flagged
 

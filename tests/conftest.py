@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from endocheck import (
     generate_dataset,
     load_csv,
 )
+from endocheck.data import DataError, EmptyFile, MissingColumn, NonNumericCell, RoleConflict
 from endocheck.endogeneity import ordering_slack
 from endocheck.linalg import solve_least_squares
 from endocheck.simulation import _substream_seed
@@ -181,3 +183,52 @@ def first_stage(ds: Dataset) -> np.ndarray:
     solved on R's rows: Z against P_Z X's Y1 columns (``data.designs``)."""
     _, z, pzx, *_ = ds.designs
     return solve_least_squares(z, pzx[:, :ds.d_y1])
+
+
+def reference_load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Dataset:
+    """The per-column reader that ``load_csv`` replaced, kept as its reference:
+    one float list per column, stacked per role, the intercept prepended."""
+    outcomes = [c for c, r in roles.items() if r == "outcome"]
+    if len(outcomes) != 1:
+        raise RoleConflict(f"expected exactly one outcome column, got {len(outcomes)}")
+
+    def utf8_lines(fh):
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"'{path}' is not UTF-8 text ({exc.reason})") from None
+
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(utf8_lines(fh))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyFile(f"'{path}' is empty") from None
+        header = [h.strip() for h in header]
+        missing = [c for c in roles if c not in header]
+        if missing:
+            raise MissingColumn(f"column(s) {missing} not found in '{path}' (header: {header})")
+        idx = {c: header.index(c) for c in roles}
+        columns: dict[str, list[float]] = {c: [] for c in roles}
+        n = 0
+        for i, row in enumerate(reader):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            for c in roles:
+                cell = row[idx[c]].strip() if idx[c] < len(row) else ""
+                try:
+                    columns[c].append(float(cell))
+                except ValueError:
+                    raise NonNumericCell(i, c) from None
+            n += 1
+    if n == 0:
+        raise EmptyFile(f"'{path}' has a header but no data rows")
+
+    def block(role: str) -> np.ndarray:
+        cols = [columns[c] for c in roles if roles[c] == role]
+        return np.column_stack(cols) if cols else np.empty((n, 0))
+
+    z1 = block("included_exogenous")
+    if add_intercept:
+        z1 = np.hstack([np.ones((n, 1)), z1])
+    return Dataset(y2=np.asarray(columns[outcomes[0]]), y1=block("endogenous"), z1=z1, z2=block("instrument"))

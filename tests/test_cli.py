@@ -63,6 +63,22 @@ class TestCmdTest:
         assert code == 2
         assert "/nonexistent/file.csv" in err
 
+    @pytest.mark.parametrize("where", ["header", "data row 1"])
+    def test_field_over_the_csv_size_limit_exits_2(self, capsys, tmp_path, where):
+        big = "1" * 200_000  # past csv.field_size_limit(), 131072 characters by default
+        lines = ["y,x,z1,z2", "1,2,3,4", "5,6,7,8"]
+        if where == "header":
+            lines[0] += "," + big
+        else:
+            lines[2] = f"5,{big},7,8"
+        p = tmp_path / "big_field.csv"
+        p.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, ["test", str(p), *F1_ARGS])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("endocheck: ") and err.count("\n") == 1
+        assert str(p) in err and where in err
+
     def test_exact_fit_exits_3(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         n = 30

@@ -12,7 +12,7 @@ from endocheck import (
     validate,
     verify_identities,
 )
-from endocheck.data import EmptyFile, InvalidDataset, MissingColumn, NonNumericCell, RoleConflict
+from endocheck.data import DataError, EmptyFile, InvalidDataset, MissingColumn, NonNumericCell, RoleConflict
 from endocheck.linalg import spd_solve
 
 from conftest import design_matrices, random_admissible_dataset
@@ -56,6 +56,11 @@ class TestLoadCsv:
         p = write(tmp_path, "y,x,z\n")
         with pytest.raises(EmptyFile):
             load_csv(p, {"y": "outcome", "x": "endogenous", "z": "instrument"})
+
+    def test_directory_raises_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read") as err:
+            load_csv(tmp_path, {"y": "outcome"})
+        assert str(tmp_path) in str(err.value)
 
     def test_two_outcomes_rejected(self, tmp_path):
         p = write(tmp_path, SMALL)
