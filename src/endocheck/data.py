@@ -4,7 +4,7 @@ CSV files are RFC-4180 style: header row required, UTF-8 (a leading
 byte-order mark is skipped), '.' decimal separator. Column roles (outcome /
 endogenous / included exogenous / instrument) are supplied by the caller; an
 intercept is only ever added explicitly via ``add_intercept``. ``load_csv``
-parses each row straight into W = [Z1 | Z2 | Y1 | y2]; ``split_w`` cuts W.
+parses each row straight into W = [Z1 | Z2 | Y1 | y2]; a ``Dataset`` keeps only its R.
 """
 
 from __future__ import annotations
@@ -78,79 +78,70 @@ def designs(r: np.ndarray, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
     return x, r[..., :dz, :dz], x[..., :dz, :], np.concatenate([x, v], axis=-1), r[..., :m, m], r[..., m, m]
 
 
-def split_w(w: np.ndarray, d_z1: int, d_z2: int) -> Dataset:
-    """The one slicer of W = [Z1 | Z2 | Y1 | y2] (n, p): the Dataset whose four
-    blocks are read-only views of ``w``, through the Dataset input checks."""
+def check_w(w: np.ndarray, d_z1: int, d_z2: int) -> None:
+    """Raise ``InvalidDataset`` for the first dataset of ``w``, one W = [Z1 | Z2 | Y1 | y2]
+    (n, p) or a stack (..., n, p), with a non-finite entry or a block whose sum of squares
+    overflows, the blocks taken in the order y2, y1, z1, z2; one pass over ``w``."""
     dz = d_z1 + d_z2
-    return Dataset(y2=w[:, -1], y1=w[:, dz:-1], z1=w[:, :d_z1], z2=w[:, d_z1:dz])
+    blocks = {"y2": slice(-1, None), "y1": slice(dz, -1), "z1": slice(0, d_z1), "z2": slice(d_z1, dz)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        sumsq = np.einsum("...ij,...ij->...j", w, w).reshape(-1, w.shape[-1])
+        bad = ~np.isfinite(np.stack([sumsq[:, cols].sum(axis=1) for cols in blocks.values()], axis=1))
+    if bad.any():
+        i, k = np.unravel_index(bad.argmax(), bad.shape)  # the first dataset, then its first block
+        name, cols = list(blocks.items())[k]
+        if not np.isfinite(w.reshape(-1, *w.shape[-2:])[i, :, cols]).all():
+            raise InvalidDataset(f"'{name}' contains non-finite entries")
+        raise InvalidDataset(f"'{name}' is too large: its sum of squares overflows")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dataset:
-    """One observed sample: outcome, endogenous block, included exogenous, instruments.
+    """One observed sample as R of W = [Z1 | Z2 | Y1 | y2] (outcome, endogenous, included
+    exogenous, instruments) and the dimensions. W, from the blocks or ``from_w``, is checked
+    (``check_w``), factored and dropped: a later write into the arrays passed in changes nothing."""
 
-    The blocks are read-only views of the arrays passed in, not copies: a later
-    write into those arrays reaches them but not the cached ``r``."""
+    r: np.ndarray  # (p, p), read-only; ``designs`` reads its layout
+    n: int
+    d_z1: int
+    d_z2: int
 
-    y2: np.ndarray  # (n,)
-    y1: np.ndarray  # (n, d_y1)
-    z1: np.ndarray  # (n, d_z1)
-    z2: np.ndarray  # (n, d_z2)
+    def __init__(self, y2, y1, z1, z2):
+        y2 = np.asarray(y2, dtype=float).reshape(-1, 1)
+        y1, z1, z2 = (np.asarray(block, dtype=float) for block in (y1, z1, z2))
+        y1, z1, z2 = (block[:, None] if block.ndim == 1 else block for block in (y1, z1, z2))
+        for name, block in (("y1", y1), ("z1", z1), ("z2", z2)):
+            if block.shape[0] != y2.shape[0]:
+                raise InvalidDataset(f"'{name}' has {block.shape[0]} rows, expected {y2.shape[0]}")
+        self._init(np.hstack([z1, z2, y1, y2]), z1.shape[1], z2.shape[1])
 
-    def __post_init__(self):
-        object.__setattr__(self, "y2", np.asarray(self.y2, dtype=float).reshape(-1))
-        for name in ("y1", "z1", "z2"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            object.__setattr__(self, name, arr)
-        n = self.y2.shape[0]
-        for name in ("y1", "z1", "z2"):
-            if getattr(self, name).shape[0] != n:
-                raise InvalidDataset(f"'{name}' has {getattr(self, name).shape[0]} rows, expected {n}")
-        for name in ("y2", "y1", "z1", "z2"):
-            block = getattr(self, name)
-            if not np.all(np.isfinite(block)):
-                raise InvalidDataset(f"'{name}' contains non-finite entries")
-            with np.errstate(over="ignore"):
-                if not np.isfinite(np.vdot(block, block)):
-                    raise InvalidDataset(f"'{name}' is too large: its sum of squares overflows")
-            view = block.view()
-            view.flags.writeable = False  # writing into a block would leave ``r`` stale
-            object.__setattr__(self, name, view)
-        if self.d_y1 == 0:
+    @classmethod
+    def from_w(cls, w: np.ndarray, d_z1: int, d_z2: int) -> Dataset:
+        """The Dataset of W = [Z1 | Z2 | Y1 | y2] (n, p) with ``d_z1`` and ``d_z2`` columns of Z1 and Z2."""
+        ds = cls.__new__(cls)
+        ds._init(np.asarray(w, dtype=float), d_z1, d_z2)
+        return ds
+
+    def _init(self, w: np.ndarray, d_z1: int, d_z2: int) -> None:
+        check_w(w, d_z1, d_z2)
+        n, p = w.shape
+        d_y1 = p - 1 - d_z1 - d_z2
+        if d_y1 < 1:
             raise InvalidDataset("no endogenous regressor: the tests need at least one")
-        if n <= 2 * self.d_y1 + self.d_z1:
+        if n <= 2 * d_y1 + d_z1:
+            raise InvalidDataset(f"n={n} too small for the augmented regression (need n > {2 * d_y1 + d_z1})")
+        if d_z2 < d_y1:
             raise InvalidDataset(
-                f"n={n} too small for the augmented regression (need n > {2 * self.d_y1 + self.d_z1})"
+                f"order condition violated: {d_z2} excluded instruments for {d_y1} endogenous regressors"
             )
-        if self.d_z2 < self.d_y1:
-            raise InvalidDataset(
-                f"order condition violated: {self.d_z2} excluded instruments for {self.d_y1} endogenous regressors"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.y2.shape[0]
+        r = factor(w)
+        r.flags.writeable = False  # writing into R would change every later result
+        for name, value in (("r", r), ("n", n), ("d_z1", d_z1), ("d_z2", d_z2)):
+            object.__setattr__(self, name, value)
 
     @property
     def d_y1(self) -> int:
-        return self.y1.shape[1]
-
-    @property
-    def d_z1(self) -> int:
-        return self.z1.shape[1]
-
-    @property
-    def d_z2(self) -> int:
-        return self.z2.shape[1]
-
-    @cached_property
-    def r(self) -> np.ndarray:
-        """``factor`` of ``W = [Z1 | Z2 | Y1 | y2]``, read-only; ``designs`` reads its layout."""
-        r = factor(np.hstack([self.z1, self.z2, self.y1, self.y2[:, None]]))
-        r.flags.writeable = False  # writing into the cache would change every later result
-        return r
+        return self.r.shape[-1] - 1 - self.d_z1 - self.d_z2
 
     @cached_property
     def designs(self) -> tuple[np.ndarray, ...]:
@@ -199,9 +190,14 @@ def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Datase
     path : str or Path
     roles : mapping from column name to one of
         {'outcome', 'endogenous', 'included_exogenous', 'instrument'};
-        exactly one column must be the outcome.
+        exactly one column must be the outcome, and no column with a role may repeat.
     add_intercept : prepend a ones column to the included-exogenous block.
     """
+    return Dataset.from_w(*_read_w(path, roles, add_intercept))
+
+
+def _read_w(path, roles: dict[str, str], add_intercept: bool) -> tuple[np.ndarray, int, int]:
+    """The parse step of ``load_csv``: the file's W (n, p), d_z1 and d_z2."""
     for col, role in roles.items():
         if role not in _ROLES:
             raise RoleConflict(f"unknown role '{role}' for column '{col}'")
@@ -217,6 +213,9 @@ def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Datase
         missing = [c for c in roles if c not in header]
         if missing:
             raise MissingColumn(f"column(s) {missing} not found in '{path}' (header: {header})")
+        for c in roles:
+            if header.count(c) > 1:
+                raise RoleConflict(f"column '{c}' appears {header.count(c)} times in the header of '{path}'")
         # Each role column's slot in W; the intercept's slot keeps the row's 1.0.
         order = sorted(roles, key=lambda c: _ROLES.index(roles[c]))
         cells = [(c, header.index(c), order.index(c) + add_intercept) for c in roles]
@@ -234,7 +233,7 @@ def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Datase
             w.extend(w_row)
     if not w:
         raise EmptyFile(f"'{path}' has a header but no data rows")
-    return split_w(np.frombuffer(w).reshape(-1, p), count[ROLE_EXOGENOUS] + add_intercept, count[ROLE_INSTRUMENT])
+    return np.frombuffer(w).reshape(-1, p), count[ROLE_EXOGENOUS] + add_intercept, count[ROLE_INSTRUMENT]
 
 
 # The rank conditions of the four tests, in the order they are checked.

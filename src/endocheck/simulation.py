@@ -9,7 +9,8 @@ pins the exact draw sequence for a given substream seed.
 The Monte Carlo runs in blocks of replications whose stacked data fill about
 ``_BLOCK_ELEMENTS`` doubles per array. Blocks do not change the draws: each
 replication still reads its own substream in the same order, and
-``generate_dataset`` is the one-replication block, bit for bit.
+``generate_dataset`` is the one-replication block, bit for bit: both check
+their data with ``data.check_w``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .data import Dataset, factor, split_w
+from .data import Dataset, check_w, factor
 from .endogeneity import TEST_NAMES, StatisticValues, block_statistics, chi2_critical, ordering_slack
 from .errors import ConfigInvalid
 
@@ -167,10 +168,6 @@ class SimResult:
 # once n*p passes it, one.
 _BLOCK_ELEMENTS = 1 << 17
 
-# A replication whose sum of squares comes within this of overflow goes
-# through the Dataset checks before its block is factored.
-_SUMSQ_LIMIT = 1e-4 * np.finfo(float).max
-
 
 def _block_size(cfg: DgpConfig) -> int:
     return max(1, _BLOCK_ELEMENTS // (cfg.n * (cfg.d_z1 + cfg.d_z2 + cfg.d_y1 + 1)))
@@ -182,7 +179,7 @@ def _draw_block(cfg: DgpConfig, seed: int, reps: range) -> np.ndarray:
     Each replication draws from its own substream in a fixed order (z block,
     then v, then u, each row by row), so its slice does not depend on the
     other replications in the block. Each slice is column-major, the layout
-    the stacked QR copies into. Overflow is left to the Dataset checks.
+    the stacked QR copies into. Overflow is left to ``check_w``.
     """
     n, d_z1, k = cfg.n, cfg.d_z1, cfg.d_y1
     dz = d_z1 + cfg.d_z2
@@ -222,22 +219,19 @@ def generate_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Datas
     Draw order is fixed (z block, then v, then u) so identical
     (cfg, index, seed) triples reproduce byte-identical datasets.
     """
-    return split_w(_draw_block(cfg, seed, range(replication_index, replication_index + 1))[0], cfg.d_z1, cfg.d_z2)
+    w = _draw_block(cfg, seed, range(replication_index, replication_index + 1))[0]
+    return Dataset.from_w(w, cfg.d_z1, cfg.d_z2)
 
 
 def _run_block(dgp: DgpConfig, seed: int, reps: range) -> tuple[StatisticValues, np.ndarray]:
     """The four statistics of replications ``reps`` as arrays, and which replications completed.
 
-    A replication whose data fail the overflow screen goes through the
-    Dataset checks, which raise ``InvalidDataset`` as ``generate_dataset``
-    does. The stacked R factors then go to ``block_statistics``; a
-    replication it flags is degenerate.
+    ``check_w`` raises ``InvalidDataset`` for the first replication that
+    fails, as ``generate_dataset`` does. The stacked R factors then go to
+    ``block_statistics``; a replication it flags is degenerate.
     """
     w = _draw_block(dgp, seed, reps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sumsq = np.einsum("bij,bij->b", w, w)
-    for i in np.flatnonzero(~(sumsq < _SUMSQ_LIMIT)):  # also true for nan
-        split_w(w[i], dgp.d_z1, dgp.d_z2)
+    check_w(w, dgp.d_z1, dgp.d_z2)
     stats, flagged = block_statistics(factor(w), dgp.n, dgp.d_z1, dgp.d_z2)
     return stats, ~flagged
 
@@ -327,8 +321,8 @@ def load_config(path) -> tuple[DgpConfig, SimConfig, list | None]:
     if not isinstance(doc, dict):
         raise ConfigInvalid("config root must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigInvalid(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
+    if not _is_a(version, numbers.Integral) or version != SCHEMA_VERSION:
+        raise ConfigInvalid(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     for key in ("dgp", "sim"):
         if key not in doc:
             raise ConfigInvalid(f"config missing required '{key}' section")

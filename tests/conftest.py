@@ -2,6 +2,7 @@ import csv
 import json
 import os
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from endocheck import (
     generate_dataset,
     load_csv,
 )
-from endocheck.data import DataError, EmptyFile, MissingColumn, NonNumericCell, RoleConflict
+from endocheck.data import DataError, EmptyFile, MissingColumn, NonNumericCell, RoleConflict, _read_w
 from endocheck.endogeneity import ordering_slack
 from endocheck.linalg import solve_least_squares
-from endocheck.simulation import _substream_seed
+from endocheck.simulation import _draw_block, _substream_seed
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -57,6 +58,43 @@ def f1_dataset(f1_path) -> Dataset:
     return load_csv(f1_path, F1_ROLES, add_intercept=True)
 
 
+class Blocks(NamedTuple):
+    """The n-row blocks of a dataset, which a ``Dataset`` does not keep, for
+    the reference computations of the tests."""
+
+    y2: np.ndarray  # (n,)
+    y1: np.ndarray  # (n, d_y1)
+    z1: np.ndarray  # (n, d_z1)
+    z2: np.ndarray  # (n, d_z2)
+
+    @classmethod
+    def of_w(cls, w: np.ndarray, d_z1: int, d_z2: int) -> "Blocks":
+        dz = d_z1 + d_z2
+        return cls(w[:, -1], w[:, dz:-1], w[:, :d_z1], w[:, d_z1:dz])
+
+    @property
+    def n(self) -> int:
+        return self.y2.shape[0]
+
+    def dataset(self) -> Dataset:
+        return Dataset(*self)
+
+
+def csv_blocks(path, roles: dict[str, str], add_intercept: bool = False) -> Blocks:
+    """The blocks of the W that ``load_csv`` parses from ``path``."""
+    return Blocks.of_w(*_read_w(path, roles, add_intercept))
+
+
+@pytest.fixture(scope="session")
+def f1_blocks(f1_path) -> Blocks:
+    return csv_blocks(f1_path, F1_ROLES, add_intercept=True)
+
+
+def generated_blocks(cfg: DgpConfig, replication_index: int, seed: int) -> Blocks:
+    """The blocks of the W that ``generate_dataset`` factors: its one-replication block."""
+    return Blocks.of_w(_draw_block(cfg, seed, range(replication_index, replication_index + 1))[0], cfg.d_z1, cfg.d_z2)
+
+
 @pytest.fixture(scope="session")
 def f1_expected():
     with open(os.path.join(FIXTURES, "f1_expected.json")) as fh:
@@ -89,6 +127,12 @@ def random_admissible_dataset(rng: np.random.Generator, n=None, d_y1=None, d_z1=
     return generate_dataset(cfg, int(rng.integers(0, 2**31)), int(rng.integers(0, 2**31)))
 
 
+def random_admissible_blocks(rng: np.random.Generator, n=None, d_y1=None, d_z1=None, d_z2=None) -> Blocks:
+    """The blocks of ``random_admissible_dataset`` drawn from the same ``rng`` state."""
+    cfg = random_dgp_config(rng, n, d_y1, d_z1, d_z2)
+    return generated_blocks(cfg, int(rng.integers(0, 2**31)), int(rng.integers(0, 2**31)))
+
+
 # Strong first stages: configs and seeds where the OLS and 2SLS fits nearly
 # coincide, so their coefficient gap is a difference of two fits.
 STRONG_FIRST_STAGE = {
@@ -113,8 +157,8 @@ STRONG_FIRST_STAGE = {
 
 # Reference versions of the Monte Carlo: one replication at a time.
 
-def reference_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Dataset:
-    """One dataset drawn as three separate normal blocks (z, then v, then u)."""
+def reference_blocks(cfg: DgpConfig, replication_index: int, seed: int) -> Blocks:
+    """One dataset's blocks drawn as three separate normal blocks (z, then v, then u)."""
     rng = np.random.Generator(np.random.PCG64(_substream_seed(seed, replication_index)))
 
     def standard_normal(shape):
@@ -129,7 +173,7 @@ def reference_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Data
     y1 = z2 @ np.full((cfg.d_z2, cfg.d_y1), cfg.pi2_strength) + v
     eps = v @ np.asarray(cfg.rho) + u
     y2 = y1 @ np.asarray(cfg.beta) + z1 @ np.asarray(cfg.gamma) + eps
-    return Dataset(y2=y2, y1=y1, z1=z1, z2=z2)
+    return Blocks(y2, y1, z1, z2)
 
 
 def reference_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> dict:
@@ -173,9 +217,9 @@ def annihilate(a, y) -> np.ndarray:
     return y - project(a, y)
 
 
-def design_matrices(ds: Dataset) -> SimpleNamespace:
-    """X = [Y1 | Z1] and Z = [Z1 | Z2] stacked from the blocks of ``ds``."""
-    return SimpleNamespace(x=np.hstack([ds.y1, ds.z1]), z=np.hstack([ds.z1, ds.z2]))
+def design_matrices(b: Blocks) -> SimpleNamespace:
+    """X = [Y1 | Z1] and Z = [Z1 | Z2] stacked from the blocks ``b``."""
+    return SimpleNamespace(x=np.hstack([b.y1, b.z1]), z=np.hstack([b.z1, b.z2]))
 
 
 def first_stage(ds: Dataset) -> np.ndarray:
@@ -185,9 +229,10 @@ def first_stage(ds: Dataset) -> np.ndarray:
     return solve_least_squares(z, pzx[:, :ds.d_y1])
 
 
-def reference_load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Dataset:
-    """The per-column reader that ``load_csv`` replaced, kept as its reference:
-    one float list per column, stacked per role, the intercept prepended."""
+def reference_read_w(path, roles: dict[str, str], add_intercept: bool = False) -> tuple[np.ndarray, int, int]:
+    """The per-column reader that ``load_csv``'s parse step replaced, kept as its
+    reference: one float list per column, stacked per role into
+    W = [Z1 | Z2 | Y1 | y2], the intercept prepended; W, d_z1 and d_z2."""
     outcomes = [c for c, r in roles.items() if r == "outcome"]
     if len(outcomes) != 1:
         raise RoleConflict(f"expected exactly one outcome column, got {len(outcomes)}")
@@ -231,4 +276,6 @@ def reference_load_csv(path, roles: dict[str, str], add_intercept: bool = False)
     z1 = block("included_exogenous")
     if add_intercept:
         z1 = np.hstack([np.ones((n, 1)), z1])
-    return Dataset(y2=np.asarray(columns[outcomes[0]]), y1=block("endogenous"), z1=z1, z2=block("instrument"))
+    z2 = block("instrument")
+    w = np.hstack([z1, z2, block("endogenous"), np.asarray(columns[outcomes[0]])[:, None]])
+    return w, z1.shape[1], z2.shape[1]

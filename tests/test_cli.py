@@ -159,6 +159,18 @@ class TestCmdTest:
         assert out == ""
         assert err == "endocheck: column 'x' assigned more than one role\n"
 
+    def test_role_column_named_twice_in_the_header_exits_2(self, capsys, tmp_path, f1_path):
+        # The first of the two 'z2' columns was read and the other ignored (exit 0).
+        lines = open(f1_path).read().splitlines()
+        p = tmp_path / "twice.csv"
+        p.write_text("\n".join(f"{line},{line.split(',')[-1]}" for line in lines) + "\n")
+        assert lines[0].split(",")[-1] == "z2"
+        code, out, err = run(capsys, ["test", str(p), "--outcome", "y", "--endog", "x", "--exog", "none",
+                                      "--add-intercept", "--iv", "z1,z2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("endocheck: column 'z2' appears 2 times") and err.count("\n") == 1
+
 
 class TestScaledData:
     @pytest.mark.parametrize("command", ["test", "verify"])
@@ -447,6 +459,9 @@ BAD_INPUTS = {
     "config_sim_not_an_object": lambda tmp: _raw_config_argv(tmp, {"dgp": {"n": 40}, "sim": 3}),
     "config_root_a_list": lambda tmp: _raw_config_argv(tmp, [{"dgp": {"n": 40}, "sim": {}}]),
     "config_rho_grid_empty": lambda tmp: _config_argv(tmp, rho_grid=[]),
+    "config_schema_version_bool": lambda tmp: _config_argv(tmp, schema_version=True),
+    "config_schema_version_float": lambda tmp: _config_argv(tmp, schema_version=1.0),
+    "config_schema_version_string": lambda tmp: _config_argv(tmp, schema_version="1"),
     # 2**61 rows are past the address space: the allocation fails before
     # any memory is touched.
     "random_n_beyond_address_space": lambda tmp: ["verify", "--random", f"n={2**61}"],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from endocheck import (
 from endocheck.data import DataError, EmptyFile, InvalidDataset, MissingColumn, NonNumericCell, RoleConflict
 from endocheck.linalg import spd_solve
 
-from conftest import design_matrices, random_admissible_dataset
+from conftest import F1_ROLES, csv_blocks, design_matrices, random_admissible_blocks, random_admissible_dataset
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -30,10 +32,12 @@ SMALL = "y,x,z\n1,2,3\n4,5,6\n2,1,0\n3,3,1\n"
 class TestLoadCsv:
     def test_roles_grouped(self, tmp_path):
         p = write(tmp_path, SMALL)
-        ds = load_csv(p, {"y": "outcome", "x": "endogenous", "z": "instrument"}, add_intercept=True)
+        roles = {"y": "outcome", "x": "endogenous", "z": "instrument"}
+        ds = load_csv(p, roles, add_intercept=True)
         assert (ds.n, ds.d_y1, ds.d_z1, ds.d_z2) == (4, 1, 1, 1)
-        np.testing.assert_allclose(ds.z1[:, 0], 1.0)
-        np.testing.assert_allclose(ds.y2, [1, 4, 2, 3])
+        b = csv_blocks(p, roles, add_intercept=True)
+        np.testing.assert_allclose(b.z1[:, 0], 1.0)
+        np.testing.assert_allclose(b.y2, [1, 4, 2, 3])
 
     def test_blank_cell(self, tmp_path):
         p = write(tmp_path, "y,x,z\n1,,3\n4,5,6\n2,1,0\n3,3,1\n")
@@ -67,14 +71,25 @@ class TestLoadCsv:
         with pytest.raises(RoleConflict):
             load_csv(p, {"y": "outcome", "x": "outcome", "z": "instrument"})
 
+    def test_role_column_named_twice_rejected(self, tmp_path):
+        # The first of the two 'z' columns was read and the second ignored.
+        roles = {"y": "outcome", "x": "endogenous", "z": "instrument"}
+        p = write(tmp_path, "y,x,z,z\n1,2,3,0\n4,5,6,1\n2,1,0,2\n3,3,1,5\n")
+        with pytest.raises(DataError, match="column 'z' appears 2 times"):
+            load_csv(p, roles, add_intercept=True)
+        # A column without a role may repeat: it is not read.
+        p = write(tmp_path, "y,x,z,e,e\n1,2,3,7,8\n4,5,6,7,8\n2,1,0,7,8\n3,3,1,7,8\n", "extra.csv")
+        expected = load_csv(write(tmp_path, SMALL, "small.csv"), roles, add_intercept=True)
+        np.testing.assert_array_equal(load_csv(p, roles, add_intercept=True).r, expected.r)
+
     def test_blank_lines_are_skipped(self, tmp_path):
         roles = {"y": "outcome", "x": "endogenous", "z": "instrument"}
         lines = SMALL.splitlines(keepends=True)
         padded = "".join([lines[0], "\n", lines[1], "   \n", lines[2], "\t\n", *lines[3:], "\n"])
-        expected = load_csv(write(tmp_path, SMALL), roles, add_intercept=True)
-        ds = load_csv(write(tmp_path, padded, "padded.csv"), roles, add_intercept=True)
+        expected = csv_blocks(write(tmp_path, SMALL), roles, add_intercept=True)
+        b = csv_blocks(write(tmp_path, padded, "padded.csv"), roles, add_intercept=True)
         for name in ("y2", "y1", "z1", "z2"):
-            np.testing.assert_array_equal(getattr(ds, name), getattr(expected, name))
+            np.testing.assert_array_equal(getattr(b, name), getattr(expected, name))
 
     def test_f1_shape(self, f1_dataset):
         ds = f1_dataset
@@ -85,9 +100,10 @@ class TestDatasetInvariants:
     def test_one_dimensional_endogenous_block(self):
         rng = np.random.default_rng(2)
         y1 = rng.standard_normal(10)
-        ds = Dataset(y2=rng.standard_normal(10), y1=y1, z1=np.ones(10), z2=rng.standard_normal((10, 2)))
-        assert ds.y1.shape == (10, 1)
-        np.testing.assert_array_equal(ds.y1[:, 0], y1)
+        y2, z2 = rng.standard_normal(10), rng.standard_normal((10, 2))
+        ds = Dataset(y2=y2, y1=y1, z1=np.ones(10), z2=z2)
+        assert ds.d_y1 == 1
+        np.testing.assert_array_equal(ds.r, Dataset(y2=y2, y1=y1[:, None], z1=np.ones((10, 1)), z2=z2).r)
 
     @pytest.mark.parametrize("block", ["y1", "z1", "z2"])
     def test_mismatched_row_counts(self, block):
@@ -152,11 +168,60 @@ class TestFactor:
         with pytest.raises(RankDeficient):
             compute_statistics(ds)
 
-    def test_blocks_are_read_only(self):
-        ds = random_admissible_dataset(np.random.default_rng(14), n=50)
-        for block in (ds.y2, ds.y1, ds.z1, ds.z2):
-            with pytest.raises(ValueError):
-                block[0] = 0.0
+    def test_no_n_row_array_is_kept(self, f1_dataset):
+        # R and the designs built from it have at most p rows; the data are dropped.
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+                yield from arrays(value.base)
+            elif isinstance(value, (tuple, list)):
+                for v in value:
+                    yield from arrays(v)
+
+        rng = np.random.default_rng(14)
+        for ds in (random_admissible_blocks(rng, n=50).dataset(), random_admissible_dataset(rng, n=50), f1_dataset):
+            validate(ds)  # fills the cached designs
+            found = [a for value in vars(ds).values() for a in arrays(value)]
+            assert len(found) > 1
+            assert all(a.ndim == 0 or a.shape[0] <= ds.r.shape[0] for a in found)
+
+    def test_dataset_is_a_snapshot_of_its_inputs(self):
+        # The factor was lazy, so a write after construction reached it.
+        rng = np.random.default_rng(1)
+        n = 50
+        z1, z2 = np.ones((n, 1)), rng.standard_normal((n, 2))
+        v = rng.standard_normal(n)
+        y1 = z2.sum(axis=1) + v
+        y2 = y1 + 0.5 * v + rng.standard_normal(n)
+        w = np.column_stack([z1, z2, y1, y2])
+        expected = vars(compute_statistics(Dataset(y2=y2.copy(), y1=y1, z1=z1, z2=z2)))
+        datasets = Dataset(y2=y2, y1=y1, z1=z1, z2=z2), Dataset.from_w(w, 1, 2)
+        y2[:5] += 3.0
+        w[:5, -1] += 3.0
+        for ds in datasets:
+            np.testing.assert_equal(vars(compute_statistics(ds)), expected)
+
+    def test_memory_of_a_csv_dataset(self, tmp_path):
+        # W = n p 8 bytes. The blocks kept W alive after load_csv, and the
+        # factor stacked a second W and copied it again.
+        n, rng = 200_000, np.random.default_rng(5)
+        z, v = rng.standard_normal((n, 2)), rng.standard_normal(n)
+        x = z.sum(axis=1) + v
+        path = tmp_path / "tall.csv"
+        np.savetxt(path, np.column_stack([x + 0.5 * v + rng.standard_normal(n), x, z]), fmt="%.17g",
+                   delimiter=",", header="y,x,z1,z2", comments="")
+        w_bytes = n * 5 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ds = load_csv(path, F1_ROLES, add_intercept=True)
+            held = tracemalloc.get_traced_memory()[0] - base
+            compute_statistics(ds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert held < 0.1 * w_bytes
+        assert peak <= 2.5 * w_bytes
 
     def test_cached_factor_and_designs_are_read_only(self):
         # A write into the cache would silently move every later statistic.
@@ -178,19 +243,20 @@ class TestValidate:
         assert all(np.isfinite(c) for c in report.condition_estimates)
 
     @pytest.mark.parametrize("which", ["f1", "random"])
-    def test_condition_numbers_are_2_norm(self, which, f1_dataset):
+    def test_condition_numbers_are_2_norm(self, which, f1_dataset, f1_blocks):
         from conftest import annihilate, project
 
-        ds = f1_dataset if which == "f1" else random_admissible_dataset(np.random.default_rng(15), d_y1=2)
-        dm = design_matrices(ds)
-        designs = (dm.x, project(dm.z, dm.x), np.hstack([dm.x, annihilate(dm.z, ds.y1)]))
+        b = f1_blocks if which == "f1" else random_admissible_blocks(np.random.default_rng(15), d_y1=2)
+        ds = f1_dataset if which == "f1" else b.dataset()
+        dm = design_matrices(b)
+        designs = (dm.x, project(dm.z, dm.x), np.hstack([dm.x, annihilate(dm.z, b.y1)]))
         expected = [np.linalg.cond(a) for a in designs]
         assert validate(ds).condition_estimates == pytest.approx(expected, rel=1e-8)
 
     def test_duplicated_instrument_reported(self):
         rng = np.random.default_rng(2)
-        ds0 = random_admissible_dataset(rng, n=50, d_y1=1, d_z1=1, d_z2=2)
-        ds = Dataset(y2=ds0.y2, y1=ds0.y1, z1=ds0.z1, z2=np.hstack([ds0.z1, ds0.z2[:, :1]]))
+        b = random_admissible_blocks(rng, n=50, d_y1=1, d_z1=1, d_z2=2)
+        ds = Dataset(y2=b.y2, y1=b.y1, z1=b.z1, z2=np.hstack([b.z1, b.z2[:, :1]]))
         report = validate(ds)
         assert any("Z" in m for m in report.messages)
 
@@ -215,16 +281,16 @@ class TestValidate:
 
         rng = np.random.default_rng(4)
         for _ in range(20):
-            ds = random_admissible_dataset(rng, n=int(rng.integers(30, 120)))
-            dm = design_matrices(ds)
-            m1 = annihilate(ds.z1, ds.y1)
+            b = random_admissible_blocks(rng, n=int(rng.integers(30, 120)))
+            dm = design_matrices(b)
+            m1 = annihilate(b.z1, b.y1)
             gram_ols = m1.T @ m1
-            m2 = annihilate(ds.z1, project(dm.z, ds.y1))
+            m2 = annihilate(b.z1, project(dm.z, b.y1))
             gram_2sls = m2.T @ m2
-            mz = annihilate(dm.z, ds.y1)
+            mz = annihilate(dm.z, b.y1)
             gram_mz = mz.T @ mz
             np.testing.assert_allclose(gram_ols - gram_2sls, gram_mz, rtol=1e-8, atol=1e-10)
-            k = ds.d_y1
+            k = b.y1.shape[1]
             inv_diff = np.linalg.inv(gram_2sls) - np.linalg.inv(gram_ols)
             spd_solve(0.5 * (inv_diff + inv_diff.T), np.eye(k))
             spd_solve(gram_mz, np.eye(k))

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -23,22 +21,34 @@ from endocheck import (
 from endocheck import linalg
 from endocheck.cli import _random_dataset
 
-from conftest import STRONG_FIRST_STAGE, annihilate, design_matrices, project, random_admissible_dataset
-from test_estimators import exact_fit_dataset
+from conftest import (
+    STRONG_FIRST_STAGE, Blocks, annihilate, design_matrices, generated_blocks, project, random_admissible_blocks,
+    random_admissible_dataset,
+)
+from test_estimators import exact_fit_blocks
+
+
+def _random_blocks(c: float) -> Blocks:
+    """The data of ``verify --random n=60 d_y1=2 d_z2=3 c=<c> seed=1``."""
+    tokens = ["n=60", "d_y1=2", "d_z2=3", f"c={c:g}", "seed=1"]
+    cfg = DgpConfig(n=60, d_y1=2, d_z2=3, beta=(1.0, 1.0), pi2_strength=c, rho=(0.5, 0.5))
+    b = generated_blocks(cfg, 0, 1)
+    np.testing.assert_array_equal(b.dataset().r, _random_dataset(tokens).r)
+    return b
 
 
 ILL_CONDITIONED_DRAWS = {
     # Just identified with a weak first stage: the 2SLS gram has cond ~1.5e9.
-    "weak": lambda: generate_dataset(
+    "weak": lambda: generated_blocks(
         DgpConfig(n=30, d_y1=2, d_z1=2, d_z2=2, beta=(1.0, 1.0), gamma=(1.0, 1.0),
                   pi2_strength=1.125, rho=(0.0, 0.0)),
         29, 31,
     ),
     # A strong first stage: gram_2sls ~ gram_ols, so their inverses nearly cancel in W.
-    "strong": lambda: _random_dataset(["n=60", "d_y1=2", "d_z2=3", "c=1000", "seed=1"]),
+    "strong": lambda: _random_blocks(1000.0),
     # A rank-one pi2 identified by noise only: the 2SLS gram has cond ~2.9e11,
     # past what a formed gram resolves.
-    "rank_one": lambda: generate_dataset(
+    "rank_one": lambda: generated_blocks(
         DgpConfig(n=334, d_y1=2, d_z1=1, d_z2=2, beta=(1.0, 1.0), gamma=(1.0,),
                   pi2_strength=1.439375351085026,
                   rho=(-0.25934038458711484, -2.4286149700989267e-149)),
@@ -47,22 +57,22 @@ ILL_CONDITIONED_DRAWS = {
 }
 
 
-def grams(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+def grams(b: Blocks) -> tuple[np.ndarray, np.ndarray]:
     """(gram_2sls, gram_ols) = (Y1_hat' M_Z1 Y1_hat, Y1' M_Z1 Y1) from the n-row data."""
-    a2 = annihilate(ds.z1, project(design_matrices(ds).z, ds.y1))
-    a1 = annihilate(ds.z1, ds.y1)
+    a2 = annihilate(b.z1, project(design_matrices(b).z, b.y1))
+    a1 = annihilate(b.z1, b.y1)
     return a2.T @ a2, a1.T @ a1
 
 
-def _near_exact_fit() -> Dataset:
+def _near_exact_fit() -> Blocks:
     dgp, seed = STRONG_FIRST_STAGE["strong_first_stage_near_exact_fit"]
-    return generate_dataset(dgp, 42, seed)
+    return generated_blocks(dgp, 42, seed)
 
 
 # Strong first stages, where the OLS and 2SLS fits nearly coincide.
 STRONG_FIRST_STAGE_DRAWS = {
     "near_exact_fit": _near_exact_fit,
-    "c_10000": lambda: _random_dataset(["n=60", "d_y1=2", "d_z2=3", "c=10000", "seed=1"]),
+    "c_10000": lambda: _random_blocks(10000.0),
 }
 
 
@@ -92,9 +102,9 @@ class TestHausmanStatistic:
         pytest.importorskip("mpmath")
         import oracle
 
-        ds = ILL_CONDITIONED_DRAWS[draw]()
-        expected = oracle.compute(ds.y2, ds.y1, ds.z1, ds.z2)
-        stats = compute_statistics(ds)
+        b = ILL_CONDITIONED_DRAWS[draw]()
+        expected = oracle.compute(*b)
+        stats = compute_statistics(b.dataset())
         for name in ("t_h1", "t_h2", "t_h3"):
             assert getattr(stats, name) == pytest.approx(expected[name], rel=1e-7)
 
@@ -107,9 +117,9 @@ class TestHausmanStatistic:
         pytest.importorskip("mpmath")
         import oracle
 
-        ds = STRONG_FIRST_STAGE_DRAWS[draw]()
-        expected = oracle.compute(ds.y2, ds.y1, ds.z1, ds.z2)
-        stats = compute_statistics(ds)
+        b = STRONG_FIRST_STAGE_DRAWS[draw]()
+        expected = oracle.compute(*b)
+        stats = compute_statistics(b.dataset())
         for name in ("t_h1", "t_h2", "t_cf"):
             assert getattr(stats, name) == pytest.approx(expected[name], rel=1e-7), name
 
@@ -148,23 +158,14 @@ class TestHausmanStatistic:
             assert len(calls) == expected, run.__name__
             assert all(rows <= ds.r.shape[0] for rows, _ in calls)
 
-    def test_statistics_read_only_the_factor(self):
-        ds = random_admissible_dataset(np.random.default_rng(11), n=80, d_y1=2)
-        runs = (compute_statistics, verify_identities, validate)
-        before = [dataclasses.asdict(run(ds)) for run in runs]  # caches ds.r
-        for name in ("y2", "y1", "z1", "z2"):
-            object.__setattr__(ds, name, np.full_like(getattr(ds, name), np.nan))
-        for run, expected in zip(runs, before):
-            np.testing.assert_equal(dataclasses.asdict(run(ds)), expected)
-
 
 class TestDataScale:
     @staticmethod
     def scaled(design_scale: float, outcome_scale: float | None = None) -> Dataset:
-        ds = generate_dataset(DgpConfig(n=40, d_y1=2, d_z2=3, beta=(1.0, 1.0), rho=(0.5, 0.3)), 0, 1)
+        b = generated_blocks(DgpConfig(n=40, d_y1=2, d_z2=3, beta=(1.0, 1.0), rho=(0.5, 0.3)), 0, 1)
         outcome_scale = design_scale if outcome_scale is None else outcome_scale
-        return Dataset(y2=outcome_scale * ds.y2, y1=design_scale * ds.y1, z1=design_scale * ds.z1,
-                       z2=design_scale * ds.z2)
+        return Dataset(y2=outcome_scale * b.y2, y1=design_scale * b.y1, z1=design_scale * b.z1,
+                       z2=design_scale * b.z2)
 
     @pytest.mark.parametrize("scale", [1e100, 1e150])
     def test_statistics_invariant_to_data_scale(self, scale):
@@ -184,20 +185,21 @@ class TestCfStatistic:
 
     def test_zero_rho_gives_zero(self):
         rng = np.random.default_rng(0)
-        ds0, theta0 = exact_fit_dataset(rng)
-        dm = design_matrices(ds0)
-        v_hat = annihilate(dm.z, ds0.y1)
-        remainder = annihilate(np.hstack([dm.x, v_hat]), rng.standard_normal(ds0.n))
-        ds = Dataset(y2=dm.x @ theta0 + remainder, y1=ds0.y1, z1=ds0.z1, z2=ds0.z2)
+        b0, theta0 = exact_fit_blocks(rng)
+        dm = design_matrices(b0)
+        v_hat = annihilate(dm.z, b0.y1)
+        remainder = annihilate(np.hstack([dm.x, v_hat]), rng.standard_normal(b0.n))
+        ds = Dataset(y2=dm.x @ theta0 + remainder, y1=b0.y1, z1=b0.z1, z2=b0.z2)
         assert compute_statistics(ds).t_cf == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_hausman_form(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            ds = random_admissible_dataset(rng, n=int(rng.integers(30, 100)))
+            b = random_admissible_blocks(rng, n=int(rng.integers(30, 100)))
+            ds = b.dataset()
             stats = compute_statistics(ds)
             sigma2_u = fit_cf(ds).sigma2_u
-            gram_2sls, gram_ols = grams(ds)
+            gram_2sls, gram_ols = grams(b)
             alt = hausman_statistic(
                 stats.beta_gap, np.linalg.cholesky(gram_2sls).T, np.linalg.cholesky(gram_ols).T,
                 sigma2_u, sigma2_u,
@@ -213,9 +215,9 @@ class TestHn:
 
 class TestRunAllTests:
     def test_exact_fit_degenerate(self):
-        ds, _ = exact_fit_dataset(np.random.default_rng(2))
+        b, _ = exact_fit_blocks(np.random.default_rng(2))
         with pytest.raises(DegenerateVariance):
-            run_all_tests(ds)
+            run_all_tests(b.dataset())
 
     def test_f1_oracle(self, f1_dataset, f1_expected):
         report = run_all_tests(f1_dataset)
@@ -267,15 +269,15 @@ class TestVerifyIdentities:
 
     def test_rank_one_draw_within_gate(self):
         # A formed 2SLS gram put this draw's Hausman routes 3.2e-7 apart.
-        assert verify_identities(ILL_CONDITIONED_DRAWS["rank_one"]()).max_gap() < 1e-7
+        assert verify_identities(ILL_CONDITIONED_DRAWS["rank_one"]().dataset()).max_gap() < 1e-7
 
     def test_zero_rho_weak_ordering(self):
         rng = np.random.default_rng(5)
-        ds0, theta0 = exact_fit_dataset(rng)
-        dm = design_matrices(ds0)
-        v_hat = annihilate(dm.z, ds0.y1)
-        remainder = annihilate(np.hstack([dm.x, v_hat]), rng.standard_normal(ds0.n))
-        ds = Dataset(y2=dm.x @ theta0 + remainder, y1=ds0.y1, z1=ds0.z1, z2=ds0.z2)
+        b0, theta0 = exact_fit_blocks(rng)
+        dm = design_matrices(b0)
+        v_hat = annihilate(dm.z, b0.y1)
+        remainder = annihilate(np.hstack([dm.x, v_hat]), rng.standard_normal(b0.n))
+        ds = Dataset(y2=dm.x @ theta0 + remainder, y1=b0.y1, z1=b0.z1, z2=b0.z2)
         report = verify_identities(ds)
         assert report.max_gap() < 1e-8
         assert report.ordering_ok
@@ -289,13 +291,13 @@ class TestVerifyIdentities:
         # ordering is checked up to the slack instead of strictly.
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            ds0, theta0 = exact_fit_dataset(rng)
-            dm = design_matrices(ds0)
-            v_hat = annihilate(dm.z, ds0.y1)
-            remainder = annihilate(np.hstack([dm.x, v_hat]), rng.standard_normal(ds0.n))
+            b0, theta0 = exact_fit_blocks(rng)
+            dm = design_matrices(b0)
+            v_hat = annihilate(dm.z, b0.y1)
+            remainder = annihilate(np.hstack([dm.x, v_hat]), rng.standard_normal(b0.n))
             for delta in (1e-8, 1e-7, 1e-6):
                 y2 = dm.x @ theta0 + remainder + delta * v_hat[:, 0]
-                report = verify_identities(Dataset(y2=y2, y1=ds0.y1, z1=ds0.z1, z2=ds0.z2))
+                report = verify_identities(Dataset(y2=y2, y1=b0.y1, z1=b0.z1, z2=b0.z2))
                 assert report.max_gap() < 1e-8
                 assert report.ordering_ok
 
@@ -327,8 +329,9 @@ class TestVerifyIdentities:
 
         rng = np.random.default_rng(8)
         for _ in range(30):
-            ds = random_admissible_dataset(rng)
-            gram_2sls, gram_ols = grams(ds)
+            b = random_admissible_blocks(rng)
+            ds = b.dataset()
+            gram_2sls, gram_ols = grams(b)
             k = ds.d_y1
             w = fit_tsls(ds).sigma2 * np.linalg.inv(gram_2sls) - fit_ols(ds).sigma2 * np.linalg.inv(gram_ols)
             spd_solve(0.5 * (w + w.T), np.eye(k))
@@ -336,12 +339,12 @@ class TestVerifyIdentities:
     def test_invariance_under_instrument_reparameterization(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            ds = random_admissible_dataset(rng, n=60, d_y1=2, d_z1=1, d_z2=3)
-            t = compute_statistics(ds).by_name()
+            b = random_admissible_blocks(rng, n=60, d_y1=2, d_z1=1, d_z2=3)
+            t = compute_statistics(b.dataset()).by_name()
             g = rng.standard_normal((3, 3))
             while abs(np.linalg.det(g)) < 0.1:
                 g = rng.standard_normal((3, 3))
-            ds2 = Dataset(y2=ds.y2, y1=ds.y1, z1=ds.z1, z2=ds.z2 @ g)
+            ds2 = Dataset(y2=b.y2, y1=b.y1, z1=b.z1, z2=b.z2 @ g)
             t2 = compute_statistics(ds2).by_name()
             for name in t:
                 assert t2[name] == pytest.approx(t[name], rel=1e-8)

@@ -15,22 +15,24 @@ from endocheck import linalg
 from endocheck.data import InvalidDataset, designs
 
 from conftest import (
-    SCALED_ROLES, annihilate, design_matrices, first_stage, project, random_admissible_dataset, scaled_csv,
+    SCALED_ROLES, Blocks, annihilate, design_matrices, first_stage, project, random_admissible_blocks,
+    random_admissible_dataset, scaled_csv,
 )
 
 
-def exact_fit_dataset(rng, n=40):
+def exact_fit_blocks(rng, n=40):
     z1 = np.column_stack([np.ones(n), rng.standard_normal(n)])
     z2 = rng.standard_normal((n, 2))
     y1 = (z2 @ np.array([1.0, -0.5]) + rng.standard_normal(n))[:, None]
     theta0 = np.array([1.0, 2.0, -1.0])
     x = np.hstack([y1, z1])
-    return Dataset(y2=x @ theta0, y1=y1, z1=z1, z2=z2), theta0
+    return Blocks(x @ theta0, y1, z1, z2), theta0
 
 
 class TestOls:
     def test_exact_fit(self):
-        ds, theta0 = exact_fit_dataset(np.random.default_rng(0))
+        b, theta0 = exact_fit_blocks(np.random.default_rng(0))
+        ds = b.dataset()
         fit = fit_ols(ds)
         np.testing.assert_allclose(fit.theta_hat, theta0, rtol=1e-10)
         assert fit.sigma2 == pytest.approx(0.0, abs=1e-24)
@@ -45,10 +47,10 @@ class TestOls:
         # beta from the full regression equals the residualized-design formula
         rng = np.random.default_rng(1)
         for _ in range(10):
-            ds = random_admissible_dataset(rng, n=80)
-            fit = fit_ols(ds)
-            m1y1 = annihilate(ds.z1, ds.y1)
-            beta = np.linalg.solve(m1y1.T @ m1y1, m1y1.T @ annihilate(ds.z1, ds.y2))
+            b = random_admissible_blocks(rng, n=80)
+            fit = fit_ols(b.dataset())
+            m1y1 = annihilate(b.z1, b.y1)
+            beta = np.linalg.solve(m1y1.T @ m1y1, m1y1.T @ annihilate(b.z1, b.y2))
             np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-8)
 
 
@@ -67,8 +69,8 @@ class TestOls:
 
 class TestTsls:
     def test_exact_structural_fit(self):
-        ds, theta0 = exact_fit_dataset(np.random.default_rng(2))
-        fit = fit_tsls(ds)
+        b, theta0 = exact_fit_blocks(np.random.default_rng(2))
+        fit = fit_tsls(b.dataset())
         np.testing.assert_allclose(fit.theta_hat, theta0, rtol=1e-8)
         assert fit.sigma2 == pytest.approx(0.0, abs=1e-20)
 
@@ -80,27 +82,27 @@ class TestTsls:
     def test_beta_projection_difference_form(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            ds = random_admissible_dataset(rng, n=80)
-            dm = design_matrices(ds)
-            fit = fit_tsls(ds)
-            d = project(dm.z, ds.y1) - project(ds.z1, ds.y1)  # (P_Z - P_Z1) Y1
-            beta = np.linalg.solve(d.T @ ds.y1, d.T @ ds.y2)
+            b = random_admissible_blocks(rng, n=80)
+            dm = design_matrices(b)
+            fit = fit_tsls(b.dataset())
+            d = project(dm.z, b.y1) - project(b.z1, b.y1)  # (P_Z - P_Z1) Y1
+            beta = np.linalg.solve(d.T @ b.y1, d.T @ b.y2)
             np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-8)
 
     def test_collinear_instruments_raise(self):
         rng = np.random.default_rng(13)
-        ds0 = random_admissible_dataset(rng, n=50, d_y1=1, d_z1=1, d_z2=2)
-        ds = Dataset(y2=ds0.y2, y1=ds0.y1, z1=ds0.z1, z2=np.hstack([ds0.z2[:, :1], 2.0 * ds0.z2[:, :1]]))
+        b = random_admissible_blocks(rng, n=50, d_y1=1, d_z1=1, d_z2=2)
+        ds = Dataset(y2=b.y2, y1=b.y1, z1=b.z1, z2=np.hstack([b.z2[:, :1], 2.0 * b.z2[:, :1]]))
         with pytest.raises(RankDeficient):
             fit_tsls(ds)
 
     def test_residuals_against_original_design(self):
         rng = np.random.default_rng(4)
-        ds = random_admissible_dataset(rng, n=60)
-        dm = design_matrices(ds)
-        fit = fit_tsls(ds)
-        resid = ds.y2 - dm.x @ fit.theta_hat
-        assert fit.sigma2 == pytest.approx(resid @ resid / ds.n, rel=1e-12)
+        b = random_admissible_blocks(rng, n=60)
+        dm = design_matrices(b)
+        fit = fit_tsls(b.dataset())
+        resid = b.y2 - dm.x @ fit.theta_hat
+        assert fit.sigma2 == pytest.approx(resid @ resid / b.n, rel=1e-12)
 
 
 class TestReducedForm:
@@ -111,10 +113,10 @@ class TestReducedForm:
         z2 = rng.standard_normal((n, 2))
         pi0 = np.array([[0.5], [1.0], [-1.0]])
         y1 = np.hstack([z1, z2]) @ pi0
-        ds = Dataset(y2=rng.standard_normal(n), y1=y1, z1=z1, z2=z2)
-        pi_hat = first_stage(ds)
+        b = Blocks(rng.standard_normal(n), y1, z1, z2)
+        pi_hat = first_stage(b.dataset())
         np.testing.assert_allclose(pi_hat, pi0, rtol=1e-10)
-        assert np.abs(ds.y1 - design_matrices(ds).z @ pi_hat).max() < 1e-12
+        assert np.abs(b.y1 - design_matrices(b).z @ pi_hat).max() < 1e-12
 
     def test_f1_oracle(self, f1_dataset, f1_expected):
         np.testing.assert_allclose(first_stage(f1_dataset)[:, 0], f1_expected["pi_hat"], rtol=1e-10)
@@ -122,23 +124,23 @@ class TestReducedForm:
     def test_residuals_orthogonal_to_instruments(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            ds = random_admissible_dataset(rng, n=int(rng.integers(30, 80)))
-            dm = design_matrices(ds)
-            v_hat = ds.y1 - dm.z @ first_stage(ds)
-            bound = 1e-10 * np.linalg.norm(dm.z) * np.linalg.norm(ds.y1)
+            b = random_admissible_blocks(rng, n=int(rng.integers(30, 80)))
+            dm = design_matrices(b)
+            v_hat = b.y1 - dm.z @ first_stage(b.dataset())
+            bound = 1e-10 * np.linalg.norm(dm.z) * np.linalg.norm(b.y1)
             assert np.abs(dm.z.T @ v_hat).max() <= bound
 
 
 class TestCf:
     def test_constructed_orthogonal_residual(self):
         rng = np.random.default_rng(7)
-        ds0, theta0 = exact_fit_dataset(rng)
-        dm = design_matrices(ds0)
-        v_hat = annihilate(dm.z, ds0.y1)
-        w = rng.standard_normal(ds0.n)
+        b0, theta0 = exact_fit_blocks(rng)
+        dm = design_matrices(b0)
+        v_hat = annihilate(dm.z, b0.y1)
+        w = rng.standard_normal(b0.n)
         remainder = annihilate(np.hstack([dm.x, v_hat]), w)
         assert np.linalg.norm(remainder) > 1e-6
-        ds = Dataset(y2=dm.x @ theta0 + remainder, y1=ds0.y1, z1=ds0.z1, z2=ds0.z2)
+        ds = Dataset(y2=dm.x @ theta0 + remainder, y1=b0.y1, z1=b0.z1, z2=b0.z2)
         cf = fit_cf(ds)
         np.testing.assert_allclose(cf.theta_cf, theta0, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(cf.rho_cf, 0.0, atol=1e-10)
@@ -152,23 +154,25 @@ class TestCf:
 
     def test_normal_equations(self):
         rng = np.random.default_rng(8)
-        ds = random_admissible_dataset(rng, n=70)
-        dm = design_matrices(ds)
+        b = random_admissible_blocks(rng, n=70)
+        ds = b.dataset()
+        dm = design_matrices(b)
         cf = fit_cf(ds)
-        design = np.hstack([dm.x, ds.y1 - dm.z @ first_stage(ds)])
-        u_hat = ds.y2 - design @ np.concatenate([cf.theta_cf, cf.rho_cf])
-        bound = 1e-10 * np.linalg.norm(design) * np.linalg.norm(ds.y2)
+        design = np.hstack([dm.x, b.y1 - dm.z @ first_stage(ds)])
+        u_hat = b.y2 - design @ np.concatenate([cf.theta_cf, cf.rho_cf])
+        bound = 1e-10 * np.linalg.norm(design) * np.linalg.norm(b.y2)
         assert np.abs(design.T @ u_hat).max() <= bound
 
     def test_rho_closed_form(self):
         # rho equals a fixed linear transform of the OLS/2SLS beta gap
         rng = np.random.default_rng(9)
         for _ in range(10):
-            ds = random_admissible_dataset(rng, n=90)
+            b = random_admissible_blocks(rng, n=90)
+            ds = b.dataset()
             cf = fit_cf(ds)
             gap = fit_ols(ds).beta_hat - fit_tsls(ds).beta_hat
-            m1 = annihilate(ds.z1, ds.y1)
-            v_hat = ds.y1 - design_matrices(ds).z @ first_stage(ds)
+            m1 = annihilate(b.z1, b.y1)
+            v_hat = b.y1 - design_matrices(b).z @ first_stage(ds)
             closed = np.linalg.solve(v_hat.T @ v_hat, (m1.T @ m1) @ gap)
             np.testing.assert_allclose(cf.rho_cf, closed, rtol=1e-8, atol=1e-12)
 
@@ -183,10 +187,11 @@ class TestCrossEstimatorIdentities:
     def test_theta_gap_linear_in_beta_gap(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            ds = random_admissible_dataset(rng, n=60)
+            b = random_admissible_blocks(rng, n=60)
+            ds = b.dataset()
             ols, tsls = fit_ols(ds), fit_tsls(ds)
             gap = ols.beta_hat - tsls.beta_hat
-            z1y1 = np.linalg.solve(ds.z1.T @ ds.z1, ds.z1.T @ ds.y1)
+            z1y1 = np.linalg.solve(b.z1.T @ b.z1, b.z1.T @ b.y1)
             predicted = np.vstack([np.eye(ds.d_y1), -z1y1]) @ gap
             np.testing.assert_allclose(ols.theta_hat - tsls.theta_hat, predicted, rtol=1e-8, atol=1e-12)
 

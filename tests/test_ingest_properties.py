@@ -1,12 +1,12 @@
-"""Property tests of CSV ingest: ``load_csv`` against the per-column
-reference reader of ``conftest``, and the CLI on the same files."""
+"""Property tests of CSV ingest: ``load_csv``'s parse step against the
+per-column reference reader of ``conftest``, and the CLI on the same files."""
 
 from hypothesis import given, settings, strategies as st
 
 from endocheck.cli import main
-from endocheck.data import DataError, load_csv
+from endocheck.data import DataError, Dataset, _read_w
 
-from conftest import reference_load_csv
+from conftest import reference_read_w
 
 _NAMES = ("y", "x", "w", "z1", "z2", "e")
 _ROLE_CHOICES = (None, "endogenous", "included_exogenous", "instrument")
@@ -65,22 +65,24 @@ def _csv_files(draw):
 
 
 def _read(reader, path, roles, add_intercept):
-    """The four blocks as (shape, dtype, bytes), or the error's class and message."""
+    """W as (shape, dtype, bytes) and its widths d_z1 and d_z2, through the
+    Dataset checks of ``load_csv``, or the error's class and message."""
     try:
-        ds = reader(path, roles, add_intercept=add_intercept)
+        w, d_z1, d_z2 = reader(path, roles, add_intercept=add_intercept)
+        Dataset.from_w(w, d_z1, d_z2)
     except DataError as exc:
         return type(exc), str(exc)
-    return [(a.shape, a.dtype.str, a.tobytes()) for a in (ds.y2, ds.y1, ds.z1, ds.z2)]
+    return w.shape, w.dtype.str, w.tobytes(), d_z1, d_z2
 
 
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(case=_csv_files())
 def test_load_csv_matches_the_per_column_reader(tmp_path_factory, case):
-    """Bit-identical blocks, or the same error class with the same message."""
+    """Bit-identical W, or the same error class with the same message."""
     data, roles, add_intercept = case
     path = tmp_path_factory.getbasetemp() / "ingest_property.csv"
     path.write_bytes(data)
-    assert _read(load_csv, path, roles, add_intercept) == _read(reference_load_csv, path, roles, add_intercept)
+    assert _read(_read_w, path, roles, add_intercept) == _read(reference_read_w, path, roles, add_intercept)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -16,6 +16,8 @@ from endocheck.simulation import (
     write_result_json,
 )
 
+from conftest import generated_blocks
+
 
 class TestDgpConfig:
     def test_defaults_match_fixture_shape(self):
@@ -42,40 +44,41 @@ class TestDgpConfig:
 class TestGenerateDataset:
     def test_deterministic(self):
         cfg = DgpConfig(n=50)
-        a = generate_dataset(cfg, 3, 123)
-        b = generate_dataset(cfg, 3, 123)
+        a = generated_blocks(cfg, 3, 123)
+        b = generated_blocks(cfg, 3, 123)
         assert a.y2.tobytes() == b.y2.tobytes()
         assert a.y1.tobytes() == b.y1.tobytes()
         assert a.z1.tobytes() == b.z1.tobytes()
         assert a.z2.tobytes() == b.z2.tobytes()
+        assert generate_dataset(cfg, 3, 123).r.tobytes() == generate_dataset(cfg, 3, 123).r.tobytes()
 
     def test_substreams_differ(self):
         cfg = DgpConfig(n=50)
-        a = generate_dataset(cfg, 0, 123)
-        b = generate_dataset(cfg, 1, 123)
+        a = generated_blocks(cfg, 0, 123)
+        b = generated_blocks(cfg, 1, 123)
         assert not np.array_equal(a.y2, b.y2)
 
     def test_intercept_column(self):
-        ds = generate_dataset(DgpConfig(n=30, intercept=True), 0, 7)
-        np.testing.assert_allclose(ds.z1[:, 0], 1.0)
-        ds2 = generate_dataset(DgpConfig(n=30, intercept=False), 0, 7)
-        assert not np.allclose(ds2.z1[:, 0], 1.0)
+        b = generated_blocks(DgpConfig(n=30, intercept=True), 0, 7)
+        np.testing.assert_allclose(b.z1[:, 0], 1.0)
+        b2 = generated_blocks(DgpConfig(n=30, intercept=False), 0, 7)
+        assert not np.allclose(b2.z1[:, 0], 1.0)
 
     def test_error_correlation_zero_under_null(self):
         cfg = DgpConfig(n=100_000, rho=(0.0,))
-        ds = generate_dataset(cfg, 0, 99)
+        b = generated_blocks(cfg, 0, 99)
         # reconstruct eps and v from the known coefficients
-        v = ds.y1 - ds.z2 @ np.full((2, 1), cfg.pi2_strength)
-        eps = ds.y2 - ds.y1 @ np.array(cfg.beta) - ds.z1 @ np.array(cfg.gamma)
+        v = b.y1 - b.z2 @ np.full((2, 1), cfg.pi2_strength)
+        eps = b.y2 - b.y1 @ np.array(cfg.beta) - b.z1 @ np.array(cfg.gamma)
         corr = np.corrcoef(eps, v[:, 0])[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(cfg.n)
 
     def test_error_correlation_matches_closed_form(self):
         # corr(eps, v) = rho*sigma_v / sqrt(rho^2 sigma_v^2 + sigma_u^2)
         cfg = DgpConfig(n=100_000, rho=(0.5,))
-        ds = generate_dataset(cfg, 0, 42)
-        v = ds.y1 - ds.z2 @ np.full((2, 1), cfg.pi2_strength)
-        eps = ds.y2 - ds.y1 @ np.array(cfg.beta) - ds.z1 @ np.array(cfg.gamma)
+        b = generated_blocks(cfg, 0, 42)
+        v = b.y1 - b.z2 @ np.full((2, 1), cfg.pi2_strength)
+        eps = b.y2 - b.y1 @ np.array(cfg.beta) - b.z1 @ np.array(cfg.gamma)
         corr = np.corrcoef(eps, v[:, 0])[0, 1]
         assert corr == pytest.approx(0.5 / math.sqrt(1.25), abs=4.0 / math.sqrt(cfg.n))
 
