@@ -4,17 +4,22 @@ CSV files are RFC-4180 style: header row required, UTF-8 (a leading
 byte-order mark is skipped), '.' decimal separator. Column roles (outcome /
 endogenous / included exogenous / instrument) are supplied by the caller; an
 intercept is only ever added explicitly via ``add_intercept``. ``load_csv``
-parses each row straight into W = [Z1 | Z2 | Y1 | y2]; a ``Dataset`` keeps only its R.
+reads the data rows into W = [Z1 | Z2 | Y1 | y2] with numpy's C reader, and
+parses them again row by row, with ``csv`` and ``float()``, when that reader
+fails or might read the file differently; a ``Dataset`` keeps only its R.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import warnings
 from array import array
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -95,11 +100,12 @@ def check_w(w: np.ndarray, d_z1: int, d_z2: int) -> None:
         raise InvalidDataset(f"'{name}' is too large: its sum of squares overflows")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
     """One observed sample as R of W = [Z1 | Z2 | Y1 | y2] (outcome, endogenous, included
     exogenous, instruments) and the dimensions. W, from the blocks or ``from_w``, is checked
-    (``check_w``), factored and dropped: a later write into the arrays passed in changes nothing."""
+    (``check_w``), factored and dropped: a later write into the arrays passed in changes nothing.
+    Two Datasets are equal only when they are the same object, and a Dataset is hashable."""
 
     r: np.ndarray  # (p, p), read-only; ``designs`` reads its layout
     n: int
@@ -183,7 +189,13 @@ def _rows(path):
 
 
 def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Dataset:
-    """Read a CSV file into the Dataset of its W, one ``float()`` per cell in ``roles`` order.
+    """Read a CSV file into the Dataset of its W.
+
+    The data rows go through numpy's C reader in one call. A file it fails on,
+    or one where it could read a cell differently from ``csv`` and ``float()``
+    (a line past ``csv.field_size_limit()``, a quoted field over several lines,
+    a NUL: ``_checked_lines``), is parsed again row by row, one ``float()`` per
+    cell in ``roles`` order; that parse names the error.
 
     Parameters
     ----------
@@ -216,24 +228,76 @@ def _read_w(path, roles: dict[str, str], add_intercept: bool) -> tuple[np.ndarra
         for c in roles:
             if header.count(c) > 1:
                 raise RoleConflict(f"column '{c}' appears {header.count(c)} times in the header of '{path}'")
-        # Each role column's slot in W; the intercept's slot keeps the row's 1.0.
+        # W's columns; an intercept reads the first role column twice and overwrites
+        # the first copy with ones, so the C reader writes W itself and nothing is copied.
         order = sorted(roles, key=lambda c: _ROLES.index(roles[c]))
-        cells = [(c, header.index(c), order.index(c) + add_intercept) for c in roles]
-        p = len(order) + add_intercept
-        w = array("d")
-        for i, row in enumerate(rows):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            w_row = [1.0] * p
-            for c, k, j in cells:
-                try:
-                    w_row[j] = float(row[k].strip() if k < len(row) else "")
-                except ValueError:
-                    raise NonNumericCell(i, c) from None
-            w.extend(w_row)
+        usecols = [header.index(c) for c in order[:1] * add_intercept + order]
+        w = _loadtxt(path, usecols)
+        if w is None:
+            cells = [(c, header.index(c), order.index(c) + add_intercept) for c in roles]
+            w = _parse_rows(path, rows, cells, len(usecols))
+    if add_intercept:
+        w[:, 0] = 1.0
+    return w, count[ROLE_EXOGENOUS] + add_intercept, count[ROLE_INSTRUMENT]
+
+
+_BATCH = 1 << 16  # characters of whole lines that ``_checked_lines`` checks at a time
+
+
+class _Unchecked(Exception):
+    """Raised at lines that numpy's C reader might read differently from ``csv`` and ``float()``."""
+
+
+def _checked_lines(fh):
+    """The lines of ``fh`` in batches of about ``_BATCH`` characters. Raise ``_Unchecked``
+    at a batch holding a NUL (``csv`` rejects it on Python 3.10) or a line past
+    ``csv.field_size_limit()``, and at a batch holding a quote that ``csv`` in strict
+    mode does not read as one record per line (it raises ``csv.Error`` at a quoted
+    field still open where the batch ends): a field over lines can pass the limit
+    while each line is under it. On lines that are one record each, the two readers
+    split alike: both open a quoted field only at a field start and undouble its quotes."""
+    limit = csv.field_size_limit()
+    while batch := fh.readlines(_BATCH):
+        text = "".join(batch)
+        if "\0" in text or max(map(len, batch)) > limit:
+            raise _Unchecked
+        if '"' in text and len(list(csv.reader(batch, strict=True))) != len(batch):
+            raise _Unchecked
+        yield batch
+
+
+def _loadtxt(path, usecols: list[int]) -> np.ndarray | None:
+    """The ``usecols`` of the data rows of the CSV file at ``path`` by numpy's C reader,
+    (n, len(usecols)), or None where that reader fails or is not trusted (``_checked_lines``)."""
+    if not os.path.isfile(path):  # a pipe cannot be read a second time
+        return None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            next(csv.reader(fh))  # the header
+            warnings.simplefilter("error")  # e.g. the warning for a file with no data rows
+            return np.loadtxt(chain.from_iterable(_checked_lines(fh)), delimiter=",", comments=None,
+                              quotechar='"', ndmin=2, usecols=usecols)
+    except (OSError, ValueError, Warning, csv.Error, _Unchecked):
+        return None
+
+
+def _parse_rows(path, rows, cells: list[tuple[str, int, int]], p: int) -> np.ndarray:
+    """W (n, p) of the data ``rows`` of the CSV file at ``path``, one ``float()`` per cell:
+    ``cells`` holds each role column's name, index in a row and slot in W."""
+    w = array("d")
+    for i, row in enumerate(rows):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        w_row = [1.0] * p
+        for c, k, j in cells:
+            try:
+                w_row[j] = float(row[k].strip() if k < len(row) else "")
+            except ValueError:
+                raise NonNumericCell(i, c) from None
+        w.extend(w_row)
     if not w:
         raise EmptyFile(f"'{path}' has a header but no data rows")
-    return np.frombuffer(w).reshape(-1, p), count[ROLE_EXOGENOUS] + add_intercept, count[ROLE_INSTRUMENT]
+    return np.frombuffer(w).reshape(-1, p)
 
 
 # The rank conditions of the four tests, in the order they are checked.

@@ -79,6 +79,19 @@ class TestCmdTest:
         assert err.startswith("endocheck: ") and err.count("\n") == 1
         assert str(p) in err and where in err
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["one line", "quoted over many lines"])
+    def test_field_over_the_csv_size_limit_in_a_column_without_a_role_exits_2(self, capsys, tmp_path, quoted):
+        big = "1" * 200_000
+        if quoted:  # no line reaches the limit, the field does
+            big = '"' + "\n".join(big[i:i + 100] for i in range(0, len(big), 100)) + '"'
+        p = tmp_path / "big_field.csv"
+        p.write_text("\n".join(["y,x,z1,z2,note", "1,2,3,4,a", f"5,6,7,8,{big}", "9,1,2,3,b"]) + "\n")
+        code, out, err = run(capsys, ["test", str(p), *F1_ARGS])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("endocheck: ") and err.count("\n") == 1
+        assert str(p) in err and "data row 1" in err
+
     def test_exact_fit_exits_3(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         n = 30

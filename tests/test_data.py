@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -91,6 +93,28 @@ class TestLoadCsv:
         for name in ("y2", "y1", "z1", "z2"):
             np.testing.assert_array_equal(getattr(b, name), getattr(expected, name))
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_pipe_is_read_once(self, tmp_path):
+        # Opening a pipe again reads on where the first reader's buffer stopped, losing rows.
+        rows = np.random.default_rng(3).standard_normal((20_000, 4)).tolist()
+        text = "y,x,z1,z2\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        fifo = tmp_path / "data.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            ds = load_csv(fifo, F1_ROLES, add_intercept=True)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        expected = load_csv(write(tmp_path, text), F1_ROLES, add_intercept=True)
+        np.testing.assert_array_equal(ds.r, expected.r)
+
     def test_f1_shape(self, f1_dataset):
         ds = f1_dataset
         assert (ds.n, ds.d_y1, ds.d_z1, ds.d_z2) == (16, 1, 1, 2)
@@ -138,6 +162,13 @@ class TestDatasetInvariants:
                 z1=rng.standard_normal((10, 1)),
                 z2=rng.standard_normal((10, 1)),
             )
+
+    def test_equality_is_identity_and_a_dataset_hashes(self):
+        # A frozen dataclass compared and hashed its array field: == raised ValueError, hash TypeError.
+        ds, other = generate_dataset(DgpConfig(n=30), 0, 0), generate_dataset(DgpConfig(n=30), 0, 0)
+        assert ds == ds and ds != other
+        assert hash(ds) == hash(ds)
+        assert {ds, other, ds} == {ds, other}
 
 
 class TestFactor:

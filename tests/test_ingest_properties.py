@@ -1,12 +1,16 @@
 """Property tests of CSV ingest: ``load_csv``'s parse step against the
 per-column reference reader of ``conftest``, and the CLI on the same files."""
 
+import csv
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from endocheck import data
 from endocheck.cli import main
 from endocheck.data import DataError, Dataset, _read_w
 
-from conftest import reference_read_w
+from conftest import F1_ROLES, reference_read_w
 
 _NAMES = ("y", "x", "w", "z1", "z2", "e")
 _ROLE_CHOICES = (None, "endogenous", "included_exogenous", "instrument")
@@ -16,7 +20,14 @@ _ROLE_CHOICES = (None, "endogenous", "included_exogenous", "instrument")
 _DECIMALS = st.integers(-10**6, 10**6).map(lambda k: repr(k / 1000))
 _EXPONENTS = st.sampled_from(["", "", "", "", "e150", "e160", "e300", "e-300"])
 _ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
-_BAD = st.sampled_from(["", " ", "abc", "nan", "-inf", "1e400", "1_0", "0x10", "1,5", '2"', "1\n2", "--1"])
+# Cells ``float()`` rejects, and strings it reads that numpy's C reader does not
+# (underscores, non-ASCII digits); the CSV writer quotes those holding , " or a line break.
+_BAD = st.sampled_from(["", " ", "abc", "nan", "-inf", "1e400", "1_0", "0x10", "1,5", '2"', "1\n2", "--1",
+                        "\u0661\u0662", "1\x00", "\x00"])
+# Cells written as they are: quotes that do not enclose a whole field, one
+# that opens a field running on over the next lines, a NUL.
+_RAW = st.sampled_from(['x"1"', '"1.5"x', 'x"', '1"', '"1', '""', '" 1"', ' "1"', "1\x00"])
+_PADDING = st.sampled_from([(" ", "\t"), ("\xa0", "\u2003"), ("\x0b", ""), ("\u2003", "\xa0")])
 
 
 def _quoted(cell: str) -> str:
@@ -25,12 +36,15 @@ def _quoted(cell: str) -> str:
 
 @st.composite
 def _cell(draw, clean: bool, exponent: str):
-    kind = draw(st.sampled_from(["decimal"] * 4 if clean else ["decimal", "decimal", "float", "bad"]))
+    kind = draw(st.sampled_from(["decimal"] * 4 if clean else ["decimal"] * 4 + ["float", "bad", "bad", "raw"]))
+    if kind == "raw":
+        return draw(_RAW)
     cell = draw({"decimal": _DECIMALS.map(lambda d: d + exponent), "float": _ANY_FLOAT, "bad": _BAD}[kind])
     style = draw(st.sampled_from(["plain", "plain", "padded", "quoted"]))
     if style == "quoted" or any(ch in cell for ch in ',"\n'):
         return _quoted(cell)
-    return f" {cell}\t" if style == "padded" else cell
+    left, right = draw(_PADDING)
+    return f"{left}{cell}{right}" if style == "padded" else cell
 
 
 @st.composite
@@ -46,11 +60,13 @@ def _csv_files(draw):
         if kind == "blank":
             lines.append("")
         elif kind == "space":
-            lines.append(draw(st.sampled_from([" ", "\t", "  \t "])))
+            lines.append(draw(st.sampled_from([" ", "\t", "  \t ", "\xa0"])))
         else:
             width = len(names) if clean else draw(st.integers(0, len(names) + 2))  # short rows, extra cells
-            lines.append(",".join(draw(_cell(clean, exponent)) for _ in range(width)))
-    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+            line = ",".join(draw(_cell(clean, exponent)) for _ in range(width))
+            lines.append(line if clean or draw(st.integers(0, 9)) else "#" + line)
+    ending = "" if clean else draw(st.sampled_from([""] * 9 + ['"', '"1']))  # an unterminated quote at the end
+    text = draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n"])) + ending
     data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
 
     pool = list(names) + (["q"] if draw(st.integers(0, 9)) == 0 else [])  # 'q' is never a column
@@ -100,3 +116,52 @@ def test_cli_never_crashes_on_a_corrupted_csv(tmp_path_factory, case):
     if add_intercept:
         argv.append("--add-intercept")
     assert main(argv) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("text", [
+    "y,x,z1,z2\n1,2,3,4\n5,6,7,8.5\n9,1,2,3e-2\n",
+    '\ufeff"y","x","z1","z2","note"\r\n"1","2"," 3 ","4",""""\r\n\r\n"5","6","7","8","a,b"\r\n9,1,2,3,\r\n',
+    "y,x,z1,z2,note\r1, 2 ,\xa03,4\t,a\r5,6,7,8,\"b,c\"\r9,1,2,3,#\r",
+], ids=["plain", "quoted, CRLF and BOM", "lone CR, padding, a column without a role"])
+@pytest.mark.parametrize("add_intercept", [False, True])
+def test_a_clean_file_never_reaches_the_per_row_parse(monkeypatch, tmp_path, text, add_intercept):
+    """The C reader reads these files: the per-row parse, much slower, is only for the others."""
+    path = tmp_path / "clean.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = reference_read_w(path, F1_ROLES, add_intercept=add_intercept)
+
+    def per_row_parse(*args):
+        raise AssertionError("a clean file reached the per-row parse")
+
+    monkeypatch.setattr(data, "_parse_rows", per_row_parse)
+    w, d_z1, d_z2 = _read_w(path, F1_ROLES, add_intercept)
+    assert (w.tobytes(), d_z1, d_z2) == (expected[0].tobytes(), *expected[1:])
+
+
+def test_a_nul_in_a_column_without_a_role_reads_as_csv_reads_it(tmp_path):
+    """``csv`` rejects a NUL on Python 3.10 and reads it on later versions; the C reader ignores the column."""
+    path = tmp_path / "nul.csv"
+    path.write_text("y,x,z1,z2,note\n1,2,3,4,a\x00b\n5,6,7,8.5,c\n9,1,2,3,d\n2,2,5,1,e\n")
+    assert _read(_read_w, path, F1_ROLES, True) == _read(reference_read_w, path, F1_ROLES, True)
+
+
+_FILLER = (data._BATCH - 10) // 6  # rows "1,2,a" before a field that opens on the last line of a batch
+
+
+@pytest.mark.parametrize("rows, first", [
+    (['1,2,"' + "a" * 20, "a" * 20, "a" * 20 + '"'], 0),
+    (['1,2,x","' + "a" * 20, "a" * 20, "a" * 20 + '",q"'], 0),
+    (['1,2,a"b,"', "a" * 20, "a" * 20, "a" * 20 + '",q"'], 0),
+    (["1,2,a"] * _FILLER + ['1,2,"' + "a" * 20, "a" * 20, "a" * 20 + '"'], _FILLER),
+], ids=["a quoted field", "an even number of quotes on each line", "a quote after a literal one",
+        "a quoted field from one batch of lines into the next"])
+def test_a_field_over_lines_is_held_to_the_field_size_limit(tmp_path, rows, first):
+    """No line reaches the limit, the field in a column without a role does."""
+    path = tmp_path / "long_field.csv"
+    path.write_text("\n".join(["y,x,e,f", *rows]) + "\n")
+    limit = csv.field_size_limit(50)
+    try:
+        with pytest.raises(DataError, match=f"not valid CSV at data row {first}: field larger than field limit"):
+            _read_w(path, {"y": "outcome", "x": "endogenous"}, False)
+    finally:
+        csv.field_size_limit(limit)
