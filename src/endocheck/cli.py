@@ -1,7 +1,8 @@
 """Command-line surface: ``test``, ``verify``, and ``simulate`` subcommands.
 
-Exit codes: 0 success; 2 input or validation failure; 3 degenerate residual
-variance; 4 identity verification failure; 5 invalid simulation config.
+Exit codes: 0 success; 2 input or validation failure, or a report that
+cannot be written to stdout; 3 degenerate residual variance; 4 identity
+verification failure; 5 invalid simulation config.
 Stdout in json/csv modes carries only the report, never log lines.
 """
 
@@ -279,10 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_failed(reason: str) -> int:
+    print(f"endocheck: cannot write the report to stdout: {reason}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        return _stdout_failed("it is closed")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except EndocheckError as exc:
         print(f"endocheck: {exc}", file=sys.stderr)
         if isinstance(exc, ConfigInvalid):
@@ -290,6 +299,16 @@ def main(argv=None) -> int:
         if isinstance(exc, DegenerateVariance):
             return EXIT_DEGENERATE
         return EXIT_VALIDATION
+    except OSError as exc:
+        # The commands handle every other OSError where it arises (the CSV,
+        # the config, --out), so this one is stdout's. Its unwritten bytes go
+        # to devnull, so that the interpreter's last flush does not fail again
+        # (the note on SIGPIPE in the documentation of the signal module).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _stdout_failed(exc.strerror or str(exc))
+    return code
 
 
 if __name__ == "__main__":

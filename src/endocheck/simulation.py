@@ -2,15 +2,18 @@
 
 Reproducibility contract: each replication derives its own substream by
 mixing (seed, replication_index) through a splitmix64-style avalanche, so
-results do not depend on replication order or scheduling. Normal variates are
-produced by inverse-CDF transform of PCG64 uniforms (no ziggurat), which
-pins the exact draw sequence for a given substream seed.
+results do not depend on replication order or scheduling, and are
+independent of the worker count. Normal variates are produced by
+inverse-CDF transform of PCG64 uniforms (no ziggurat), which pins the exact
+draw sequence for a given substream seed.
 
-The Monte Carlo runs in blocks of replications whose stacked data fill about
-``_BLOCK_ELEMENTS`` doubles per array. Blocks do not change the draws: each
-replication still reads its own substream in the same order, and
-``generate_dataset`` is the one-replication block, bit for bit: both check
-their data with ``data.check_w``.
+The Monte Carlo runs in blocks of replications on one worker thread per
+usable CPU; the blocks in flight fill at most ``_BLOCK_ELEMENTS`` doubles per
+array between them. Blocks do not change the draws: each replication still
+reads its own substream in the same order, and ``generate_dataset`` is the
+one-replication block, bit for bit: both check their data with
+``data.check_w``. Floating-point error state is per thread, so each function
+that needs one sets it itself.
 """
 
 from __future__ import annotations
@@ -19,13 +22,15 @@ import csv
 import json
 import math
 import numbers
+import os
+import threading
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.special import ndtri
 
 from .data import Dataset, check_w, factor
-from .endogeneity import TEST_NAMES, StatisticValues, block_statistics, chi2_critical, ordering_slack
+from .endogeneity import TEST_NAMES, block_statistics, chi2_critical, ordering_slack
 from .errors import ConfigInvalid
 
 SCHEMA_VERSION = 1
@@ -164,13 +169,27 @@ class SimResult:
     ordering_violations: int
 
 
-# Doubles per block array: at n=2000 and p=5 a block holds 13 replications;
-# once n*p passes it, one.
+# Doubles per block array, summed over the blocks in flight: at n=2000 and
+# p=5 one worker's block holds 13 replications, each of two workers' 6; once
+# n*p passes it, one replication at a time.
 _BLOCK_ELEMENTS = 1 << 17
 
 
-def _block_size(cfg: DgpConfig) -> int:
-    return max(1, _BLOCK_ELEMENTS // (cfg.n * (cfg.d_z1 + cfg.d_z2 + cfg.d_y1 + 1)))
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _layout(cfg: DgpConfig) -> tuple[int, int]:
+    """The workers and the replications per block of a run: the workers'
+    blocks together fill at most ``_BLOCK_ELEMENTS`` doubles per array, and
+    a replication that fills it alone runs with one worker."""
+    per_replication = cfg.n * (cfg.d_z1 + cfg.d_z2 + cfg.d_y1 + 1)
+    workers = max(1, min(_usable_cpus(), _BLOCK_ELEMENTS // per_replication))
+    return workers, max(1, _BLOCK_ELEMENTS // workers // per_replication)
 
 
 def _draw_block(cfg: DgpConfig, seed: int, reps: range) -> np.ndarray:
@@ -179,19 +198,22 @@ def _draw_block(cfg: DgpConfig, seed: int, reps: range) -> np.ndarray:
     Each replication draws from its own substream in a fixed order (z block,
     then v, then u, each row by row), so its slice does not depend on the
     other replications in the block. Each slice is column-major, the layout
-    the stacked QR copies into. Overflow is left to ``check_w``.
+    the stacked QR copies into. The products run on the row-major draws:
+    BLAS sums a product in an order that depends on the layout of its
+    operands. Overflow is left to ``check_w``.
     """
     n, d_z1, k = cfg.n, cfg.d_z1, cfg.d_y1
     dz = d_z1 + cfg.d_z2
-    # 53-bit uniforms shifted off the endpoints, then the normal inverse CDF.
     try:
         normal = np.empty((len(reps), n * (dz + k + 1)))
+        w = np.swapaxes(np.empty((len(reps), dz + k + 1, n)), 1, 2)
     except (ValueError, MemoryError):  # beyond the address space, or the memory
         raise ConfigInvalid(f"n={n} is too large: its data cannot be allocated") from None
+    # 53-bit uniforms j * 2^-53 moved half a step off the endpoints: (2j + 1) * 2^-54
+    # rounded once, as (j + 0.5) * 2^-53 is. Then the normal inverse CDF.
     for row, rep in zip(normal, reps):
-        rng = np.random.Generator(np.random.PCG64(_substream_seed(seed, rep)))
-        np.add(rng.integers(0, 1 << 53, size=row.size), 0.5, out=row)
-    normal *= 2.0**-53
+        np.random.Generator(np.random.PCG64(_substream_seed(seed, rep))).random(out=row)
+    normal += 2.0**-54
     ndtri(normal, out=normal)
 
     z = normal[:, :n * dz].reshape(-1, n, dz)
@@ -199,18 +221,17 @@ def _draw_block(cfg: DgpConfig, seed: int, reps: range) -> np.ndarray:
         z[:, :, 0] = 1.0
     v = normal[:, n * dz:n * (dz + k)].reshape(-1, n, k)
     u = normal[:, n * (dz + k):]
+    y1, y2 = w[:, :, dz:-1], w[:, :, -1]
     with np.errstate(over="ignore", invalid="ignore"):
         v *= cfg.sigma_v
         u *= cfg.sigma_u
-        pi2 = np.full((cfg.d_z2, k), cfg.pi2_strength)
-        y1 = z[:, :, d_z1:] @ pi2 + v  # included-exogenous reduced-form coefficients are zero
-        eps = v @ np.asarray(cfg.rho) + u
-        y2 = y1 @ np.asarray(cfg.beta) + z[:, :, :d_z1] @ np.asarray(cfg.gamma) + eps
-    columns = np.empty((len(reps), dz + k + 1, n))
-    columns[:, :dz] = np.swapaxes(z, 1, 2)
-    columns[:, dz:-1] = np.swapaxes(y1, 1, 2)
-    columns[:, -1] = y2
-    return np.swapaxes(columns, 1, 2)
+        np.add(v @ np.asarray(cfg.rho), u, out=y2)  # eps
+        y1_rows = z[:, :, d_z1:] @ np.full((cfg.d_z2, k), cfg.pi2_strength)  # included-exogenous coefficients are zero
+        y1_rows += v
+        y2 += y1_rows @ np.asarray(cfg.beta) + z[:, :, :d_z1] @ np.asarray(cfg.gamma)
+    w[:, :, :dz] = z
+    y1[...] = y1_rows
+    return w
 
 
 def generate_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Dataset:
@@ -223,17 +244,25 @@ def generate_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Datas
     return Dataset.from_w(w, cfg.d_z1, cfg.d_z2)
 
 
-def _run_block(dgp: DgpConfig, seed: int, reps: range) -> tuple[StatisticValues, np.ndarray]:
-    """The four statistics of replications ``reps`` as arrays, and which replications completed.
+def _tally_block(dgp: DgpConfig, sim: SimConfig, crit: list[float], reps: range) -> np.ndarray:
+    """The tallies of replications ``reps``: degenerate replications, ordering
+    violations, then the rejections of each (test, level) of ``sim``, in order.
 
     ``check_w`` raises ``InvalidDataset`` for the first replication that
     fails, as ``generate_dataset`` does. The stacked R factors then go to
     ``block_statistics``; a replication it flags is degenerate.
     """
-    w = _draw_block(dgp, seed, reps)
+    w = _draw_block(dgp, sim.seed, reps)
     check_w(w, dgp.d_z1, dgp.d_z2)
     stats, flagged = block_statistics(factor(w), dgp.n, dgp.d_z1, dgp.d_z2)
-    return stats, ~flagged
+    completed = ~flagged
+    in_order = stats.ordered(ordering_slack(stats.t_cf))
+    values = stats.by_name()
+    return np.array([
+        np.count_nonzero(flagged),
+        np.count_nonzero(completed & ~in_order),
+        *(np.count_nonzero(completed & (values[t] > c)) for t in sim.tests for c in crit),
+    ])
 
 
 def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
@@ -242,21 +271,52 @@ def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
     Replications that raise estimation errors are skipped and counted.
     Per-replication ordering violations of the four statistics are counted
     and expected to be zero.
+
+    The blocks run on a pool of threads, one per usable CPU (``_layout``).
+    Each worker takes the next block in order when it is done with one, so
+    no more than the workers' blocks are ever in flight. The tallies are
+    integers, so their sum does not depend on which worker ran which
+    block: the result does not depend on the worker count. Once a block
+    fails, no worker takes another, and the error raised is that of the
+    first failing block in order, as one worker would raise it.
     """
-    crit = {alpha: chi2_critical(dgp.d_y1, alpha) for alpha in sim.alphas}
-    counts = {t: {a: 0 for a in sim.alphas} for t in sim.tests}
-    degenerate = 0
-    ordering_violations = 0
-    size = _block_size(dgp)
-    for start in range(0, sim.replications, size):
-        stats, completed = _run_block(dgp, sim.seed, range(start, min(start + size, sim.replications)))
-        degenerate += int(np.count_nonzero(~completed))
-        in_order = stats.ordered(ordering_slack(stats.t_cf))
-        ordering_violations += int(np.count_nonzero(completed & ~in_order))
-        values = stats.by_name()
-        for t in sim.tests:
-            for a in sim.alphas:
-                counts[t][a] += int(np.count_nonzero(completed & (values[t] > crit[a])))
+    from concurrent.futures import ThreadPoolExecutor  # here, so that importing the package does not load it
+
+    crit = [chi2_critical(dgp.d_y1, alpha) for alpha in sim.alphas]
+    workers, size = _layout(dgp)
+    starts = iter(range(0, sim.replications, size))
+    take = threading.Lock()
+    stop = threading.Event()
+
+    def drain() -> tuple[np.ndarray, tuple[int, Exception] | None]:
+        """The summed tallies of the blocks this worker took, and the start
+        and error of the block that failed, if one did."""
+        totals = np.zeros(2 + len(sim.tests) * len(sim.alphas), dtype=np.int64)
+        while not stop.is_set():
+            with take:
+                start = next(starts, None)
+            if start is None:
+                break
+            try:
+                totals += _tally_block(dgp, sim, crit, range(start, min(start + size, sim.replications)))
+            except Exception as exc:  # raised again below, in the caller's thread
+                stop.set()
+                return totals, (start, exc)
+        return totals, None
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(drain) for _ in range(workers)]
+        try:
+            outcomes = [future.result() for future in futures]
+        finally:
+            stop.set()  # an interrupt here stops the workers after their current block
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    totals = sum(block_totals for block_totals, _ in outcomes)
+    degenerate, ordering_violations = int(totals[0]), int(totals[1])
+    rejections = iter(totals[2:].tolist())
+    counts = {t: {a: next(rejections) for a in sim.alphas} for t in sim.tests}
     completed = sim.replications - degenerate
     rates = {
         t: {a: (counts[t][a] / completed if completed else math.nan) for a in sim.alphas}

@@ -6,6 +6,11 @@ of a block from its stacked R factors (``endogeneity.block_statistics``);
 ``compute_statistics`` one replication at a time. The tallies must be equal.
 """
 
+import sys
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -98,6 +103,60 @@ def small_configs(draw):
 def test_random_configs_match_reference_loop(dgp, replications, seed):
     sim = SimConfig(replications=replications, seed=seed)
     assert tallies(run_monte_carlo(dgp, sim)) == reference_monte_carlo(dgp, sim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dgp=small_configs(), seed=st.integers(0, 2**32), start=st.integers(0, 1000))
+def test_draws_are_the_integer_route_bit_for_bit(dgp, seed, start):
+    """The block's uniforms ``random() + 2^-54`` are the reference's
+    ``(integers(0, 2^53) + 0.5) * 2^-53``, and the block's products and sums
+    those of the reference, bit for bit."""
+    reps = range(start, start + 4)
+    w = simulation._draw_block(dgp, seed, reps)
+    for wi, rep in zip(w, reps):
+        assert wi.tobytes() == stacked(reference_blocks(dgp, rep, seed)).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(dgp=small_configs(), replications=st.integers(1, 40), seed=st.integers(0, 2**32),
+       budget=st.integers(1 << 6, 1 << 13))
+def test_tallies_do_not_depend_on_the_worker_count(dgp, replications, seed, budget):
+    """One, two or three workers over many small blocks give the reference
+    loop's tallies. A short switch interval makes the workers interleave
+    often, so a block taken twice or lost would show."""
+    sim = SimConfig(replications=replications, seed=seed)
+    expected = reference_monte_carlo(dgp, sim)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulation, "_usable_cpus", lambda: workers)
+                mp.setattr(simulation, "_BLOCK_ELEMENTS", budget)
+                assert tallies(run_monte_carlo(dgp, sim)) == expected, workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_first_failing_block_in_order_is_raised(monkeypatch):
+    """Block 1 fails while block 0 is still running; block 0 then fails too,
+    and its error is the one raised, as one worker would raise it."""
+    dgp = DgpConfig(n=40, rho=(0.0,))
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", 2 * 3 * dgp.n * 5)  # two workers, 3 replications a block
+    later_block_failed = threading.Event()
+
+    def failing(cfg, seed, reps):
+        if reps.start == 0:
+            assert later_block_failed.wait(timeout=60)
+            time.sleep(0.05)  # until the other worker has recorded its failure
+            raise InvalidDataset("block 0")
+        later_block_failed.set()
+        raise InvalidDataset(f"the block from {reps.start}")
+
+    monkeypatch.setattr(simulation, "_draw_block", failing)
+    with pytest.raises(InvalidDataset, match="^block 0$"):
+        run_monte_carlo(dgp, SimConfig(replications=12, seed=0))
 
 
 @seed(20261018)
@@ -283,18 +342,36 @@ class TestBatchedCore:
 
 
 def test_blocks_stay_within_the_element_budget(monkeypatch):
+    """Each block fits the budget, and so do the blocks in flight at once: a
+    block's doubles count from its draw until its W is freed."""
     shapes = []
     draw = simulation._draw_block
+    lock = threading.Lock()
+    in_flight = peak = 0
+
+    def release(size):
+        nonlocal in_flight
+        with lock:
+            in_flight -= size
 
     def recording(cfg, seed, reps):
+        nonlocal in_flight, peak
+        size = len(reps) * cfg.n * (cfg.d_z1 + cfg.d_z2 + cfg.d_y1 + 1)
+        with lock:
+            in_flight += size
+            peak = max(peak, in_flight)
         w = draw(cfg, seed, reps)
-        shapes.append(w.shape)
+        weakref.finalize(w, release, size)
+        with lock:
+            shapes.append(w.shape)
         return w
 
     monkeypatch.setattr(simulation, "_draw_block", recording)
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 3)
     run_monte_carlo(DgpConfig(n=2000, rho=(0.0,)), SimConfig(replications=100, seed=1))
     assert sum(b for b, _, _ in shapes) == 100 and len(shapes) > 1
     assert all(np.prod(shape) <= simulation._BLOCK_ELEMENTS for shape in shapes)
+    assert in_flight == 0 and 0 < peak <= simulation._BLOCK_ELEMENTS
 
     shapes.clear()
     run_monte_carlo(DgpConfig(n=100_000, rho=(0.0,)), SimConfig(replications=2, seed=1))
