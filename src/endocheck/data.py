@@ -157,6 +157,14 @@ class Dataset:
             a.flags.writeable = False
         return d
 
+    @cached_property
+    def rank(self) -> tuple[np.ndarray, np.ndarray]:
+        """``rank_checks`` of ``designs``, read-only: what ``validate`` reports, ``compute_statistics`` decides by."""
+        rank = rank_checks(self.designs)
+        for a in rank:
+            a.flags.writeable = False
+        return rank
+
 
 @dataclass
 class ValidationReport:
@@ -322,11 +330,11 @@ def rank_checks(designs: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray
 
 def validate(ds: Dataset) -> ValidationReport:
     """Check the non-singularity conditions all four endogeneity tests need:
-    ``rank_checks`` on ``ds.designs``, the rank stage of ``compute_statistics``.
+    a view of ``ds.rank``, the rank stage that ``compute_statistics`` decides by.
     Failures are reported, never raised. Without Z of full rank the last two
     checks are skipped: reported as failed, with inf condition numbers.
     """
-    flags, cond = (a.tolist() for a in rank_checks(ds.designs))
+    flags, cond = (a.tolist() for a in ds.rank)
     messages = [msg for msg, ok in zip(RANK_MESSAGES if flags[1] else RANK_MESSAGES[:2], flags) if not ok]
     if not flags[1]:
         messages.append("skipping projected-design and control-function checks: Z not full rank")

@@ -131,11 +131,12 @@ def ordering_slack(t_cf):
 
 
 def compute_statistics(ds: Dataset) -> Statistics:
-    """The four test statistics, ``h_n`` and the beta gap of ``ds`` by the
-    decision of ``block_statistics`` on a stack of one; it runs no fit. Raises
-    its first failed check: ``RankDeficient`` (with ``validate``'s message),
+    """The four test statistics, ``h_n`` and the beta gap of ``ds`` by the decision of
+    ``block_statistics`` on a stack of one, with the rank flags of ``ds.rank``; it runs no
+    fit. Raises its first failed check: ``RankDeficient`` (with ``validate``'s message),
     ``DegenerateVariance`` or ``InvalidDataset`` (non-finite results)."""
-    values, h_n, gap, failed = _decide(ds.r[None], ds.n, ds.d_z1, ds.d_z2)
+    d = tuple(a[None] for a in ds.designs)
+    values, h_n, gap, failed = _decide(d, ds.rank[0][:, None], ds.n, ds.d_z1, ds.d_z2)
     if failed[0]:
         raise _failure(int(failed[0]), ds)
     return Statistics(*(float(v) for v in values[:, 0]), h_n=float(h_n[0]), df=ds.d_y1, beta_gap=gap[0])
@@ -226,19 +227,19 @@ def _statistics_core(designs: tuple[np.ndarray, ...], n: int, d_z1: int, d_z2: i
 _VARIANCE_LABELS = ("ols", "tsls", "cf")
 
 
-def _decide(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
-    """Decide each dataset of the stacked square R factors ``r`` (B, p, p) of ``data.factor``.
+def _decide(d: tuple[np.ndarray, ...], full_rank: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
+    """Decide each dataset of the stacked ``data.designs`` ``d`` of B square R factors.
 
-    The checks, in order: ``data.rank_checks``, the rank stage ``validate``
-    reports too; the variance floor on the core's variances (ols, tsls, cf);
-    finite core results. Returns the (4, B) statistics, (B,) ``h_n``,
-    (B, d_y1) beta gaps, all nan where a check fails, and (B,) codes: 1 +
-    the index of the first failed check, or 0.
+    The checks, in order: the (4, B) flags ``full_rank`` of ``data.rank_checks``
+    on ``d``, which the caller runs (``Dataset.rank`` for ``compute_statistics``);
+    the variance floor on the core's variances (ols, tsls, cf); finite core
+    results. Returns the (4, B) statistics, (B,) ``h_n``, (B, d_y1) beta gaps,
+    all nan where a check fails, and (B,) codes: 1 + the index of the first
+    failed check, or 0.
     """
-    d = designs(r, d_z1, d_z2)
     stats, variances, gap, h_n = _statistics_core(d, n, d_z1, d_z2)
     finite = np.isfinite(stats).all(axis=0) & np.isfinite(gap).all(axis=1) & np.isfinite(h_n)
-    fails = np.array([*~rank_checks(d)[0], *(variances <= _variance_floor(d, n)), ~finite])
+    fails = np.array([*~full_rank, *(variances <= _variance_floor(d, n)), ~finite])
     failed = np.where(fails.any(axis=0), fails.argmax(axis=0) + 1, 0)
     ok = failed == 0
     return np.where(ok, stats, np.nan), np.where(ok, h_n, np.nan), np.where(ok[:, None], gap, np.nan), failed
@@ -265,7 +266,8 @@ def block_statistics(r: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[Stati
     Returns the statistics as (B,) arrays and a (B,) flag, true exactly
     where ``compute_statistics`` raises. Flagged entries hold nan.
     """
-    values, _, _, failed = _decide(r, n, d_z1, d_z2)
+    d = designs(r, d_z1, d_z2)
+    values, _, _, failed = _decide(d, rank_checks(d)[0], n, d_z1, d_z2)
     return StatisticValues(*values), failed > 0
 
 

@@ -5,9 +5,9 @@ finite-sample identities between the variance estimators are exact only under
 that convention. 2SLS residuals are computed against the original design, not
 the instrumented one.
 
-Every fit solves the matrices of ``Dataset.designs`` that the rank stage of
-``data.validate`` judges, and takes residual norms in R's coordinates, so the
-fits hold no n-row array.
+Every fit solves the matrices of ``Dataset.designs`` that the Dataset's one
+rank stage, ``Dataset.rank``, judges, and takes residual norms in R's
+coordinates, so the fits hold no n-row array.
 """
 
 from __future__ import annotations

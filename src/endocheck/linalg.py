@@ -56,9 +56,10 @@ def weakest_column(vt: np.ndarray) -> int:
 
 def full_rank_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``(u, sigma, vt)`` of ``a`` (m, k), m >= k; raises
-    ``RankDeficient`` naming ``weakest_column`` where ``full_rank`` is false."""
+    ``RankDeficient`` naming ``weakest_column`` where ``full_rank`` is false.
+    With k = 0 (no Z1 in ``verify_identities``) ``a`` has full column rank vacuously."""
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    if not sigma[-1] > rank_tolerance(a):
+    if sigma.size and not sigma[-1] > rank_tolerance(a):
         raise RankDeficient(weakest_column(vt))
     return u, sigma, vt
 

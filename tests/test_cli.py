@@ -11,6 +11,7 @@ from endocheck.cli import main
 from conftest import scaled_csv
 
 F1_ARGS = ["--outcome", "y", "--endog", "x", "--exog", "none", "--add-intercept", "--iv", "z1,z2"]
+F1_ARGS_NO_Z1 = [arg for arg in F1_ARGS if arg != "--add-intercept"]  # d_z1 = 0
 
 
 def run(capsys, argv):
@@ -26,6 +27,16 @@ def _reject_constant(name):
 def strict_json(text):
     """Parse JSON, refusing bare NaN / Infinity."""
     return json.loads(text, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("args", [F1_ARGS, F1_ARGS_NO_Z1], ids=["intercept", "no Z1"])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("command", ["test", "verify"])
+def test_f1_exits_0_in_every_format(capsys, f1_path, command, fmt, args):
+    # verify without Z1 solved a 0x0 (Z1'Z1)^-1 Z1'Y1 and ended in an IndexError.
+    code, out, err = run(capsys, [command, str(f1_path), *args, "--format", fmt])
+    assert code == 0, err
+    assert out and err == ""
 
 
 class TestCmdTest:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from endocheck.cli import main
@@ -70,3 +71,39 @@ def test_random_simulate_configs_never_crash(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "random_simulate.json"
     path.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(path), "--format", "json"]) in (0, 2, 3, 5)
+
+
+# F1's columns plus three like them: a fresh draw, a constant (it collides
+# with the intercept) and a multiple of z1 (it collides with z1).
+_EXTRA_COLUMNS = ("w", "k", "d")
+
+
+@st.composite
+def _role_assignments(draw):
+    """``test`` or ``verify`` argv that gives the next few of the shuffled non-outcome
+    columns each role in turn (the rest get none), the intercept on or off, a random format."""
+    columns = draw(st.permutations(("x", "z1", "z2", *_EXTRA_COLUMNS)))
+    command = draw(st.sampled_from(("test", "verify")))
+    argv = ["--outcome", "y", "--format", draw(st.sampled_from(("table", "json", "csv")))]
+    # Each count shrinks towards its first entry, a model that identifies.
+    for flag, counts in (("--endog", (1, 2, 1, 0)), ("--exog", (0, 1, 2)), ("--iv", (2, 3, 2, 1, 4, 0))):
+        count = draw(st.sampled_from(counts))
+        argv += [flag, ",".join(columns[:count]) or "none"]
+        columns = columns[count:]
+    if draw(st.booleans()):
+        argv.append("--add-intercept")
+    return command, argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_role_assignments())
+def test_random_role_assignments_never_crash(tmp_path_factory, f1_path, case):
+    """Any role assignment of F1-like columns ends in a documented exit code, never a traceback."""
+    with open(f1_path) as fh:
+        header, *body = fh.read().splitlines()
+    w = np.random.default_rng(22).standard_normal(len(body)).tolist()
+    rows = [f"{row},{w_i!r},3.0,{2.0 * float(row.split(',')[2])!r}" for row, w_i in zip(body, w)]
+    path = tmp_path_factory.getbasetemp() / "random_roles.csv"
+    path.write_text("\n".join([f"{header},{','.join(_EXTRA_COLUMNS)}", *rows]) + "\n")
+    command, argv = case
+    assert main([command, str(path), *argv]) in (0, 2, 3, 4)

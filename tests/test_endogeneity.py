@@ -18,13 +18,14 @@ from endocheck import (
     validate,
     verify_identities,
 )
-from endocheck import linalg
-from endocheck.cli import _random_dataset
+from endocheck import data, linalg
+from endocheck.cli import _random_dataset, main
 
 from conftest import (
     STRONG_FIRST_STAGE, Blocks, annihilate, design_matrices, generated_blocks, project, random_admissible_blocks,
     random_admissible_dataset,
 )
+from test_cli import F1_ARGS
 from test_estimators import exact_fit_blocks
 
 
@@ -139,24 +140,33 @@ class TestHausmanStatistic:
         verify_identities(ds)
         assert len(calls) == 3  # rho's closed form and the K forms of t_cf and t_h2
 
-    def test_small_factorization_budget(self, monkeypatch):
+    def test_small_factorization_budget(self, monkeypatch, f1_path):
         # compute_statistics and validate decide by the singular values of
-        # R's blocks; only the reference fits of verify_identities make thin
-        # SVDs, each of a few rows of R.
-        calls = []
-        svd = linalg.full_rank_svd
+        # R's blocks, one rank stage per Dataset; only the reference fits of
+        # verify_identities make thin SVDs, each of a few rows of R.
+        calls, svds, stages = [], [], []
+        svd, np_svd, checks = linalg.full_rank_svd, np.linalg.svd, data.rank_checks
 
         def counting(a):
             calls.append(np.shape(a))
             return svd(a)
 
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: svds.append(1) or np_svd(*args, **kw))
+        # the rank stage's four SVDs, then the fits' five in verify
+        for command, expected in (("test", 4), ("verify", 9)):
+            svds.clear()
+            assert main([command, str(f1_path), *F1_ARGS]) == 0
+            assert len(svds) == expected, command
+
         ds = random_admissible_dataset(np.random.default_rng(10), n=80, d_y1=2)
         monkeypatch.setattr(linalg, "full_rank_svd", counting)
-        for run, expected in ((compute_statistics, 0), (verify_identities, 5), (validate, 0)):
+        monkeypatch.setattr(data, "rank_checks", lambda d: stages.append(1) or checks(d))
+        for run, expected in ((validate, 0), (compute_statistics, 0), (run_all_tests, 0), (verify_identities, 5)):
             calls.clear()
             run(ds)
             assert len(calls) == expected, run.__name__
             assert all(rows <= ds.r.shape[0] for rows, _ in calls)
+        assert len(stages) == 1
 
 
 class TestDataScale:
