@@ -1,8 +1,8 @@
 """Command-line surface: ``test``, ``verify``, and ``simulate`` subcommands.
 
-Exit codes: 0 success; 2 input or validation failure, or a report that
-cannot be written to stdout; 3 degenerate residual variance; 4 identity
-verification failure; 5 invalid simulation config.
+Exit codes: 0 success; 2 input or validation failure, or a report (the
+help text too) that cannot be written to stdout; 3 degenerate residual
+variance; 4 identity verification failure; 5 invalid simulation config.
 Stdout in json/csv modes carries only the report, never log lines.
 """
 
@@ -249,8 +249,19 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose help is a report: ``print_help`` lets a failed write
+    to stdout raise for ``main``, where argparse drops it (or, on a closed stdout,
+    writes to stderr instead)."""
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        if file is not None:
+            file.write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="endocheck",
         description="Endogeneity tests for linear instrumental-variable models.",
     )
@@ -286,11 +297,16 @@ def _stdout_failed(reason: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if sys.stdout is None:  # fd 1 was closed when the interpreter started
-        return _stdout_failed("it is closed")
     try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code:  # a usage error, reported on stderr
+                raise
+            args = None  # the help, written to stdout
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            return _stdout_failed("it is closed")
+        code = args.func(args) if args else EXIT_OK
         sys.stdout.flush()
     except EndocheckError as exc:
         print(f"endocheck: {exc}", file=sys.stderr)

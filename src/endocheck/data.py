@@ -4,9 +4,11 @@ CSV files are RFC-4180 style: header row required, UTF-8 (a leading
 byte-order mark is skipped), '.' decimal separator. Column roles (outcome /
 endogenous / included exogenous / instrument) are supplied by the caller; an
 intercept is only ever added explicitly via ``add_intercept``. ``load_csv``
-reads the data rows into W = [Z1 | Z2 | Y1 | y2] with numpy's C reader, and
-parses them again row by row, with ``csv`` and ``float()``, when that reader
-fails or might read the file differently; a ``Dataset`` keeps only its R.
+reads the data rows of W = [Z1 | Z2 | Y1 | y2] with numpy's C reader a chunk
+at a time, folding each into the column check and into R, so W is never held
+whole. It parses them again row by row, with ``csv`` and ``float()``, when
+that reader fails or might read the file differently; a ``Dataset`` keeps
+only its R.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -83,29 +85,51 @@ def designs(r: np.ndarray, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
     return x, r[..., :dz, :dz], x[..., :dz, :], np.concatenate([x, v], axis=-1), r[..., :m, m], r[..., m, m]
 
 
-def check_w(w: np.ndarray, d_z1: int, d_z2: int) -> None:
-    """Raise ``InvalidDataset`` for the first dataset of ``w``, one W = [Z1 | Z2 | Y1 | y2]
-    (n, p) or a stack (..., n, p), with a non-finite entry or a block whose sum of squares
-    overflows, the blocks taken in the order y2, y1, z1, z2; one pass over ``w``."""
-    dz = d_z1 + d_z2
-    blocks = {"y2": slice(-1, None), "y1": slice(dz, -1), "z1": slice(0, d_z1), "z2": slice(d_z1, dz)}
+def _column_check(w: np.ndarray, check: tuple[np.ndarray, np.ndarray] | None = None):
+    """Fold the rows ``w`` of one W (n, p) or of a stack (..., n, p) into the running
+    ``check`` of ``check_w``: each dataset's per-column sums of squares and flags of
+    a non-finite entry, (datasets, p) each. An entry is non-finite only where its
+    column's sum is, so the flags are looked for only then."""
     with np.errstate(over="ignore", invalid="ignore"):
         sumsq = np.einsum("...ij,...ij->...j", w, w).reshape(-1, w.shape[-1])
+        if check is not None:
+            sumsq += check[0]
+    if np.isfinite(sumsq).all():
+        nonfinite = np.zeros(sumsq.shape, dtype=bool)
+    else:
+        nonfinite = ~np.isfinite(w).all(axis=-2).reshape(sumsq.shape)
+    return sumsq, nonfinite if check is None else nonfinite | check[1]
+
+
+def _raise_invalid(check: tuple[np.ndarray, np.ndarray], d_z1: int, d_z2: int) -> None:
+    """``check_w`` on the finished ``_column_check``."""
+    dz = d_z1 + d_z2
+    blocks = {"y2": slice(-1, None), "y1": slice(dz, -1), "z1": slice(0, d_z1), "z2": slice(d_z1, dz)}
+    sumsq, nonfinite = check
+    with np.errstate(over="ignore", invalid="ignore"):
         bad = ~np.isfinite(np.stack([sumsq[:, cols].sum(axis=1) for cols in blocks.values()], axis=1))
     if bad.any():
         i, k = np.unravel_index(bad.argmax(), bad.shape)  # the first dataset, then its first block
         name, cols = list(blocks.items())[k]
-        if not np.isfinite(w.reshape(-1, *w.shape[-2:])[i, :, cols]).all():
+        if nonfinite[i, cols].any():
             raise InvalidDataset(f"'{name}' contains non-finite entries")
         raise InvalidDataset(f"'{name}' is too large: its sum of squares overflows")
+
+
+def check_w(w: np.ndarray, d_z1: int, d_z2: int) -> None:
+    """Raise ``InvalidDataset`` for the first dataset of ``w``, one W = [Z1 | Z2 | Y1 | y2]
+    (n, p) or a stack (..., n, p), with a non-finite entry or a block whose sum of squares
+    overflows, the blocks taken in the order y2, y1, z1, z2; one pass over ``w``."""
+    _raise_invalid(_column_check(w), d_z1, d_z2)
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class Dataset:
     """One observed sample as R of W = [Z1 | Z2 | Y1 | y2] (outcome, endogenous, included
-    exogenous, instruments) and the dimensions. W, from the blocks or ``from_w``, is checked
-    (``check_w``), factored and dropped: a later write into the arrays passed in changes nothing.
-    Two Datasets are equal only when they are the same object, and a Dataset is hashable."""
+    exogenous, instruments) and the dimensions. W, from the blocks, ``from_w`` or the
+    chunks of ``load_csv``, is checked (``check_w``), factored and dropped: a later
+    write into the arrays passed in changes nothing. Two Datasets are equal only when
+    they are the same object, and a Dataset is hashable."""
 
     r: np.ndarray  # (p, p), read-only; ``designs`` reads its layout
     n: int
@@ -119,19 +143,34 @@ class Dataset:
         for name, block in (("y1", y1), ("z1", z1), ("z2", z2)):
             if block.shape[0] != y2.shape[0]:
                 raise InvalidDataset(f"'{name}' has {block.shape[0]} rows, expected {y2.shape[0]}")
-        self._init(np.hstack([z1, z2, y1, y2]), z1.shape[1], z2.shape[1])
+        self._init([np.hstack([z1, z2, y1, y2])], z1.shape[1], z2.shape[1])
 
     @classmethod
     def from_w(cls, w: np.ndarray, d_z1: int, d_z2: int) -> Dataset:
         """The Dataset of W = [Z1 | Z2 | Y1 | y2] (n, p) with ``d_z1`` and ``d_z2`` columns of Z1 and Z2."""
+        return cls._of_chunks([np.asarray(w, dtype=float)], d_z1, d_z2)
+
+    @classmethod
+    def _of_chunks(cls, chunks, d_z1: int, d_z2: int) -> Dataset:
+        """The Dataset of the W whose rows ``chunks`` yields in blocks (n_i, p), one at a time."""
         ds = cls.__new__(cls)
-        ds._init(np.asarray(w, dtype=float), d_z1, d_z2)
+        ds._init(chunks, d_z1, d_z2)
         return ds
 
-    def _init(self, w: np.ndarray, d_z1: int, d_z2: int) -> None:
-        check_w(w, d_z1, d_z2)
-        n, p = w.shape
-        d_y1 = p - 1 - d_z1 - d_z2
+    def _init(self, chunks, d_z1: int, d_z2: int) -> None:
+        # Each chunk goes into the running column check and into R by R <- R of
+        # [R; chunk] (TSQR: Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput.
+        # 34, 2012), so one chunk gives ``factor(W)`` itself. Data the check
+        # rejects is not factored.
+        check = r = None
+        n = 0
+        for w in chunks:
+            check = _column_check(w, check)
+            n += w.shape[0]
+            if len(w) and np.isfinite(check[0]).all():
+                r = factor(w) if r is None else factor(np.concatenate([r, w]))
+        _raise_invalid(check, d_z1, d_z2)
+        d_y1 = check[0].shape[-1] - 1 - d_z1 - d_z2
         if d_y1 < 1:
             raise InvalidDataset("no endogenous regressor: the tests need at least one")
         if n <= 2 * d_y1 + d_z1:
@@ -140,7 +179,6 @@ class Dataset:
             raise InvalidDataset(
                 f"order condition violated: {d_z2} excluded instruments for {d_y1} endogenous regressors"
             )
-        r = factor(w)
         r.flags.writeable = False  # writing into R would change every later result
         for name, value in (("r", r), ("n", n), ("d_z1", d_z1), ("d_z2", d_z2)):
             object.__setattr__(self, name, value)
@@ -199,11 +237,16 @@ def _rows(path):
 def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Dataset:
     """Read a CSV file into the Dataset of its W.
 
-    The data rows go through numpy's C reader in one call. A file it fails on,
-    or one where it could read a cell differently from ``csv`` and ``float()``
-    (a line past ``csv.field_size_limit()``, a quoted field over several lines,
-    a NUL: ``_checked_lines``), is parsed again row by row, one ``float()`` per
-    cell in ``roles`` order; that parse names the error.
+    The data rows go through numpy's C reader ``_CHUNK_ROWS`` lines at a time,
+    and each chunk is folded into the Dataset's column check and R, so memory
+    stays O(chunk * p) and W is never held whole. Over one chunk, R is
+    ``factor(W)`` bit for bit; over more it may differ in the last bits. A
+    file that reader fails on, finds no data row in, or could read a cell of
+    differently from ``csv`` and ``float()`` (a line past
+    ``csv.field_size_limit()``, a quoted field over several lines, a NUL:
+    ``_checked_lines``), in any chunk, is parsed again from its first data row,
+    row by row, one ``float()`` per cell in ``roles`` order, into a W that is
+    factored whole; what was folded is dropped. That parse names the error.
 
     Parameters
     ----------
@@ -213,17 +256,20 @@ def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Datase
         exactly one column must be the outcome, and no column with a role may repeat.
     add_intercept : prepend a ones column to the included-exogenous block.
     """
-    return Dataset.from_w(*_read_w(path, roles, add_intercept))
+    return _read(path, roles, add_intercept, Dataset._of_chunks)
 
 
-def _read_w(path, roles: dict[str, str], add_intercept: bool) -> tuple[np.ndarray, int, int]:
-    """The parse step of ``load_csv``: the file's W (n, p), d_z1 and d_z2."""
+def _read(path, roles: dict[str, str], add_intercept: bool, fold):
+    """The parse step of ``load_csv``: ``fold(chunks, d_z1, d_z2)`` on the row chunks
+    (n_i, p) of the file's W, once more on the per-row parse's W alone when the C
+    reader's chunks end in ``_Unchecked``."""
     for col, role in roles.items():
         if role not in _ROLES:
             raise RoleConflict(f"unknown role '{role}' for column '{col}'")
     count = Counter(roles.values())
     if count[ROLE_OUTCOME] != 1:
         raise RoleConflict(f"expected exactly one outcome column, got {count[ROLE_OUTCOME]}")
+    d_z1, d_z2 = count[ROLE_EXOGENOUS] + add_intercept, count[ROLE_INSTRUMENT]
 
     with closing(_rows(path)) as rows:
         header = next(rows, None)
@@ -237,23 +283,24 @@ def _read_w(path, roles: dict[str, str], add_intercept: bool) -> tuple[np.ndarra
             if header.count(c) > 1:
                 raise RoleConflict(f"column '{c}' appears {header.count(c)} times in the header of '{path}'")
         # W's columns; an intercept reads the first role column twice and overwrites
-        # the first copy with ones, so the C reader writes W itself and nothing is copied.
+        # the first copy with ones, so the C reader writes each chunk itself.
         order = sorted(roles, key=lambda c: _ROLES.index(roles[c]))
         usecols = [header.index(c) for c in order[:1] * add_intercept + order]
-        w = _loadtxt(path, usecols)
-        if w is None:
-            cells = [(c, header.index(c), order.index(c) + add_intercept) for c in roles]
-            w = _parse_rows(path, rows, cells, len(usecols))
-    if add_intercept:
-        w[:, 0] = 1.0
-    return w, count[ROLE_EXOGENOUS] + add_intercept, count[ROLE_INSTRUMENT]
+        if os.path.isfile(path):  # a pipe cannot be read a second time
+            try:
+                return fold(_c_reader_chunks(path, usecols, add_intercept), d_z1, d_z2)
+            except _Unchecked:
+                pass
+        cells = [(c, header.index(c), order.index(c) + add_intercept) for c in roles]
+        return fold([_parse_rows(path, rows, cells, len(usecols))], d_z1, d_z2)
 
 
 _BATCH = 1 << 16  # characters of whole lines that ``_checked_lines`` checks at a time
+_CHUNK_ROWS = 1 << 15  # lines that the C reader parses and ``Dataset`` folds into R at a time
 
 
 class _Unchecked(Exception):
-    """Raised at lines that numpy's C reader might read differently from ``csv`` and ``float()``."""
+    """Raised where numpy's C reader fails, or might read a line differently from ``csv`` and ``float()``."""
 
 
 def _checked_lines(fh):
@@ -274,19 +321,30 @@ def _checked_lines(fh):
         yield batch
 
 
-def _loadtxt(path, usecols: list[int]) -> np.ndarray | None:
+def _c_reader_chunks(path, usecols: list[int], add_intercept: bool):
     """The ``usecols`` of the data rows of the CSV file at ``path`` by numpy's C reader,
-    (n, len(usecols)), or None where that reader fails or is not trusted (``_checked_lines``)."""
-    if not os.path.isfile(path):  # a pipe cannot be read a second time
-        return None
+    (n_i, len(usecols)) for each ``_CHUNK_ROWS`` lines that hold a row, the first column
+    set to ones with ``add_intercept``. Raise ``_Unchecked`` where that reader fails,
+    finds no data row, or is not trusted (``_checked_lines``)."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             next(csv.reader(fh))  # the header
-            warnings.simplefilter("error")  # e.g. the warning for a file with no data rows
-            return np.loadtxt(chain.from_iterable(_checked_lines(fh)), delimiter=",", comments=None,
-                              quotechar='"', ndmin=2, usecols=usecols)
-    except (OSError, ValueError, Warning, csv.Error, _Unchecked):
-        return None
+            lines, n = chain.from_iterable(_checked_lines(fh)), 0
+            while (first := next(lines, None)) is not None:
+                chunk = chain((first,), islice(lines, _CHUNK_ROWS - 1))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # blank lines
+                    w = np.loadtxt(chunk, delimiter=",", comments=None, quotechar='"', ndmin=2, usecols=usecols)
+                if len(w):
+                    if add_intercept:
+                        w[:, 0] = 1.0
+                    n += len(w)
+                    yield w
+            if not n:
+                raise _Unchecked
+    except (OSError, ValueError, Warning, csv.Error):
+        raise _Unchecked from None
 
 
 def _parse_rows(path, rows, cells: list[tuple[str, int, int]], p: int) -> np.ndarray:

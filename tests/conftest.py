@@ -17,7 +17,7 @@ from endocheck import (
     generate_dataset,
     load_csv,
 )
-from endocheck.data import DataError, EmptyFile, MissingColumn, NonNumericCell, RoleConflict, _read_w
+from endocheck.data import DataError, EmptyFile, MissingColumn, NonNumericCell, RoleConflict, _read
 from endocheck.endogeneity import ordering_slack
 from endocheck.linalg import solve_least_squares
 from endocheck.simulation import _draw_block, _substream_seed
@@ -80,9 +80,15 @@ class Blocks(NamedTuple):
         return Dataset(*self)
 
 
+def read_w(path, roles: dict[str, str], add_intercept: bool = False) -> tuple[np.ndarray, int, int]:
+    """The W that ``load_csv`` folds into its Dataset, chunk by chunk: its row chunks
+    concatenated (those of the per-row parse alone where the C reader's failed), d_z1 and d_z2."""
+    return _read(path, roles, add_intercept, lambda chunks, d_z1, d_z2: (np.concatenate(list(chunks)), d_z1, d_z2))
+
+
 def csv_blocks(path, roles: dict[str, str], add_intercept: bool = False) -> Blocks:
     """The blocks of the W that ``load_csv`` parses from ``path``."""
-    return Blocks.of_w(*_read_w(path, roles, add_intercept))
+    return Blocks.of_w(*read_w(path, roles, add_intercept))
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,8 @@
 """Stdout is part of the exit contract: a report that cannot be written exits 2.
 
-Each case runs ``python -m endocheck.cli`` in a subprocess on a stdout that
-fails: a pipe closed after it took at most k bytes, ``/dev/full`` and a
-closed fd. The pipe is filled to k bytes short of its capacity before the
+Each case, a command's report or a help text, runs ``python -m endocheck.cli``
+in a subprocess on a stdout that fails: a pipe closed after it took at most
+k bytes, ``/dev/full`` and a closed fd. The pipe is filled to k bytes short of its capacity before the
 program starts, so a write that does not fit blocks whatever the buffering,
 and the read end is closed while the program waits in it: every run meets
 the closed pipe, and none can finish first.
@@ -24,14 +24,19 @@ pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="pipe capacity a
 
 ROOT = Path(__file__).resolve().parents[1]
 
+HELP = [("--help", None), ("test", "--help")]  # argparse writes these before any command runs
+
 COMMANDS = [
     *((command, fmt) for command in ("test", "verify") for fmt in ("table", "json", "csv")),
     ("simulate", "table"),
     ("simulate", "json"),
+    *HELP,
 ]
 
 
 def argv(command, fmt, tmp_path, f1_path):
+    if (command, fmt) in HELP:
+        return [arg for arg in (command, fmt) if arg]
     if command != "simulate":
         return [command, str(f1_path), *F1_ARGS, "--format", fmt]
     config = tmp_path / "config.json"

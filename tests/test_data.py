@@ -16,10 +16,29 @@ from endocheck import (
     validate,
     verify_identities,
 )
+from endocheck import data
 from endocheck.data import DataError, EmptyFile, InvalidDataset, MissingColumn, NonNumericCell, RoleConflict
 from endocheck.linalg import spd_solve
 
-from conftest import F1_ROLES, csv_blocks, design_matrices, random_admissible_blocks, random_admissible_dataset
+from conftest import (
+    F1_ROLES,
+    csv_blocks,
+    design_matrices,
+    random_admissible_blocks,
+    random_admissible_dataset,
+    read_w,
+)
+
+
+def tall_csv(tmp_path, n):
+    """An n-row CSV of F1's columns, written as ``%.17g``: one endogenous x, instruments z1 and z2."""
+    rng = np.random.default_rng(5)
+    z, v = rng.standard_normal((n, 2)), rng.standard_normal(n)
+    x = z.sum(axis=1) + v
+    path = tmp_path / f"tall_{n}.csv"
+    np.savetxt(path, np.column_stack([x + 0.5 * v + rng.standard_normal(n), x, z]), fmt="%.17g",
+               delimiter=",", header="y,x,z1,z2", comments="")
+    return path
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -234,25 +253,42 @@ class TestFactor:
 
     def test_memory_of_a_csv_dataset(self, tmp_path):
         # W = n p 8 bytes. The blocks kept W alive after load_csv, and the
-        # factor stacked a second W and copied it again.
-        n, rng = 200_000, np.random.default_rng(5)
-        z, v = rng.standard_normal((n, 2)), rng.standard_normal(n)
-        x = z.sum(axis=1) + v
-        path = tmp_path / "tall.csv"
-        np.savetxt(path, np.column_stack([x + 0.5 * v + rng.standard_normal(n), x, z]), fmt="%.17g",
-                   delimiter=",", header="y,x,z1,z2", comments="")
-        w_bytes = n * 5 * 8
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        # factor stacked a second W and copied it again; then the C reader
+        # built W whole and the factor copied it once (2.02 W). Read and
+        # factored a chunk at a time, the peak no longer grows with n.
+        def traced(n):
+            path = tall_csv(tmp_path, n)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                ds = load_csv(path, F1_ROLES, add_intercept=True)
+                held = tracemalloc.get_traced_memory()[0] - base
+                compute_statistics(ds)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            return held, peak
+
+        (held_small, peak_small), (held, peak) = traced(100_000), traced(400_000)
+        w_bytes = 400_000 * 5 * 8
+        assert max(held_small, held) < 0.01 * w_bytes
+        assert peak <= 1.05 * peak_small
+        assert peak <= 0.5 * w_bytes
+
+    def test_a_streamed_factor_matches_the_in_memory_one(self, monkeypatch, tmp_path):
+        # Over one chunk R is factor(W) bit for bit; over many, R <- R of [R; chunk]
+        # moves the statistics in their last bits only.
+        path = tall_csv(tmp_path, 1000)
+        w, d_z1, d_z2 = read_w(path, F1_ROLES, add_intercept=True)
+        in_memory = Dataset.from_w(w, d_z1, d_z2)
+        assert load_csv(path, F1_ROLES, add_intercept=True).r.tobytes() == in_memory.r.tobytes()
+        expected = vars(compute_statistics(in_memory))
+        for chunk_rows in (1, 7, 64, 999):
+            monkeypatch.setattr(data, "_CHUNK_ROWS", chunk_rows)
             ds = load_csv(path, F1_ROLES, add_intercept=True)
-            held = tracemalloc.get_traced_memory()[0] - base
-            compute_statistics(ds)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert held < 0.1 * w_bytes
-        assert peak <= 2.5 * w_bytes
+            assert ds.n == 1000 and ds.r.tobytes() != in_memory.r.tobytes()
+            for name, value in vars(compute_statistics(ds)).items():
+                np.testing.assert_allclose(value, expected[name], rtol=1e-10, atol=0, err_msg=name)
 
     def test_cached_factor_and_designs_are_read_only(self):
         # A write into the cache would silently move every later statistic.

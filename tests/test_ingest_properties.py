@@ -1,16 +1,22 @@
-"""Property tests of CSV ingest: ``load_csv``'s parse step against the
-per-column reference reader of ``conftest``, and the CLI on the same files."""
+"""Property tests of CSV ingest: ``load_csv``'s parse step, in chunks of a few
+lines as in chunks of many, against the per-column reference reader of
+``conftest``, and the CLI on the same files."""
 
 import csv
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from endocheck import data
 from endocheck.cli import main
-from endocheck.data import DataError, Dataset, _read_w
+from endocheck.data import DataError, Dataset, InvalidDataset, NonNumericCell, load_csv
 
-from conftest import F1_ROLES, reference_read_w
+from conftest import F1_ROLES, read_w, reference_read_w
+
+# Lines per chunk of the C reader: each line its own chunk, a few rows at a
+# time, and every file of ``_csv_files`` in one chunk, as at the default size.
+_CHUNK_SIZES = [1, 3, 64]
 
 _NAMES = ("y", "x", "w", "z1", "z2", "e")
 _ROLE_CHOICES = (None, "endogenous", "included_exogenous", "instrument")
@@ -91,23 +97,39 @@ def _read(reader, path, roles, add_intercept):
     return w.shape, w.dtype.str, w.tobytes(), d_z1, d_z2
 
 
+def _streamed(path, roles, add_intercept):
+    """``_read`` of ``load_csv``'s chunks, concatenated, with the error of
+    ``load_csv`` itself, whose checks run on the chunks as they come."""
+    try:
+        ds = load_csv(path, roles, add_intercept=add_intercept)
+    except DataError as exc:
+        return type(exc), str(exc)
+    w, d_z1, d_z2 = read_w(path, roles, add_intercept)
+    assert (ds.n, ds.d_z1, ds.d_z2) == (len(w), d_z1, d_z2)
+    return w.shape, w.dtype.str, w.tobytes(), d_z1, d_z2
+
+
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(case=_csv_files())
 def test_load_csv_matches_the_per_column_reader(tmp_path_factory, case):
-    """Bit-identical W, or the same error class with the same message."""
-    data, roles, add_intercept = case
+    """Bit-identical W, or the same error class with the same message, at each chunk size."""
+    data_bytes, roles, add_intercept = case
     path = tmp_path_factory.getbasetemp() / "ingest_property.csv"
-    path.write_bytes(data)
-    assert _read(_read_w, path, roles, add_intercept) == _read(reference_read_w, path, roles, add_intercept)
+    path.write_bytes(data_bytes)
+    expected = _read(reference_read_w, path, roles, add_intercept)
+    for chunk_rows in _CHUNK_SIZES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_CHUNK_ROWS", chunk_rows)
+            assert _streamed(path, roles, add_intercept) == expected, chunk_rows
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(case=_csv_files())
 def test_cli_never_crashes_on_a_corrupted_csv(tmp_path_factory, case):
     """``test`` on any of these files ends in a documented exit code, never a traceback."""
-    data, roles, add_intercept = case
+    data_bytes, roles, add_intercept = case
     path = tmp_path_factory.getbasetemp() / "ingest_property_cli.csv"
-    path.write_bytes(data)
+    path.write_bytes(data_bytes)
     outcome = next(c for c, r in roles.items() if r == "outcome")
     flags = {"endogenous": "--endog", "included_exogenous": "--exog", "instrument": "--iv"}
     argv = ["test", str(path), "--outcome", outcome, "--format", "json"]
@@ -125,7 +147,8 @@ def test_cli_never_crashes_on_a_corrupted_csv(tmp_path_factory, case):
 ], ids=["plain", "quoted, CRLF and BOM", "lone CR, padding, a column without a role"])
 @pytest.mark.parametrize("add_intercept", [False, True])
 def test_a_clean_file_never_reaches_the_per_row_parse(monkeypatch, tmp_path, text, add_intercept):
-    """The C reader reads these files: the per-row parse, much slower, is only for the others."""
+    """The C reader reads these files, in chunks of any size: the per-row parse,
+    much slower, is only for the others."""
     path = tmp_path / "clean.csv"
     path.write_bytes(text.encode("utf-8"))
     expected = reference_read_w(path, F1_ROLES, add_intercept=add_intercept)
@@ -134,15 +157,69 @@ def test_a_clean_file_never_reaches_the_per_row_parse(monkeypatch, tmp_path, tex
         raise AssertionError("a clean file reached the per-row parse")
 
     monkeypatch.setattr(data, "_parse_rows", per_row_parse)
-    w, d_z1, d_z2 = _read_w(path, F1_ROLES, add_intercept)
-    assert (w.tobytes(), d_z1, d_z2) == (expected[0].tobytes(), *expected[1:])
+    for chunk_rows in _CHUNK_SIZES:
+        monkeypatch.setattr(data, "_CHUNK_ROWS", chunk_rows)
+        w, d_z1, d_z2 = read_w(path, F1_ROLES, add_intercept)
+        assert (w.tobytes(), d_z1, d_z2) == (expected[0].tobytes(), *expected[1:]), chunk_rows
+
+
+def _third_chunk_file(tmp_path, cell, row=7, col=1):
+    """Twelve data rows of F1's columns, read three lines a chunk, with ``cell``
+    in column ``col`` of data row ``row``: by default x in the third chunk."""
+    rng = np.random.default_rng(23)
+    rows = [[repr(float(v)) for v in row] for row in rng.standard_normal((12, 4))]
+    rows[row][col] = cell
+    path = tmp_path / "third_chunk.csv"
+    path.write_text("\n".join(["y,x,z1,z2", *map(",".join, rows)]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("cell", ["1_5", "\u0661\u0662", "x", ""],
+                         ids=["an underscore", "non-ASCII digits", "text", "empty"])
+def test_a_c_reader_failure_in_the_third_chunk_leaks_no_partial_factor(monkeypatch, tmp_path, cell):
+    """The per-row parse starts again from the first data row, and what the
+    first two chunks folded into R is dropped."""
+    path = _third_chunk_file(tmp_path, cell)
+    monkeypatch.setattr(data, "_CHUNK_ROWS", 3)
+    folds = []
+
+    def recording(chunks, d_z1, d_z2):
+        folds.append([])
+        for w in chunks:
+            folds[-1].append(len(w))
+
+    expected = _read(reference_read_w, path, F1_ROLES, True)
+    assert _streamed(path, F1_ROLES, True) == expected
+    if isinstance(expected[0], tuple):  # ``float()`` reads the cell: R is the one-chunk factor of the whole W
+        data._read(path, F1_ROLES, True, recording)
+        assert folds == [[3, 3], [12]]
+        w, d_z1, d_z2 = reference_read_w(path, F1_ROLES, add_intercept=True)
+        ds = load_csv(path, F1_ROLES, add_intercept=True)
+        assert (ds.r.tobytes(), ds.n) == (Dataset.from_w(w, d_z1, d_z2).r.tobytes(), 12)
+    else:
+        with pytest.raises(NonNumericCell):
+            data._read(path, F1_ROLES, True, recording)
+        assert folds == [[3, 3]]
+        assert expected[0] is NonNumericCell and "data row 7" in expected[1]
+
+
+@pytest.mark.parametrize("row", [1, 10], ids=["first chunk", "last chunk"])
+@pytest.mark.parametrize("cell", ["inf", "nan", "1e200", "-1e160"])
+def test_a_bad_value_in_one_chunk_fails_the_whole_file(monkeypatch, tmp_path, cell, row):
+    """The column check runs over all the chunks: a non-finite entry, or a sum of squares
+    that overflows, in the first chunk is not forgotten by the later ones, nor told apart."""
+    path = _third_chunk_file(tmp_path, cell, row=row, col=0)
+    monkeypatch.setattr(data, "_CHUNK_ROWS", 3)
+    expected = _read(reference_read_w, path, F1_ROLES, True)
+    assert expected[0] is InvalidDataset
+    assert _streamed(path, F1_ROLES, True) == expected
 
 
 def test_a_nul_in_a_column_without_a_role_reads_as_csv_reads_it(tmp_path):
     """``csv`` rejects a NUL on Python 3.10 and reads it on later versions; the C reader ignores the column."""
     path = tmp_path / "nul.csv"
     path.write_text("y,x,z1,z2,note\n1,2,3,4,a\x00b\n5,6,7,8.5,c\n9,1,2,3,d\n2,2,5,1,e\n")
-    assert _read(_read_w, path, F1_ROLES, True) == _read(reference_read_w, path, F1_ROLES, True)
+    assert _streamed(path, F1_ROLES, True) == _read(reference_read_w, path, F1_ROLES, True)
 
 
 _FILLER = (data._BATCH - 10) // 6  # rows "1,2,a" before a field that opens on the last line of a batch
@@ -162,6 +239,6 @@ def test_a_field_over_lines_is_held_to_the_field_size_limit(tmp_path, rows, firs
     limit = csv.field_size_limit(50)
     try:
         with pytest.raises(DataError, match=f"not valid CSV at data row {first}: field larger than field limit"):
-            _read_w(path, {"y": "outcome", "x": "endogenous"}, False)
+            read_w(path, {"y": "outcome", "x": "endogenous"}, False)
     finally:
         csv.field_size_limit(limit)
