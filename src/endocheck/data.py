@@ -4,24 +4,22 @@ CSV files are RFC-4180 style: header row required, UTF-8 (a leading
 byte-order mark is skipped), '.' decimal separator. Column roles (outcome /
 endogenous / included exogenous / instrument) are supplied by the caller; an
 intercept is only ever added explicitly via ``add_intercept``. ``load_csv``
-reads the data rows of W = [Z1 | Z2 | Y1 | y2] with numpy's C reader a chunk
-at a time, folding each into the column check and into R, so W is never held
-whole. It parses them again row by row, with ``csv`` and ``float()``, when
-that reader fails or might read the file differently; a ``Dataset`` keeps
-only its R.
+reads the data rows of W = [Z1 | Z2 | Y1 | y2] from one handle, a chunk at a
+time, with numpy's C reader, and row by row with ``csv`` and ``float()`` from
+the first chunk that reader fails on or might read differently; each chunk is
+folded into the column check and into R, so W is never held whole, and a
+``Dataset`` keeps only its R.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 import warnings
 from array import array
 from collections import Counter
-from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -137,9 +135,13 @@ class Dataset:
     d_z2: int
 
     def __init__(self, y2, y1, z1, z2):
-        y2 = np.asarray(y2, dtype=float).reshape(-1, 1)
-        y1, z1, z2 = (np.asarray(block, dtype=float) for block in (y1, z1, z2))
-        y1, z1, z2 = (block[:, None] if block.ndim == 1 else block for block in (y1, z1, z2))
+        blocks = {name: np.asarray(b, dtype=float) for name, b in (("y2", y2), ("y1", y1), ("z1", z1), ("z2", z2))}
+        for name, block in blocks.items():
+            if block.ndim not in (1, 2):
+                raise InvalidDataset(f"'{name}' has {block.ndim} dimensions, expected 1 or 2")
+        y2, y1, z1, z2 = (block[:, None] if block.ndim == 1 else block for block in blocks.values())
+        if y2.shape[1] != 1:
+            raise InvalidDataset(f"'y2' has {y2.shape[1]} columns, expected 1")
         for name, block in (("y1", y1), ("z1", z1), ("z2", z2)):
             if block.shape[0] != y2.shape[0]:
                 raise InvalidDataset(f"'{name}' has {block.shape[0]} rows, expected {y2.shape[0]}")
@@ -219,34 +221,29 @@ class ValidationReport:
         return self.xtx_ok and self.xpzx_ok and self.xv_ok
 
 
-def _rows(path):
-    """The records of the CSV file at ``path``; one not readable as UTF-8 CSV raises ``DataError``."""
-    i = -1  # the last record read: the header is record 0, data row i is record i + 1
+def _records(path, lines, first: int):
+    """(i, record) for the ``csv`` records of ``lines``, numbered from data row ``first``
+    (the header is -1); one that breaks the CSV grammar raises ``DataError``."""
+    i = first - 1  # the last record read
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            for i, row in enumerate(csv.reader(fh)):
-                yield row
-    except OSError as exc:
-        raise DataError(f"cannot read '{path}': {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"'{path}' is not UTF-8 text ({exc.reason})") from None
+        for i, row in enumerate(csv.reader(lines), first):
+            yield i, row
     except csv.Error as exc:
-        raise DataError(f"'{path}' is not valid CSV at {f'data row {i}' if i >= 0 else 'header'}: {exc}") from None
+        raise DataError(f"'{path}' is not valid CSV at {f'data row {i + 1}' if i >= -1 else 'header'}: {exc}") from None
 
 
 def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Dataset:
     """Read a CSV file into the Dataset of its W.
 
-    The data rows go through numpy's C reader ``_CHUNK_ROWS`` lines at a time,
-    and each chunk is folded into the Dataset's column check and R, so memory
-    stays O(chunk * p) and W is never held whole. Over one chunk, R is
-    ``factor(W)`` bit for bit; over more it may differ in the last bits. A
-    file that reader fails on, finds no data row in, or could read a cell of
-    differently from ``csv`` and ``float()`` (a line past
-    ``csv.field_size_limit()``, a quoted field over several lines, a NUL:
-    ``_checked_lines``), in any chunk, is parsed again from its first data row,
-    row by row, one ``float()`` per cell in ``roles`` order, into a W that is
-    factored whole; what was folded is dropped. That parse names the error.
+    The file, a pipe alike, is read once: ``_CHUNK`` characters of whole data
+    lines at a time, each chunk parsed and folded into the Dataset's column
+    check and R, so memory stays O(chunk * p). Over one chunk, R is
+    ``factor(W)`` bit for bit; over more it may differ in the last bits.
+    Numpy's C reader parses the chunks up to the first it fails on or could
+    read differently from ``csv`` and ``float()`` (``_trusted``); from there to
+    the end, each row is parsed with one ``float()`` per cell in ``roles``
+    order, which names a bad cell. A byte that is not UTF-8 is reported as its
+    chunk is read, ahead of an earlier bad cell in that chunk.
 
     Parameters
     ----------
@@ -261,8 +258,7 @@ def load_csv(path, roles: dict[str, str], add_intercept: bool = False) -> Datase
 
 def _read(path, roles: dict[str, str], add_intercept: bool, fold):
     """The parse step of ``load_csv``: ``fold(chunks, d_z1, d_z2)`` on the row chunks
-    (n_i, p) of the file's W, once more on the per-row parse's W alone when the C
-    reader's chunks end in ``_Unchecked``."""
+    (n_i, p) of the file's W, read from one handle."""
     for col, role in roles.items():
         if role not in _ROLES:
             raise RoleConflict(f"unknown role '{role}' for column '{col}'")
@@ -271,87 +267,88 @@ def _read(path, roles: dict[str, str], add_intercept: bool, fold):
         raise RoleConflict(f"expected exactly one outcome column, got {count[ROLE_OUTCOME]}")
     d_z1, d_z2 = count[ROLE_EXOGENOUS] + add_intercept, count[ROLE_INSTRUMENT]
 
-    with closing(_rows(path)) as rows:
-        header = next(rows, None)
-        if header is None:
-            raise EmptyFile(f"'{path}' is empty")
-        header = [h.strip() for h in header]
-        missing = [c for c in roles if c not in header]
-        if missing:
-            raise MissingColumn(f"column(s) {missing} not found in '{path}' (header: {header})")
-        for c in roles:
-            if header.count(c) > 1:
-                raise RoleConflict(f"column '{c}' appears {header.count(c)} times in the header of '{path}'")
-        # W's columns; an intercept reads the first role column twice and overwrites
-        # the first copy with ones, so the C reader writes each chunk itself.
-        order = sorted(roles, key=lambda c: _ROLES.index(roles[c]))
-        usecols = [header.index(c) for c in order[:1] * add_intercept + order]
-        if os.path.isfile(path):  # a pipe cannot be read a second time
-            try:
-                return fold(_c_reader_chunks(path, usecols, add_intercept), d_z1, d_z2)
-            except _Unchecked:
-                pass
-        cells = [(c, header.index(c), order.index(c) + add_intercept) for c in roles]
-        return fold([_parse_rows(path, rows, cells, len(usecols))], d_z1, d_z2)
-
-
-_BATCH = 1 << 16  # characters of whole lines that ``_checked_lines`` checks at a time
-_CHUNK_ROWS = 1 << 15  # lines that the C reader parses and ``Dataset`` folds into R at a time
-
-
-class _Unchecked(Exception):
-    """Raised where numpy's C reader fails, or might read a line differently from ``csv`` and ``float()``."""
-
-
-def _checked_lines(fh):
-    """The lines of ``fh`` in batches of about ``_BATCH`` characters. Raise ``_Unchecked``
-    at a batch holding a NUL (``csv`` rejects it on Python 3.10) or a line past
-    ``csv.field_size_limit()``, and at a batch holding a quote that ``csv`` in strict
-    mode does not read as one record per line (it raises ``csv.Error`` at a quoted
-    field still open where the batch ends): a field over lines can pass the limit
-    while each line is under it. On lines that are one record each, the two readers
-    split alike: both open a quoted field only at a field start and undouble its quotes."""
-    limit = csv.field_size_limit()
-    while batch := fh.readlines(_BATCH):
-        text = "".join(batch)
-        if "\0" in text or max(map(len, batch)) > limit:
-            raise _Unchecked
-        if '"' in text and len(list(csv.reader(batch, strict=True))) != len(batch):
-            raise _Unchecked
-        yield batch
-
-
-def _c_reader_chunks(path, usecols: list[int], add_intercept: bool):
-    """The ``usecols`` of the data rows of the CSV file at ``path`` by numpy's C reader,
-    (n_i, len(usecols)) for each ``_CHUNK_ROWS`` lines that hold a row, the first column
-    set to ones with ``add_intercept``. Raise ``_Unchecked`` where that reader fails,
-    finds no data row, or is not trusted (``_checked_lines``)."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            next(csv.reader(fh))  # the header
-            lines, n = chain.from_iterable(_checked_lines(fh)), 0
-            while (first := next(lines, None)) is not None:
-                chunk = chain((first,), islice(lines, _CHUNK_ROWS - 1))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # blank lines
-                    w = np.loadtxt(chunk, delimiter=",", comments=None, quotechar='"', ndmin=2, usecols=usecols)
-                if len(w):
-                    if add_intercept:
-                        w[:, 0] = 1.0
-                    n += len(w)
-                    yield w
-            if not n:
-                raise _Unchecked
-    except (OSError, ValueError, Warning, csv.Error):
-        raise _Unchecked from None
+            _, header = next(_records(path, fh, -1), (-1, None))
+            if header is None:
+                raise EmptyFile(f"'{path}' is empty")
+            header = [h.strip() for h in header]
+            missing = [c for c in roles if c not in header]
+            if missing:
+                raise MissingColumn(f"column(s) {missing} not found in '{path}' (header: {header})")
+            for c in roles:
+                if header.count(c) > 1:
+                    raise RoleConflict(f"column '{c}' appears {header.count(c)} times in the header of '{path}'")
+            # W's columns; an intercept reads the first role column twice and overwrites
+            # the first copy with ones, so the C reader writes each chunk itself.
+            order = sorted(roles, key=lambda c: _ROLES.index(roles[c]))
+            usecols = [header.index(c) for c in order[:1] * add_intercept + order]
+            cells = [(c, header.index(c), order.index(c) + add_intercept) for c in roles]
+            return fold(_chunks(path, fh, usecols, cells, add_intercept), d_z1, d_z2)
+    except OSError as exc:
+        raise DataError(f"cannot read '{path}': {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"'{path}' is not UTF-8 text ({exc.reason})") from None
 
 
-def _parse_rows(path, rows, cells: list[tuple[str, int, int]], p: int) -> np.ndarray:
-    """W (n, p) of the data ``rows`` of the CSV file at ``path``, one ``float()`` per cell:
-    ``cells`` holds each role column's name, index in a row and slot in W."""
+# Characters of data lines read and folded into R at a time, and bytes of W per
+# block of the per-row parse; positive, as ``readlines(0)`` reads the whole file.
+_CHUNK = 1 << 19
+
+
+def _chunks(path, fh, usecols: list[int], cells: list[tuple[str, int, int]], add_intercept: bool):
+    """W's rows (n_i, len(usecols)) of the data lines of ``fh``, by numpy's C reader a chunk
+    at a time up to the first it fails on or does not trust (``_trusted``), from there by
+    ``_parse_rows``; ``EmptyFile`` where there is no row."""
+    lines = n = 0  # the data lines read before ``chunk``, one record each; W's rows yielded
+    while chunk := fh.readlines(_CHUNK):
+        w = _c_reader(chunk, usecols, add_intercept) if _trusted(chunk) else None
+        for block in [w] if w is not None else _parse_rows(path, chain(chunk, fh), lines, cells, len(usecols)):
+            if len(block):
+                n += len(block)
+                yield block
+        lines += len(chunk)
+    if not n:
+        raise EmptyFile(f"'{path}' has a header but no data rows")
+
+
+def _trusted(chunk: list[str]) -> bool:
+    """False at a NUL (``csv`` rejects it on Python 3.10), a line past ``csv.field_size_limit()``,
+    or a quote that ``csv`` in strict mode does not read as one record per line: a field over
+    lines can pass the limit while each line is under it. On lines that are one record each,
+    numpy's C reader and ``csv`` split alike: both open a quoted field only at a field start
+    and undouble its quotes."""
+    text = "".join(chunk)
+    if "\0" in text or max(map(len, chunk)) > csv.field_size_limit():
+        return False
+    try:
+        return '"' not in text or len(list(csv.reader(chunk, strict=True))) == len(chunk)
+    except csv.Error:
+        return False
+
+
+def _c_reader(chunk: list[str], usecols: list[int], add_intercept: bool) -> np.ndarray | None:
+    """The ``usecols`` of the lines ``chunk`` by numpy's C reader, (n_i, len(usecols)), the
+    first column set to ones with ``add_intercept``, or None where that reader fails or
+    warns (its no-data warning on blank lines aside)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # blank lines
+            w = np.loadtxt(chunk, delimiter=",", comments=None, quotechar='"', ndmin=2, usecols=usecols)
+    except (ValueError, Warning):
+        return None
+    if add_intercept:
+        w[:, 0] = 1.0
+    return w
+
+
+def _parse_rows(path, lines, first: int, cells: list[tuple[str, int, int]], p: int):
+    """W's rows (n_i, p) of the data ``lines``, numbered from data row ``first``, one
+    ``float()`` per cell, in blocks of about ``_CHUNK`` bytes: ``cells`` holds each role
+    column's name, index in a row and slot in W."""
     w = array("d")
-    for i, row in enumerate(rows):
+    for i, row in _records(path, lines, first):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         w_row = [1.0] * p
@@ -361,9 +358,11 @@ def _parse_rows(path, rows, cells: list[tuple[str, int, int]], p: int) -> np.nda
             except ValueError:
                 raise NonNumericCell(i, c) from None
         w.extend(w_row)
-    if not w:
-        raise EmptyFile(f"'{path}' has a header but no data rows")
-    return np.frombuffer(w).reshape(-1, p)
+        if w.itemsize * len(w) >= _CHUNK:
+            yield np.frombuffer(w).reshape(-1, p)
+            w = array("d")
+    if w:
+        yield np.frombuffer(w).reshape(-1, p)
 
 
 # The rank conditions of the four tests, in the order they are checked.

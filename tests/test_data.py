@@ -30,15 +30,43 @@ from conftest import (
 )
 
 
-def tall_csv(tmp_path, n):
-    """An n-row CSV of F1's columns, written as ``%.17g``: one endogenous x, instruments z1 and z2."""
+def tall_csv(tmp_path, n, last_y=None):
+    """An n-row CSV of F1's columns, written as ``%.17g``: one endogenous x, instruments z1
+    and z2; ``last_y``, a string, is written in place of the last row's y."""
     rng = np.random.default_rng(5)
     z, v = rng.standard_normal((n, 2)), rng.standard_normal(n)
     x = z.sum(axis=1) + v
+    w = np.column_stack([x + 0.5 * v + rng.standard_normal(n), x, z])
     path = tmp_path / f"tall_{n}.csv"
-    np.savetxt(path, np.column_stack([x + 0.5 * v + rng.standard_normal(n), x, z]), fmt="%.17g",
-               delimiter=",", header="y,x,z1,z2", comments="")
+    with open(path, "w") as fh:
+        np.savetxt(fh, w[:-1] if last_y else w, fmt="%.17g", delimiter=",", header="y,x,z1,z2", comments="")
+        if last_y:
+            fh.write(",".join([last_y, *(f"{c:.17g}" for c in w[-1, 1:])]) + "\n")
     return path
+
+
+def assert_memory_is_flat(tmp_path, last_y=None):
+    """tracemalloc's peak through ``load_csv`` and ``compute_statistics`` of ``tall_csv``
+    does not grow from n = 100k to 400k and stays under half of W at 400k; the Dataset
+    holds under 1% of W."""
+    def traced(n):
+        path = tall_csv(tmp_path, n, last_y)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ds = load_csv(path, F1_ROLES, add_intercept=True)
+            held = tracemalloc.get_traced_memory()[0] - base
+            compute_statistics(ds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return held, peak
+
+    (held_small, peak_small), (held, peak) = traced(100_000), traced(400_000)
+    w_bytes = 400_000 * 5 * 8
+    assert max(held_small, held) < 0.01 * w_bytes
+    assert peak <= 1.05 * peak_small
+    assert peak <= 0.5 * w_bytes
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -113,8 +141,9 @@ class TestLoadCsv:
             np.testing.assert_array_equal(getattr(b, name), getattr(expected, name))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-    def test_a_pipe_is_read_once(self, tmp_path):
-        # Opening a pipe again reads on where the first reader's buffer stopped, losing rows.
+    def test_a_pipe_is_read_once(self, monkeypatch, tmp_path):
+        # Opening a pipe again reads on where the first reader's buffer stopped, losing
+        # rows. A clean pipe is read as a file is, by the C reader alone.
         rows = np.random.default_rng(3).standard_normal((20_000, 4)).tolist()
         text = "y,x,z1,z2\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
         fifo = tmp_path / "data.fifo"
@@ -124,10 +153,15 @@ class TestLoadCsv:
             with open(fifo, "w") as fh:
                 fh.write(text)
 
+        def per_row_parse(*args):
+            raise AssertionError("a clean pipe reached the per-row parse")
+
         writer = threading.Thread(target=feed, daemon=True)
         writer.start()
         try:
-            ds = load_csv(fifo, F1_ROLES, add_intercept=True)
+            with monkeypatch.context() as mp:
+                mp.setattr(data, "_parse_rows", per_row_parse)
+                ds = load_csv(fifo, F1_ROLES, add_intercept=True)
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
@@ -155,6 +189,24 @@ class TestDatasetInvariants:
         blocks[block] = blocks[block][:9]
         with pytest.raises(InvalidDataset, match=f"'{block}' has 9 rows, expected 10"):
             Dataset(y2=rng.standard_normal(10), **blocks)
+
+    def test_an_outcome_of_two_columns_is_rejected(self):
+        # y2 was reshaped to 2n rows, and the error blamed 'y1'.
+        rng = np.random.default_rng(4)
+        with pytest.raises(InvalidDataset, match="'y2' has 2 columns, expected 1"):
+            Dataset(y2=rng.standard_normal((10, 2)), y1=rng.standard_normal(10), z1=np.ones(10),
+                    z2=rng.standard_normal((10, 2)))
+
+    @pytest.mark.parametrize("block", ["y2", "y1", "z1", "z2"])
+    @pytest.mark.parametrize("ndim", [0, 3])
+    def test_a_block_that_is_not_1d_or_2d_is_rejected(self, block, ndim):
+        # numpy raised a bare ValueError from hstack, or IndexError for a 0-d y1, z1 or z2.
+        rng = np.random.default_rng(5)
+        blocks = {"y2": rng.standard_normal(10), "y1": rng.standard_normal(10), "z1": np.ones(10),
+                  "z2": rng.standard_normal((10, 2))}
+        blocks[block] = np.float64(1.0) if ndim == 0 else blocks[block].reshape(10, -1, 1)
+        with pytest.raises(InvalidDataset, match=f"'{block}' has {ndim} dimensions, expected 1 or 2"):
+            Dataset(**blocks)
 
     def test_too_few_rows(self):
         with pytest.raises(InvalidDataset):
@@ -256,24 +308,12 @@ class TestFactor:
         # factor stacked a second W and copied it again; then the C reader
         # built W whole and the factor copied it once (2.02 W). Read and
         # factored a chunk at a time, the peak no longer grows with n.
-        def traced(n):
-            path = tall_csv(tmp_path, n)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                ds = load_csv(path, F1_ROLES, add_intercept=True)
-                held = tracemalloc.get_traced_memory()[0] - base
-                compute_statistics(ds)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            return held, peak
+        assert_memory_is_flat(tmp_path)
 
-        (held_small, peak_small), (held, peak) = traced(100_000), traced(400_000)
-        w_bytes = 400_000 * 5 * 8
-        assert max(held_small, held) < 0.01 * w_bytes
-        assert peak <= 1.05 * peak_small
-        assert peak <= 0.5 * w_bytes
+    def test_memory_when_the_last_row_takes_the_per_row_parse(self, tmp_path):
+        # Only float() reads the last row's '1_0', so the per-row parse takes over at the
+        # last chunk. It folds its rows in blocks after the C reader's, never W whole.
+        assert_memory_is_flat(tmp_path, last_y="1_0")
 
     def test_a_streamed_factor_matches_the_in_memory_one(self, monkeypatch, tmp_path):
         # Over one chunk R is factor(W) bit for bit; over many, R <- R of [R; chunk]
@@ -283,8 +323,9 @@ class TestFactor:
         in_memory = Dataset.from_w(w, d_z1, d_z2)
         assert load_csv(path, F1_ROLES, add_intercept=True).r.tobytes() == in_memory.r.tobytes()
         expected = vars(compute_statistics(in_memory))
-        for chunk_rows in (1, 7, 64, 999):
-            monkeypatch.setattr(data, "_CHUNK_ROWS", chunk_rows)
+        # Characters per chunk: one line, about 7 and 64 lines, and all lines but the last.
+        for chunk in (1, 7 * 85, 64 * 85, path.stat().st_size - 100):
+            monkeypatch.setattr(data, "_CHUNK", chunk)
             ds = load_csv(path, F1_ROLES, add_intercept=True)
             assert ds.n == 1000 and ds.r.tobytes() != in_memory.r.tobytes()
             for name, value in vars(compute_statistics(ds)).items():

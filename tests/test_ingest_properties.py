@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endocheck import data
+from endocheck import compute_statistics, data
 from endocheck.cli import main
 from endocheck.data import DataError, Dataset, InvalidDataset, NonNumericCell, load_csv
 
 from conftest import F1_ROLES, read_w, reference_read_w
 
-# Lines per chunk of the C reader: each line its own chunk, a few rows at a
-# time, and every file of ``_csv_files`` in one chunk, as at the default size.
-_CHUNK_SIZES = [1, 3, 64]
+# Characters per chunk: each line its own chunk (``readlines`` reads whole lines
+# until the budget is met), a few lines at a time, and every file of
+# ``_csv_files`` in one chunk, as at the default budget.
+_CHUNK_SIZES = [1, 64, data._CHUNK]
 
 _NAMES = ("y", "x", "w", "z1", "z2", "e")
 _ROLE_CHOICES = (None, "endogenous", "included_exogenous", "instrument")
@@ -117,10 +118,10 @@ def test_load_csv_matches_the_per_column_reader(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "ingest_property.csv"
     path.write_bytes(data_bytes)
     expected = _read(reference_read_w, path, roles, add_intercept)
-    for chunk_rows in _CHUNK_SIZES:
+    for chunk in _CHUNK_SIZES:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(data, "_CHUNK_ROWS", chunk_rows)
-            assert _streamed(path, roles, add_intercept) == expected, chunk_rows
+            mp.setattr(data, "_CHUNK", chunk)
+            assert _streamed(path, roles, add_intercept) == expected, chunk
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -157,49 +158,61 @@ def test_a_clean_file_never_reaches_the_per_row_parse(monkeypatch, tmp_path, tex
         raise AssertionError("a clean file reached the per-row parse")
 
     monkeypatch.setattr(data, "_parse_rows", per_row_parse)
-    for chunk_rows in _CHUNK_SIZES:
-        monkeypatch.setattr(data, "_CHUNK_ROWS", chunk_rows)
+    for chunk in _CHUNK_SIZES:
+        monkeypatch.setattr(data, "_CHUNK", chunk)
         w, d_z1, d_z2 = read_w(path, F1_ROLES, add_intercept)
-        assert (w.tobytes(), d_z1, d_z2) == (expected[0].tobytes(), *expected[1:]), chunk_rows
+        assert (w.tobytes(), d_z1, d_z2) == (expected[0].tobytes(), *expected[1:]), chunk
 
 
 def _third_chunk_file(tmp_path, cell, row=7, col=1):
-    """Twelve data rows of F1's columns, read three lines a chunk, with ``cell``
-    in column ``col`` of data row ``row``: by default x in the third chunk."""
+    """Twelve data rows of F1's columns, 76 characters a line, with ``cell`` in column
+    ``col`` of data row ``row``: by default x in the third chunk of ``_THREE_LINES``."""
     rng = np.random.default_rng(23)
-    rows = [[repr(float(v)) for v in row] for row in rng.standard_normal((12, 4))]
+    rows = [[f"{v:+.15f}" for v in row] for row in rng.standard_normal((12, 4))]
     rows[row][col] = cell
     path = tmp_path / "third_chunk.csv"
     path.write_text("\n".join(["y,x,z1,z2", *map(",".join, rows)]) + "\n")
     return path
 
 
+# Characters per chunk that put three lines of ``_third_chunk_file`` in each chunk:
+# two full lines fall short of it, and three lines, one of them shortened by its cell, reach it.
+_THREE_LINES = 2 * 76 + 1
+
+
 @pytest.mark.parametrize("cell", ["1_5", "\u0661\u0662", "x", ""],
                          ids=["an underscore", "non-ASCII digits", "text", "empty"])
-def test_a_c_reader_failure_in_the_third_chunk_leaks_no_partial_factor(monkeypatch, tmp_path, cell):
-    """The per-row parse starts again from the first data row, and what the
-    first two chunks folded into R is dropped."""
+def test_a_c_reader_failure_in_the_third_chunk_keeps_the_folded_chunks(monkeypatch, tmp_path, cell):
+    """The first two chunks are folded from the C reader and stay; the per-row parse
+    takes over at the third, numbering its rows from data row 6, and reads to the end."""
     path = _third_chunk_file(tmp_path, cell)
-    monkeypatch.setattr(data, "_CHUNK_ROWS", 3)
-    folds = []
+    monkeypatch.setattr(data, "_CHUNK", _THREE_LINES)
+    folds, starts, parse_rows = [], [], data._parse_rows
 
     def recording(chunks, d_z1, d_z2):
         folds.append([])
         for w in chunks:
             folds[-1].append(len(w))
 
+    def recording_parse(path, lines, first, *args):
+        starts.append(first)
+        return parse_rows(path, lines, first, *args)
+
     expected = _read(reference_read_w, path, F1_ROLES, True)
     assert _streamed(path, F1_ROLES, True) == expected
-    if isinstance(expected[0], tuple):  # ``float()`` reads the cell: R is the one-chunk factor of the whole W
+    monkeypatch.setattr(data, "_parse_rows", recording_parse)
+    if isinstance(expected[0], tuple):  # ``float()`` reads the cell: one fold over all 12 rows
         data._read(path, F1_ROLES, True, recording)
-        assert folds == [[3, 3], [12]]
-        w, d_z1, d_z2 = reference_read_w(path, F1_ROLES, add_intercept=True)
+        assert len(folds) == 1 and folds[0][:2] == [3, 3] and sum(folds[0]) == 12 and starts == [6]
         ds = load_csv(path, F1_ROLES, add_intercept=True)
-        assert (ds.r.tobytes(), ds.n) == (Dataset.from_w(w, d_z1, d_z2).r.tobytes(), 12)
+        assert ds.n == 12
+        in_memory = compute_statistics(Dataset.from_w(*reference_read_w(path, F1_ROLES, add_intercept=True)))
+        for name, value in vars(compute_statistics(ds)).items():
+            np.testing.assert_allclose(value, vars(in_memory)[name], rtol=1e-10, atol=0, err_msg=name)
     else:
-        with pytest.raises(NonNumericCell):
+        with pytest.raises(NonNumericCell, match="data row 7"):
             data._read(path, F1_ROLES, True, recording)
-        assert folds == [[3, 3]]
+        assert folds == [[3, 3]] and starts == [6]
         assert expected[0] is NonNumericCell and "data row 7" in expected[1]
 
 
@@ -209,10 +222,27 @@ def test_a_bad_value_in_one_chunk_fails_the_whole_file(monkeypatch, tmp_path, ce
     """The column check runs over all the chunks: a non-finite entry, or a sum of squares
     that overflows, in the first chunk is not forgotten by the later ones, nor told apart."""
     path = _third_chunk_file(tmp_path, cell, row=row, col=0)
-    monkeypatch.setattr(data, "_CHUNK_ROWS", 3)
+    monkeypatch.setattr(data, "_CHUNK", _THREE_LINES)
     expected = _read(reference_read_w, path, F1_ROLES, True)
     assert expected[0] is InvalidDataset
     assert _streamed(path, F1_ROLES, True) == expected
+
+
+def test_a_byte_not_utf8_is_reported_ahead_of_an_earlier_bad_cell_in_its_chunk(monkeypatch, tmp_path):
+    """A chunk is decoded as it is read, before any of its cells is parsed, so the byte
+    is reported first; in a chunk after the bad cell's, it is not reached. The CLI exits 2
+    either way. The byte lies past the text decoder's first block of 8 KB."""
+    rows = ["1,2,3,4"] * 4 + ["1,x,3,4"] + ["1,2,3,4"] * 3000 + ["1,2,3,\xe9"]
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("\n".join(["y,x,z1,z2", *rows, ""]).encode("latin-1"))
+    argv = ["test", str(path), "--outcome", "y", "--endog", "x", "--exog", "none", "--iv", "z1,z2"]
+    with pytest.raises(DataError, match="not UTF-8 text"):
+        load_csv(path, F1_ROLES)
+    assert main(argv) == 2
+    monkeypatch.setattr(data, "_CHUNK", 64)
+    with pytest.raises(NonNumericCell, match="data row 4, column 'x'"):
+        load_csv(path, F1_ROLES)
+    assert main(argv) == 2
 
 
 def test_a_nul_in_a_column_without_a_role_reads_as_csv_reads_it(tmp_path):
@@ -222,7 +252,7 @@ def test_a_nul_in_a_column_without_a_role_reads_as_csv_reads_it(tmp_path):
     assert _streamed(path, F1_ROLES, True) == _read(reference_read_w, path, F1_ROLES, True)
 
 
-_FILLER = (data._BATCH - 10) // 6  # rows "1,2,a" before a field that opens on the last line of a batch
+_FILLER = (data._CHUNK - 10) // 6  # rows "1,2,a" before a field that opens on the last line of a chunk
 
 
 @pytest.mark.parametrize("rows, first", [
