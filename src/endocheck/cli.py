@@ -1,17 +1,18 @@
 """Command-line surface: ``test``, ``verify``, and ``simulate`` subcommands.
 
+Each command returns its exit code and its report and writes nothing; ``main``
+alone writes: the report to stdout in one write, an error to stderr.
+
 Exit codes: 0 success; 2 input or validation failure, or a report (the
 help text too) that cannot be written to stdout; 3 degenerate residual
 variance; 4 identity verification failure; 5 invalid simulation config.
+A stderr that cannot be written loses the message, not the exit code.
 Stdout in json/csv modes carries only the report, never log lines.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
-import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -89,60 +90,51 @@ def _test_report_dict(report: endogeneity.TestReport) -> dict:
     }
 
 
-def _print_test_report(report: endogeneity.TestReport, fmt: str) -> None:
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _test_report_text(report: endogeneity.TestReport, fmt: str) -> str:
     if fmt == "json":
-        print(json.dumps(_test_report_dict(report), indent=2, sort_keys=True, allow_nan=False))
-        return
+        return simulation.json_text(_test_report_dict(report))
     alphas = sorted(report.decisions)
     if fmt == "csv":
-        out = io.StringIO()
-        header = ["test", "statistic", "p_value"] + [f"reject_at_{a:g}" for a in alphas]
-        out.write(",".join(header) + "\n")
+        rows = [["test", "statistic", "p_value"] + [f"reject_at_{a:g}" for a in alphas]]
         for name, value in report.by_name().items():
-            row = [name, repr(value), repr(report.p_values[name])]
-            row += [str(int(report.decisions[a][name])) for a in alphas]
-            out.write(",".join(row) + "\n")
-        sys.stdout.write(out.getvalue())
-        return
-    print(f"Endogeneity tests (df = {report.df}, h_n = {report.h_n:.6g})")
-    print(f"{'test':<6} {'statistic':>14} {'p-value':>10}  " + "  ".join(f"a={a:g}" for a in alphas))
+            rows.append([name, repr(value), repr(report.p_values[name])]
+                        + [str(int(report.decisions[a][name])) for a in alphas])
+        return _lines(",".join(row) for row in rows)
+    lines = [f"Endogeneity tests (df = {report.df}, h_n = {report.h_n:.6g})",
+             f"{'test':<6} {'statistic':>14} {'p-value':>10}  " + "  ".join(f"a={a:g}" for a in alphas)]
     for name, value in report.by_name().items():
         marks = "  ".join(
             ("reject" if report.decisions[a][name] else "accept").center(max(6, len(f"a={a:g}")))
             for a in alphas
         )
-        print(f"{name:<6} {value:>14.6f} {report.p_values[name]:>10.4g}  {marks}")
-
-
-def _finite_or_null(gap: float) -> float | None:
-    # Strict JSON has no NaN or Infinity: a non-finite gap is written as null.
-    return gap if math.isfinite(gap) else None
+        lines.append(f"{name:<6} {value:>14.6f} {report.p_values[name]:>10.4g}  {marks}")
+    return _lines(lines)
 
 
 def _identity_report_dict(report: endogeneity.IdentityReport) -> dict:
     return {
         "schema_version": 1,
-        "gaps": {name: _finite_or_null(gap) for name, gap in report.gaps().items()},
-        "max_gap": _finite_or_null(report.max_gap()),
+        "gaps": {name: simulation.finite_or_null(gap) for name, gap in report.gaps().items()},
+        "max_gap": simulation.finite_or_null(report.max_gap()),
         "ordering_ok": report.ordering_ok,
     }
 
 
-def _print_identity_report(report: endogeneity.IdentityReport, fmt: str, tol: float) -> None:
+def _identity_report_text(report: endogeneity.IdentityReport, fmt: str, tol: float) -> str:
     if fmt == "json":
-        print(json.dumps(_identity_report_dict(report), indent=2, sort_keys=True, allow_nan=False))
-        return
+        return simulation.json_text(_identity_report_dict(report))
     if fmt == "csv":
-        print("identity,gap")
-        for name, gap in report.gaps().items():
-            print(f"{name},{gap!r}")
-        print(f"ordering_ok,{int(report.ordering_ok)}")
-        return
-    print(f"Identity verification (tolerance {tol:g})")
+        return _lines(["identity,gap", *(f"{name},{gap!r}" for name, gap in report.gaps().items()),
+                       f"ordering_ok,{int(report.ordering_ok)}"])
+    lines = [f"Identity verification (tolerance {tol:g})"]
     for name, gap in report.gaps().items():
-        status = "ok" if gap < tol else "FAIL"
-        print(f"  {name:<22} {gap:12.3e}  {status}")
-    print(f"  {'ordering':<22} {'strict/weak':>12}  {'ok' if report.ordering_ok else 'FAIL'}")
+        lines.append(f"  {name:<22} {gap:12.3e}  {'ok' if gap < tol else 'FAIL'}")
+    lines.append(f"  {'ordering':<22} {'strict/weak':>12}  {'ok' if report.ordering_ok else 'FAIL'}")
+    return _lines(lines)
 
 
 def _random_dataset(tokens: list[str]) -> data.Dataset:
@@ -172,37 +164,31 @@ def _random_dataset(tokens: list[str]) -> data.Dataset:
     return simulation.generate_dataset(cfg, 0, params["seed"])
 
 
-def _admissible(ds: data.Dataset) -> bool:
-    """Validate ``ds``; when it fails, print the reasons to stderr."""
+def _require_admissible(ds: data.Dataset) -> None:
+    """Validate ``ds``; when it fails, raise its reasons, one per line."""
     report = data.validate(ds)
     if not report.all_ok:
-        for msg in report.messages:
-            print(f"endocheck: {msg}", file=sys.stderr)
-    return report.all_ok
+        raise data.InvalidDataset("\n".join(report.messages))
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> tuple[int, str]:
     ds = _load_dataset(args)
-    if not _admissible(ds):
-        return EXIT_VALIDATION
+    _require_admissible(ds)
     report = endogeneity.run_all_tests(ds, alphas=args.alpha)
-    _print_test_report(report, args.format)
-    return EXIT_OK
+    return EXIT_OK, _test_report_text(report, args.format)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     if args.random is not None:
         ds = _random_dataset(args.random)
+    elif args.data is None:
+        raise EndocheckError("verify needs a CSV path or --random")
     else:
-        if args.data is None:
-            print("endocheck: verify needs a CSV path or --random", file=sys.stderr)
-            return EXIT_VALIDATION
         ds = _load_dataset(args)
-    if not _admissible(ds):
-        return EXIT_VALIDATION
+    _require_admissible(ds)
     report = endogeneity.verify_identities(ds, tol=args.tol)
-    _print_identity_report(report, args.format, args.tol)
-    return EXIT_OK if report.within(args.tol) else EXIT_VERIFY_FAILED
+    text = _identity_report_text(report, args.format, args.tol)
+    return EXIT_OK if report.within(args.tol) else EXIT_VERIFY_FAILED, text
 
 
 def _table_cell(value: float | None) -> str:
@@ -211,7 +197,7 @@ def _table_cell(value: float | None) -> str:
     return f"{'-' if value is None else format(value, '.4f'):>8}"
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, str]:
     dgp, sim, grid = simulation.load_config(args.config)
     if args.seed is not None:
         sim = replace(sim, seed=args.seed)
@@ -219,8 +205,7 @@ def cmd_simulate(args) -> int:
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
-            print(f"endocheck: cannot write results to '{args.out}': {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise EndocheckError(f"cannot write results to '{args.out}': {exc.strerror or exc}") from None
     if grid is None:
         entries = [(dgp.rho, simulation.run_monte_carlo(dgp, sim))]
     else:
@@ -231,33 +216,32 @@ def cmd_simulate(args) -> int:
             simulation.write_result_json(os.path.join(args.out, "simulation.json"), document)
             simulation.write_result_csv(os.path.join(args.out, "simulation.csv"), document)
         except OSError as exc:
-            print(f"endocheck: cannot write results to '{args.out}': {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise EndocheckError(f"cannot write results to '{args.out}': {exc.strerror or exc}") from None
     if args.format == "json":
-        print(json.dumps(document, indent=2, sort_keys=True, allow_nan=False))
-    else:
-        print(f"{'test':<6} {'alpha':>6} {'rho':>12} {'rate':>8} {'stderr':>8}")
-        rhos = [";".join(f"{r:g}" for r in point["rho"]) for point in document["points"]]
-        for rho, point in zip(rhos, document["points"]):
-            for row in point["rates"]:
-                print(f"{row['test']:<6} {row['alpha']:>6g} {rho:>12} "
-                      f"{_table_cell(row['rate'])} {_table_cell(row['stderr'])}")
-        for rho, point in zip(rhos, document["points"]):
-            if point["degenerate_count"] or point["ordering_violations"]:
-                print(f"note: rho={rho}: {point['degenerate_count']} degenerate replications, "
-                      f"{point['ordering_violations']} ordering violations")
-    return EXIT_OK
+        return EXIT_OK, simulation.json_text(document)
+    lines = [f"{'test':<6} {'alpha':>6} {'rho':>12} {'rate':>8} {'stderr':>8}"]
+    rhos = [";".join(f"{r:g}" for r in point["rho"]) for point in document["points"]]
+    for rho, point in zip(rhos, document["points"]):
+        for row in point["rates"]:
+            lines.append(f"{row['test']:<6} {row['alpha']:>6g} {rho:>12} "
+                         f"{_table_cell(row['rate'])} {_table_cell(row['stderr'])}")
+    for rho, point in zip(rhos, document["points"]):
+        if point["degenerate_count"] or point["ordering_violations"]:
+            lines.append(f"note: rho={rho}: {point['degenerate_count']} degenerate replications, "
+                         f"{point['ordering_violations']} ordering violations")
+    return EXIT_OK, _lines(lines)
+
+
+class _Help(Exception):
+    """A help text, raised for ``main`` to write as the report."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, whose help is a report: ``print_help`` lets a failed write
-    to stdout raise for ``main``, where argparse drops it (or, on a closed stdout,
-    writes to stderr instead)."""
+    """argparse's parser, whose help is a report: ``print_help`` hands its text to
+    ``main`` to write, where argparse would drop a failed write."""
 
     def print_help(self, file=None):
-        file = file or sys.stdout
-        if file is not None:
-            file.write(self.format_help())
+        raise _Help(self.format_help())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,39 +275,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stdout_failed(reason: str) -> int:
-    print(f"endocheck: cannot write the report to stdout: {reason}", file=sys.stderr)
-    return EXIT_VALIDATION
+def _to_devnull(stream) -> None:
+    """Point a failed stream's fd at devnull, so that the interpreter's last flush does not
+    fail again and exit 120 (the note on SIGPIPE in the documentation of the signal module)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _warn(message: str) -> None:
+    """Write ``message`` to stderr, ``endocheck: `` before each line. A stderr
+    that is closed or fails loses it; the exit code still tells the outcome."""
+    if sys.stderr is None:  # fd 2 was closed at start
+        return
+    try:
+        sys.stderr.write(_lines(f"endocheck: {line}" for line in message.split("\n")))
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
 
 
 def main(argv=None) -> int:
     try:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            if exc.code:  # a usage error, reported on stderr
-                raise
-            args = None  # the help, written to stdout
-        if sys.stdout is None:  # fd 1 was closed when the interpreter started
-            return _stdout_failed("it is closed")
-        code = args.func(args) if args else EXIT_OK
-        sys.stdout.flush()
+        args = build_parser().parse_args(argv)
+    except _Help as exc:  # the help is the report of a command that does nothing else
+        args = argparse.Namespace(func=lambda _, text=str(exc): (EXIT_OK, text))
+    if sys.stdout is None:  # fd 1 was closed at start: fail before the command runs
+        _warn("cannot write the report to stdout: it is closed")
+        return EXIT_VALIDATION
+    try:
+        code, report = args.func(args)
     except EndocheckError as exc:
-        print(f"endocheck: {exc}", file=sys.stderr)
+        _warn(str(exc))
         if isinstance(exc, ConfigInvalid):
             return EXIT_CONFIG
         if isinstance(exc, DegenerateVariance):
             return EXIT_DEGENERATE
         return EXIT_VALIDATION
+    try:
+        sys.stdout.write(report)
+        sys.stdout.flush()
     except OSError as exc:
-        # The commands handle every other OSError where it arises (the CSV,
-        # the config, --out), so this one is stdout's. Its unwritten bytes go
-        # to devnull, so that the interpreter's last flush does not fail again
-        # (the note on SIGPIPE in the documentation of the signal module).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return _stdout_failed(exc.strerror or str(exc))
+        _to_devnull(sys.stdout)
+        _warn(f"cannot write the report to stdout: {exc.strerror or exc}")
+        return EXIT_VALIDATION
     return code
 
 

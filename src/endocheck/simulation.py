@@ -376,7 +376,7 @@ def load_config(path) -> tuple[DgpConfig, SimConfig, list | None]:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config '{path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, nesting or an int too long to read
         raise ConfigInvalid(f"malformed JSON in '{path}': {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigInvalid("config root must be a JSON object")
@@ -399,10 +399,15 @@ def _config_dict(cfg) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}
 
 
-def _null_if_nan(x: float) -> float | None:
-    # A run with no completed replication has undefined rates; strict JSON
-    # has no NaN, so they are written as null (an empty cell in the CSV).
-    return None if math.isnan(x) else x
+def finite_or_null(x: float) -> float | None:
+    # Strict JSON has no NaN or Infinity: such a value (the rates of a run with
+    # no completed replication, say) is written as null, an empty cell in the CSV.
+    return x if math.isfinite(x) else None
+
+
+def json_text(document) -> str:
+    """The strict JSON of every report and of ``simulation.json``: sorted, indented, one last newline."""
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def result_document(dgp: DgpConfig, sim: SimConfig, entries: list[tuple[tuple[float, ...], SimResult]]) -> dict:
@@ -416,8 +421,8 @@ def result_document(dgp: DgpConfig, sim: SimConfig, entries: list[tuple[tuple[fl
                     {
                         "test": t,
                         "alpha": a,
-                        "rate": _null_if_nan(res.rejection_rate[t][a]),
-                        "stderr": _null_if_nan(res.mc_stderr[t][a]),
+                        "rate": finite_or_null(res.rejection_rate[t][a]),
+                        "stderr": finite_or_null(res.mc_stderr[t][a]),
                         "count": res.rejection_count[t][a],
                     }
                     for t in sim.tests
@@ -438,8 +443,7 @@ def result_document(dgp: DgpConfig, sim: SimConfig, entries: list[tuple[tuple[fl
 
 def write_result_json(path, document: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(json_text(document))
 
 
 def write_result_csv(path, document: dict) -> None:

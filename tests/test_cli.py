@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -18,6 +19,22 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def collinear_csv(tmp_path):
+    """A CSV that fails validation under ``F1_ARGS``: its regressor is constant,
+    as the intercept is, and z2 = 2 z1."""
+    rng = np.random.default_rng(1)
+    n = 30
+    z = rng.standard_normal(n)
+    y1 = np.full(n, 5.0)  # constant regressor collides with the intercept
+    y2 = rng.standard_normal(n)
+    p = tmp_path / "collinear.csv"
+    rows = ["y,x,z1,z2"] + [
+        f"{float(y2[i])!r},{float(y1[i])!r},{float(z[i])!r},{float(z[i] * 2)!r}" for i in range(n)
+    ]
+    p.write_text("\n".join(rows) + "\n")
+    return p
 
 
 def _reject_constant(name):
@@ -145,17 +162,7 @@ class TestCmdTest:
             assert value == pytest.approx(f1_expected[name], rel=1e-8)
 
     def test_collinear_data_exits_2(self, capsys, tmp_path):
-        rng = np.random.default_rng(1)
-        n = 30
-        z = rng.standard_normal(n)
-        y1 = np.full(n, 5.0)  # constant regressor collides with the intercept
-        y2 = rng.standard_normal(n)
-        p = tmp_path / "collinear.csv"
-        rows = ["y,x,z1,z2"] + [
-            f"{float(y2[i])!r},{float(y1[i])!r},{float(z[i])!r},{float(z[i] * 2)!r}" for i in range(n)
-        ]
-        p.write_text("\n".join(rows) + "\n")
-        code, _, err = run(capsys, ["test", str(p), *F1_ARGS])
+        code, _, err = run(capsys, ["test", str(collinear_csv(tmp_path)), *F1_ARGS])
         assert code == 2
         assert err
 
@@ -353,10 +360,18 @@ class TestCmdSimulate:
         assert blobs[0] == blobs[1]
 
     def test_malformed_config_exits_5(self, capsys, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("{oops")
-        code, _, err = run(capsys, ["simulate", "--config", str(p)])
-        assert code == 5
+        # Bad JSON, a byte that is not UTF-8, nesting deeper than the decoder
+        # recurses, and an integer literal past the int-string digit limit.
+        configs = [b"{oops", b'{"dgp": "\xff"}', b"[" * 200000]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if limit:
+            configs.append(b'{"dgp": {"n": ' + b"1" * (limit + 1) + b"}}")
+        for i, config in enumerate(configs):
+            p = tmp_path / f"bad{i}.json"
+            p.write_bytes(config)
+            code, out, err = run(capsys, ["simulate", "--config", str(p)])
+            assert code == 5, err
+            assert out == "" and err.startswith("endocheck: ") and err.count("\n") == 1 and str(p) in err
 
     def test_missing_config_exits_5(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["simulate", "--config", str(tmp_path / "nope.json")])
