@@ -24,7 +24,7 @@ from itertools import chain
 import numpy as np
 
 from . import linalg
-from .errors import EndocheckError
+from .errors import EndocheckError, RankDeficient
 
 ROLE_OUTCOME = "outcome"
 ROLE_ENDOGENOUS = "endogenous"
@@ -199,11 +199,21 @@ class Dataset:
 
     @cached_property
     def rank(self) -> tuple[np.ndarray, np.ndarray]:
-        """``rank_checks`` of ``designs``, read-only: what ``validate`` reports, ``compute_statistics`` decides by."""
+        """``rank_checks`` of ``designs``, read-only: what ``validate`` reports and
+        ``compute_statistics`` and the fits decide by."""
         rank = rank_checks(self.designs)
         for a in rank:
             a.flags.writeable = False
         return rank
+
+    def require_rank(self, *checks: int) -> None:
+        """Raise ``RankDeficient`` for the first of ``checks``, indices into
+        ``RANK_MESSAGES``, whose design ``rank`` flags: that design's message, and
+        the ``linalg.weakest_column`` of its SVD. The one place a rank error is built."""
+        for k in checks:
+            if not self.rank[0][k]:
+                vt = np.linalg.svd(self.designs[k])[2]
+                raise RankDeficient(linalg.weakest_column(vt), RANK_MESSAGES[k])
 
 
 @dataclass

@@ -22,7 +22,7 @@ from scipy.special import chdtrc, chdtri
 
 from . import linalg
 from .data import RANK_MESSAGES, Dataset, InvalidDataset, designs, rank_checks
-from .errors import DegenerateVariance, EndocheckError, RankDeficient
+from .errors import DegenerateVariance, EndocheckError
 from .estimators import fit_cf, fit_ols, fit_tsls
 
 TEST_NAMES = ("t_h1", "t_h2", "t_h3", "t_cf")
@@ -54,33 +54,32 @@ def chi2_critical(df: int, alpha: float) -> float:
 # Test statistics
 # ---------------------------------------------------------------------------
 
-def hausman_statistic(beta_gap, factor_2sls, factor_ols, sigma2_1: float, sigma2_2: float) -> float:
-    """Generic Hausman quadratic form in the OLS/2SLS coefficient gap: the K
-    form that ``verify_identities`` checks ``compute_statistics`` against.
+def hausman_statistic(beta_gap, factor_2sls, factor_ols, sigma2: float) -> float:
+    """Hausman quadratic form in the OLS/2SLS coefficient gap at one residual
+    variance ``sigma2``: the K form that ``verify_identities`` checks
+    ``compute_statistics`` against.
 
     The grams enter as factors ``B`` of ``G = B'B`` (G2 = gram_2sls,
     G1 = gram_ols), and ``G·gap`` is ``B'(B·gap)``, which keeps the weak
     direction a formed ill-conditioned gram loses. The weighting matrix
-    ``W = sigma2_1 * G2^-1 - sigma2_2 * G1^-1`` has inverse ``G1 K^-1 G2``
-    with ``K = sigma2_1 * G1 - sigma2_2 * G2``: one SPD solve, no inverse.
-    It solves with ``K / sigma2_1``, which does not overflow where sigma2
-    times a gram would. K loses accuracy, and can round to non-positive,
+    ``W = sigma2 * (G2^-1 - G1^-1)`` has inverse ``G1 K^-1 G2 / sigma2``
+    with ``K = G1 - G2``: one SPD solve, no inverse, and no sigma2 times a
+    gram to overflow. K loses accuracy, and can round to non-positive,
     when the grams nearly coincide (a strong first stage).
 
     Raises
     ------
     NotPositiveDefinite
-        When ``K`` (equivalently the weighting matrix) is not SPD, which
-        signals an invalid variance pairing (it cannot happen for the three
-        named versions when the 2SLS variance is at least the OLS one).
+        When ``K`` (equivalently the weighting matrix) is not SPD: the
+        2SLS gram is not below the OLS one.
     """
     gap = np.asarray(beta_gap, dtype=float).reshape(-1)
     if not np.any(gap):
         return 0.0
     b2 = np.asarray(factor_2sls, dtype=float)
     b1 = np.asarray(factor_ols, dtype=float)
-    k = b1.T @ b1 - (sigma2_2 / sigma2_1) * (b2.T @ b2)
-    return float((b1.T @ (b1 @ gap)) @ linalg.spd_solve(k, b2.T @ (b2 @ gap))) / sigma2_1
+    k = b1.T @ b1 - b2.T @ b2
+    return float((b1.T @ (b1 @ gap)) @ linalg.spd_solve(k, b2.T @ (b2 @ gap))) / sigma2
 
 
 def _variance_floor(designs: tuple[np.ndarray, ...], n: int):
@@ -133,12 +132,13 @@ def ordering_slack(t_cf):
 def compute_statistics(ds: Dataset) -> Statistics:
     """The four test statistics, ``h_n`` and the beta gap of ``ds`` by the decision of
     ``block_statistics`` on a stack of one, with the rank flags of ``ds.rank``; it runs no
-    fit. Raises its first failed check: ``RankDeficient`` (with ``validate``'s message),
-    ``DegenerateVariance`` or ``InvalidDataset`` (non-finite results)."""
+    fit. Raises its first failed check: ``RankDeficient`` (``Dataset.require_rank`` of
+    all four rank checks), ``DegenerateVariance`` or ``InvalidDataset`` (non-finite results)."""
+    ds.require_rank(*range(len(RANK_MESSAGES)))
     d = tuple(a[None] for a in ds.designs)
     values, h_n, gap, failed = _decide(d, ds.rank[0][:, None], ds.n, ds.d_z1, ds.d_z2)
     if failed[0]:
-        raise _failure(int(failed[0]), ds)
+        raise _failure(int(failed[0]))
     return Statistics(*(float(v) for v in values[:, 0]), h_n=float(h_n[0]), df=ds.d_y1, beta_gap=gap[0])
 
 
@@ -245,11 +245,8 @@ def _decide(d: tuple[np.ndarray, ...], full_rank: np.ndarray, n: int, d_z1: int,
     return np.where(ok, stats, np.nan), np.where(ok, h_n, np.nan), np.where(ok[:, None], gap, np.nan), failed
 
 
-def _failure(code: int, ds: Dataset) -> EndocheckError:
-    """The error that failure ``code`` of ``_decide`` on ``ds`` raises."""
-    if code <= len(RANK_MESSAGES):
-        vt = np.linalg.svd(ds.designs[code - 1])[2]
-        return RankDeficient(linalg.weakest_column(vt), RANK_MESSAGES[code - 1])
+def _failure(code: int) -> EndocheckError:
+    """The error that a variance or finiteness failure ``code`` of ``_decide`` raises."""
     code -= len(RANK_MESSAGES)
     if code <= len(_VARIANCE_LABELS):
         return DegenerateVariance(f"{_VARIANCE_LABELS[code - 1]} residual variance is numerically zero")
@@ -358,10 +355,10 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     rho_closed = linalg.spd_solve(gram_mz, gram_ols @ gap)
 
     # Direct Wald form against the Hausman form at the CF variance.
-    t_cf_hausman = hausman_statistic(gap, *factors, cf.sigma2_u, cf.sigma2_u)
+    t_cf_hausman = hausman_statistic(gap, *factors, cf.sigma2_u)
 
     # Structural coefficient gap as a linear transform of the beta gap.
-    z1y1 = linalg.solve_least_squares(z[:ds.d_z1, :ds.d_z1], x[:ds.d_z1, :ds.d_y1])  # (Z1'Z1)^-1 Z1'Y1
+    z1y1 = np.linalg.lstsq(z[:ds.d_z1, :ds.d_z1], x[:ds.d_z1, :ds.d_y1], rcond=None)[0]  # (Z1'Z1)^-1 Z1'Y1
     transform = np.vstack([np.eye(ds.d_y1), -z1y1])
     theta_gap_pred = transform @ gap
 
@@ -369,7 +366,7 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     # the 2SLS side comes from the Hausman K form.
     scaled = (
         ols.sigma2 * stats.t_h1,
-        tsls.sigma2 * hausman_statistic(gap, *factors, tsls.sigma2, tsls.sigma2),
+        tsls.sigma2 * hausman_statistic(gap, *factors, tsls.sigma2),
         cf.sigma2_u * stats.t_cf,
     )
     scaled_gap = max(

@@ -6,12 +6,13 @@ class EndocheckError(Exception):
 
 
 class RankDeficient(EndocheckError):
-    """A design matrix lost full column rank under the rank rule of ``linalg``;
-    ``column`` is its ``linalg.weakest_column``."""
+    """A design of ``Dataset.designs`` lost full column rank under the rank rule of
+    ``linalg``; raised by ``Dataset.require_rank`` alone, with the design's message
+    of ``RANK_MESSAGES``. ``column`` is the design's ``linalg.weakest_column``."""
 
-    def __init__(self, column: int, message: str | None = None):
+    def __init__(self, column: int, message: str):
         self.column = column
-        super().__init__(message or f"rank-deficient matrix: column {column} is nearly a combination of the others")
+        super().__init__(message)
 
 
 class NotPositiveDefinite(EndocheckError):

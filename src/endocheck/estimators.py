@@ -5,9 +5,14 @@ finite-sample identities between the variance estimators are exact only under
 that convention. 2SLS residuals are computed against the original design, not
 the instrumented one.
 
-Every fit solves the matrices of ``Dataset.designs`` that the Dataset's one
-rank stage, ``Dataset.rank``, judges, and takes residual norms in R's
-coordinates, so the fits hold no n-row array.
+Every fit takes its rank verdict from the Dataset's one rank stage,
+``Dataset.rank``, through ``Dataset.require_rank``, and solves the matrices of
+``Dataset.designs`` that it judges by SVD least squares (``np.linalg.lstsq``),
+not the normal equations: the identities difference nearly equal coefficient
+vectors, so squaring the condition number is not acceptable. The fits are the
+reference side of ``verify_identities``, independent of the QR closed forms of
+the statistics core. Residual norms are taken in R's coordinates, so the fits
+hold no n-row array.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .data import Dataset, InvalidDataset
 
 
@@ -58,8 +62,9 @@ def _structural(ds: Dataset, theta: np.ndarray) -> FitResult:
 
 def fit_ols(ds: Dataset) -> FitResult:
     """Least squares of the outcome on X = [Y1 | Z1]."""
+    ds.require_rank(0)
     x, *_, y, _ = ds.designs
-    return _structural(ds, linalg.solve_least_squares(x, y))
+    return _structural(ds, np.linalg.lstsq(x, y, rcond=None)[0])
 
 
 def fit_tsls(ds: Dataset) -> FitResult:
@@ -69,9 +74,9 @@ def fit_tsls(ds: Dataset) -> FitResult:
     In R's coordinates P_Z keeps the leading Z rows, so this is the outcome's
     Z rows on P_Z X once Z is checked for full rank.
     """
-    _, z, pzx, _, y, _ = ds.designs
-    linalg.full_rank_svd(z)
-    return _structural(ds, linalg.solve_least_squares(pzx, y[:len(pzx)]))
+    ds.require_rank(1, 2)
+    _, _, pzx, _, y, _ = ds.designs
+    return _structural(ds, np.linalg.lstsq(pzx, y[:len(pzx)], rcond=None)[0])
 
 
 def fit_cf(ds: Dataset) -> CfFit:
@@ -80,7 +85,8 @@ def fit_cf(ds: Dataset) -> CfFit:
     Raises RankDeficient when V_hat has no variation left (Y1 perfectly
     explained by Z).
     """
+    ds.require_rank(3)
     *_, xv, y, _ = ds.designs
-    coef = linalg.solve_least_squares(xv, y)
+    coef = np.linalg.lstsq(xv, y, rcond=None)[0]
     k = ds.d_y1 + ds.d_z1
     return CfFit(coef[:k].copy(), coef[k:].copy(), _sigma2(ds, xv, coef))

@@ -19,7 +19,6 @@ from endocheck import (
 )
 from endocheck.data import DataError, EmptyFile, MissingColumn, NonNumericCell, RoleConflict, _read
 from endocheck.endogeneity import ordering_slack
-from endocheck.linalg import solve_least_squares
 from endocheck.simulation import _draw_block, _substream_seed
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -214,7 +213,7 @@ def reference_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> dict:
 
 def project(a, y) -> np.ndarray:
     """The orthogonal projection of ``y`` onto the columns of ``a``, as ``A @ lstsq(A, y)``."""
-    return a @ solve_least_squares(a, y)
+    return a @ np.linalg.lstsq(a, y, rcond=None)[0]
 
 
 def annihilate(a, y) -> np.ndarray:
@@ -232,7 +231,7 @@ def first_stage(ds: Dataset) -> np.ndarray:
     """The (d_z1 + d_z2, d_y1) first-stage coefficients of Y1 on Z = [Z1 | Z2],
     solved on R's rows: Z against P_Z X's Y1 columns (``data.designs``)."""
     _, z, pzx, *_ = ds.designs
-    return solve_least_squares(z, pzx[:, :ds.d_y1])
+    return np.linalg.lstsq(z, pzx[:, :ds.d_y1], rcond=None)[0]
 
 
 def reference_read_w(path, roles: dict[str, str], add_intercept: bool = False) -> tuple[np.ndarray, int, int]:

@@ -79,16 +79,16 @@ STRONG_FIRST_STAGE_DRAWS = {
 
 class TestHausmanStatistic:
     def test_zero_gap(self):
-        assert hausman_statistic(np.zeros(2), np.eye(2), 2.0 * np.eye(2), 1.0, 1.0) == 0.0
+        assert hausman_statistic(np.zeros(2), np.eye(2), 2.0 * np.eye(2), 1.0) == 0.0
 
     def test_scalar_hand_value(self):
         # g=1, a=1, b=2, s=1: g^2 / (s*(1/a - 1/b)) = 1 / 0.5 = 2
-        assert hausman_statistic([1.0], [[1.0]], [[np.sqrt(2.0)]], 1.0, 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert hausman_statistic([1.0], [[1.0]], [[np.sqrt(2.0)]], 1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_invalid_variance_pairing(self):
-        # large sigma2_2 flips the weighting matrix negative
+        # a 2SLS gram (4) above the OLS gram (1) makes K = G1 - G2 negative
         with pytest.raises(NotPositiveDefinite):
-            hausman_statistic([1.0], [[1.0]], [[2.0]], 1.0, 10.0)
+            hausman_statistic([1.0], [[2.0]], [[1.0]], 1.0)
 
     def test_f1_oracle(self, f1_dataset, f1_expected):
         stats = compute_statistics(f1_dataset)
@@ -141,32 +141,28 @@ class TestHausmanStatistic:
         assert len(calls) == 3  # rho's closed form and the K forms of t_cf and t_h2
 
     def test_small_factorization_budget(self, monkeypatch, f1_path):
-        # compute_statistics and validate decide by the singular values of
-        # R's blocks, one rank stage per Dataset; only the reference fits of
-        # verify_identities make thin SVDs, each of a few rows of R.
-        calls, svds, stages = [], [], []
-        svd, np_svd, checks = linalg.full_rank_svd, np.linalg.svd, data.rank_checks
-
-        def counting(a):
-            calls.append(np.shape(a))
-            return svd(a)
-
+        # The rank stage's four SVDs of R's blocks decide every command, once
+        # per Dataset; only the reference side of verify solves least squares,
+        # each problem on a few rows of R.
+        svds, solves, stages = [], [], []
+        np_svd, np_lstsq, checks = np.linalg.svd, np.linalg.lstsq, data.rank_checks
         monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: svds.append(1) or np_svd(*args, **kw))
-        # the rank stage's four SVDs, then the fits' five in verify
-        for command, expected in (("test", 4), ("verify", 9)):
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda a, *args, **kw: solves.append(np.shape(a)) or np_lstsq(a, *args, **kw))
+        # verify's least squares: the three fits and (Z1'Z1)^-1 Z1'Y1
+        for command, expected in (("test", (4, 0)), ("verify", (4, 4))):
             svds.clear()
+            solves.clear()
             assert main([command, str(f1_path), *F1_ARGS]) == 0
-            assert len(svds) == expected, command
+            assert (len(svds), len(solves)) == expected, command
 
         ds = random_admissible_dataset(np.random.default_rng(10), n=80, d_y1=2)
-        monkeypatch.setattr(linalg, "full_rank_svd", counting)
         monkeypatch.setattr(data, "rank_checks", lambda d: stages.append(1) or checks(d))
-        for run, expected in ((validate, 0), (compute_statistics, 0), (run_all_tests, 0), (verify_identities, 5)):
-            calls.clear()
+        solves.clear()
+        for run in (validate, compute_statistics, run_all_tests, verify_identities, fit_ols, fit_tsls, fit_cf):
             run(ds)
-            assert len(calls) == expected, run.__name__
-            assert all(rows <= ds.r.shape[0] for rows, _ in calls)
         assert len(stages) == 1
+        assert len(solves) == 7 and all(rows <= ds.r.shape[0] for rows, _ in solves)
 
 
 class TestDataScale:
@@ -211,8 +207,7 @@ class TestCfStatistic:
             sigma2_u = fit_cf(ds).sigma2_u
             gram_2sls, gram_ols = grams(b)
             alt = hausman_statistic(
-                stats.beta_gap, np.linalg.cholesky(gram_2sls).T, np.linalg.cholesky(gram_ols).T,
-                sigma2_u, sigma2_u,
+                stats.beta_gap, np.linalg.cholesky(gram_2sls).T, np.linalg.cholesky(gram_ols).T, sigma2_u,
             )
             assert stats.t_cf == pytest.approx(alt, rel=1e-8)
 

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from endocheck import (
     Dataset,
+    DegenerateVariance,
     RankDeficient,
     compute_statistics,
     fit_cf,
     fit_ols,
     fit_tsls,
     load_csv,
-    validate,
 )
-from endocheck import linalg
-from endocheck.data import InvalidDataset, designs
+from endocheck.data import RANK_MESSAGES, InvalidDataset
 
 from conftest import (
     SCALED_ROLES, Blocks, annihilate, design_matrices, first_stage, project, random_admissible_blocks,
@@ -52,6 +52,16 @@ class TestOls:
             m1y1 = annihilate(b.z1, b.y1)
             beta = np.linalg.solve(m1y1.T @ m1y1, m1y1.T @ annihilate(b.z1, b.y2))
             np.testing.assert_allclose(fit.beta_hat, beta, rtol=1e-8)
+
+    def test_matches_normal_equations_oracle(self):
+        # the whole theta against the normal equations formed in long double
+        # on the n-row data, independent of the SVD solve on R's rows
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            b = random_admissible_blocks(rng, n=25)
+            x, y = np.asarray(design_matrices(b).x, dtype=np.longdouble), np.asarray(b.y2, dtype=np.longdouble)
+            oracle = np.linalg.solve((x.T @ x).astype(float), (x.T @ y).astype(float))
+            np.testing.assert_allclose(fit_ols(b.dataset()).theta_hat, oracle, rtol=1e-8)
 
 
     def test_rank_deficient_column_matches_compute_statistics(self):
@@ -206,25 +216,61 @@ class TestCrossEstimatorIdentities:
             assert s_ols <= s_tsls + 1e-12
 
 
-def test_fits_solve_the_matrices_of_the_rank_stage(monkeypatch):
-    # Every rank decision of a fit (each least squares, and tsls's check of Z)
-    # is a thin SVD of the very array that validate's rank stage judges.
-    ds = random_admissible_dataset(np.random.default_rng(13), n=50, d_y1=2, d_z1=2, d_z2=3)
-    x, z, pzx, xv, _, _ = designs(ds.r, ds.d_z1, ds.d_z2)
-    calls = []
+# The rank checks of each fit: indices into RANK_MESSAGES, and so into ``ds.rank``.
+FIT_CHECKS = ((fit_ols, (0,)), (fit_tsls, (1, 2)), (fit_cf, (3,)))
 
-    def recording(name):
-        fn = getattr(linalg, name)
-        return lambda a: (calls.append(np.array(a)), fn(a))[1]
 
-    monkeypatch.setattr(linalg, "full_rank", recording("full_rank"))
-    monkeypatch.setattr(linalg, "full_rank_svd", recording("full_rank_svd"))
-    for run, expected in ((validate, [x, z, pzx, xv]), (fit_ols, [x]), (fit_tsls, [z, pzx]), (fit_cf, [xv])):
-        calls.clear()
-        run(ds)
-        assert len(calls) == len(expected), run.__name__
-        for got, want in zip(calls, expected):
-            np.testing.assert_array_equal(got, want, err_msg=run.__name__, strict=True)
+@st.composite
+def _rank_datasets(draw):
+    """A small random Dataset (d_z1 = 0 included), with one column made exactly
+    dependent in X, Z, P_Z X or [X | V_hat] in most draws."""
+    d_y1, d_z1 = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    d_z2 = draw(st.integers(d_y1, d_y1 + 2))
+    n = draw(st.integers(2 * d_y1 + d_z1 + 1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y1, z1, z2 = (rng.standard_normal((n, d)) for d in (d_y1, d_z1, d_z2))
+    z = np.hstack([z1, z2])
+    defect = draw(st.sampled_from((None, 0, 1, 2, 3)))
+    if defect == 0:    # X's last column twice its first, or X = [0]
+        if d_y1 + d_z1 == 1:
+            y1[:] = 0.0
+        else:
+            (z1 if d_z1 else y1)[:, -1] = 2.0 * y1[:, 0]
+    elif defect == 1:  # Z's last column twice its first, or Z = [0]
+        z2[:, -1] = 2.0 * z[:, 0] if z.shape[1] > 1 else 0.0
+    elif defect == 2:  # P_Z Y1's first column in span(Z1)
+        y1[:, 0] = annihilate(z, y1[:, 0]) + z1 @ rng.standard_normal(d_z1)
+    elif defect == 3:  # Y1's first column in span(Z): no first-stage residual
+        y1[:, 0] = z @ rng.standard_normal(z.shape[1])
+    return Dataset(y2=rng.standard_normal(n), y1=y1, z1=z1, z2=z2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ds=_rank_datasets())
+def test_fits_raise_exactly_where_the_rank_stage_flags(ds):
+    """Each fit raises ``RankDeficient`` exactly when ``ds.rank`` flags one of its
+    designs, with the message and column that ``compute_statistics`` gives that design."""
+    failed = np.flatnonzero(~ds.rank[0])
+
+    def expected(k):
+        return RANK_MESSAGES[k], int(np.abs(np.linalg.svd(ds.designs[k])[2][-1]).argmax())
+
+    try:
+        compute_statistics(ds)
+    except RankDeficient as exc:
+        assert (str(exc), exc.column) == expected(failed[0])
+    except (DegenerateVariance, InvalidDataset):
+        assert not failed.size
+    else:
+        assert not failed.size
+    for fit, checks in FIT_CHECKS:
+        flagged = [k for k in checks if k in failed]
+        if not flagged:
+            fit(ds)
+            continue
+        with pytest.raises(RankDeficient) as err:
+            fit(ds)
+        assert (str(err.value), err.value.column) == expected(flagged[0]), fit.__name__
 
 
 @pytest.mark.parametrize("fit", [fit_ols, fit_tsls, fit_cf], ids=["ols", "tsls", "cf"])

@@ -6,51 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from endocheck import NotPositiveDefinite, RankDeficient
-from endocheck.linalg import RANK_TOL, full_rank, rank_tolerance, solve_least_squares, spd_solve
+from endocheck import NotPositiveDefinite
+from endocheck.linalg import RANK_TOL, full_rank, rank_tolerance, spd_solve
 
 from conftest import annihilate, project
-
-
-def dense_lstsq_oracle(a, b):
-    # normal equations in float128 where available; independent of the QR path
-    a = np.asarray(a, dtype=np.longdouble)
-    b = np.asarray(b, dtype=np.longdouble)
-    return np.asarray(np.linalg.solve((a.T @ a).astype(float), (a.T @ b).astype(float)))
-
-
-class TestSolveLeastSquares:
-    def test_sample_mean(self):
-        a = np.ones((2, 1))
-        b = np.array([1.0, 3.0])
-        np.testing.assert_allclose(solve_least_squares(a, b), [2.0])
-
-    def test_coordinate_extraction(self):
-        a = np.eye(3)[:, :2]
-        b = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(solve_least_squares(a, b), [1.0, 2.0])
-
-    def test_matches_normal_equations_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.standard_normal((25, 4))
-            b = rng.standard_normal((25, 2))
-            c = solve_least_squares(a, b)
-            np.testing.assert_allclose(c, dense_lstsq_oracle(a, b), rtol=1e-8)
-
-    def test_columns_solved_independently(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((15, 3))
-        b = rng.standard_normal((15, 2))
-        joint = solve_least_squares(a, b)
-        np.testing.assert_allclose(joint[:, 0], solve_least_squares(a, b[:, 0]), rtol=1e-13)
-        np.testing.assert_allclose(joint[:, 1], solve_least_squares(a, b[:, 1]), rtol=1e-13)
-
-    def test_rank_deficient_reports_column(self):
-        a = np.column_stack([np.ones(6), np.arange(6.0), 2.0 * np.arange(6.0)])
-        with pytest.raises(RankDeficient) as err:
-            solve_least_squares(a, np.ones(6))
-        assert err.value.column == 1  # weight 2/sqrt(5) in the null direction (0, 2, -1)/sqrt(5)
 
 
 class TestProjectAnnihilate:
@@ -140,30 +99,6 @@ def test_rank_tolerance_is_the_max_column_norm_bit_for_bit():
         for a in (c, np.asfortranarray(c), np.swapaxes(c, -1, -2)):  # the summation order follows the layout
             expected = RANK_TOL * np.linalg.norm(a, axis=-2).max(axis=-1, initial=0.0)
             assert np.array_equal(rank_tolerance(a), expected)
-
-
-def test_solve_least_squares_follows_the_rank_rule():
-    # One column a combination of the others plus delta * noise, delta
-    # log-uniform across the tolerance: the solve raises exactly where
-    # full_rank is false.
-    rng = np.random.default_rng(41)
-    admitted = []
-    for _ in range(400):
-        k = int(rng.integers(2, 6))
-        m = int(rng.integers(k, 30))
-        a = rng.standard_normal((m, k))
-        j = int(rng.integers(k))
-        delta = 10.0 ** rng.uniform(-13, -7)
-        a[:, j] = np.delete(a, j, axis=1) @ rng.standard_normal(k - 1) + delta * rng.standard_normal(m)
-        ok = bool(full_rank(a)[0])
-        try:
-            solve_least_squares(a, rng.standard_normal(m))
-        except RankDeficient:
-            assert not ok, delta
-        else:
-            assert ok, delta
-        admitted.append(ok)
-    assert 0 < sum(admitted) < len(admitted)  # both sides of the rule are swept
 
 
 def test_package_import_leaves_scipy_linalg_unloaded():
