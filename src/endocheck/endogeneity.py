@@ -354,8 +354,10 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     gram_mz = mz_y1.T @ mz_y1
     rho_closed = linalg.spd_solve(gram_mz, gram_ols @ gap)
 
-    # Direct Wald form against the Hausman form at the CF variance.
-    t_cf_hausman = hausman_statistic(gap, *factors, cf.sigma2_u)
+    # The Hausman K form at unit variance, sigma2 * t for every sigma2: over
+    # the CF variance it is the Hausman form of t_cf, against the direct Wald form.
+    form = hausman_statistic(gap, *factors, 1.0)
+    t_cf_hausman = form / cf.sigma2_u
 
     # Structural coefficient gap as a linear transform of the beta gap.
     z1y1 = np.linalg.lstsq(z[:ds.d_z1, :ds.d_z1], x[:ds.d_z1, :ds.d_y1], rcond=None)[0]  # (Z1'Z1)^-1 Z1'Y1
@@ -363,12 +365,8 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     theta_gap_pred = transform @ gap
 
     # sigma2 * t is q = e'f for both t_h1 and t_h2 of compute_statistics, so
-    # the 2SLS side comes from the Hausman K form.
-    scaled = (
-        ols.sigma2 * stats.t_h1,
-        tsls.sigma2 * hausman_statistic(gap, *factors, tsls.sigma2),
-        cf.sigma2_u * stats.t_cf,
-    )
+    # the 2SLS side is the Hausman K form itself.
+    scaled = (ols.sigma2 * stats.t_h1, form, cf.sigma2_u * stats.t_cf)
     scaled_gap = max(
         _rel_scalar(scaled[0], scaled[2]),
         _rel_scalar(scaled[1], scaled[2]),

@@ -7,13 +7,14 @@ independent of the worker count. Normal variates are produced by
 inverse-CDF transform of PCG64 uniforms (no ziggurat), which pins the exact
 draw sequence for a given substream seed.
 
-The Monte Carlo runs in blocks of replications on one worker thread per
-usable CPU; the blocks in flight fill at most ``_BLOCK_ELEMENTS`` doubles per
-array between them. Blocks do not change the draws: each replication still
-reads its own substream in the same order, and ``generate_dataset`` is the
-one-replication block, bit for bit: both check their data with
-``data.check_w``. Floating-point error state is per thread, so each function
-that needs one sets it itself.
+The Monte Carlo runs in blocks of replications, submitted in order to one
+worker thread per usable CPU and summed in order as futures; the blocks in
+flight fill at most ``_BLOCK_ELEMENTS`` doubles per array between them.
+Blocks do not change the draws: each replication still reads its own
+substream in the same order, and ``generate_dataset`` is the one-replication
+block, bit for bit: both check their data with ``data.check_w``.
+Floating-point error state is per thread, so each function that needs one
+sets it itself.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import json
 import math
 import numbers
 import os
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -272,48 +274,37 @@ def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
     Per-replication ordering violations of the four statistics are counted
     and expected to be zero.
 
-    The blocks run on a pool of threads, one per usable CPU (``_layout``).
-    Each worker takes the next block in order when it is done with one, so
-    no more than the workers' blocks are ever in flight. The tallies are
-    integers, so their sum does not depend on which worker ran which
-    block: the result does not depend on the worker count. Once a block
-    fails, no worker takes another, and the error raised is that of the
-    first failing block in order, as one worker would raise it.
+    Each block is a task for a pool of threads, one per usable CPU
+    (``_layout``), and its future joins a queue of at most 32 blocks a
+    worker; this thread sums the tallies in block order. A block draws its
+    W when a worker starts it, so no more than the workers' blocks are ever
+    in flight. The tallies are integers, so their sum does not depend on
+    which worker ran which block: the result does not depend on the worker
+    count. The error raised is that of the first failing block in order, as
+    one worker would raise it; once it is read, no block is queued, and the
+    queued blocks no worker has started are cancelled.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here, so that importing the package does not load it
-
     crit = [chi2_critical(dgp.d_y1, alpha) for alpha in sim.alphas]
     workers, size = _layout(dgp)
-    starts = iter(range(0, sim.replications, size))
-    take = threading.Lock()
-    stop = threading.Event()
-
-    def drain() -> tuple[np.ndarray, tuple[int, Exception] | None]:
-        """The summed tallies of the blocks this worker took, and the start
-        and error of the block that failed, if one did."""
-        totals = np.zeros(2 + len(sim.tests) * len(sim.alphas), dtype=np.int64)
-        while not stop.is_set():
-            with take:
-                start = next(starts, None)
-            if start is None:
-                break
-            try:
-                totals += _tally_block(dgp, sim, crit, range(start, min(start + size, sim.replications)))
-            except Exception as exc:  # raised again below, in the caller's thread
-                stop.set()
-                return totals, (start, exc)
-        return totals, None
-
+    totals = np.zeros(2 + len(sim.tests) * len(sim.alphas), dtype=np.int64)
+    pending = deque()
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(drain) for _ in range(workers)]
         try:
-            outcomes = [future.result() for future in futures]
+            for start in range(0, sim.replications, size):
+                # A queued block holds no W until a worker draws it, so the
+                # queue costs none of the memory budget. 32 blocks a worker
+                # keep the workers busy while this thread waits on the
+                # oldest; 2 a worker read 8-10% slower per replication at
+                # n=2000 on 2 vCPUs.
+                if len(pending) == 32 * workers:
+                    totals += pending.popleft().result()
+                pending.append(pool.submit(_tally_block, dgp, sim, crit,
+                                           range(start, min(start + size, sim.replications))))
+            while pending:
+                totals += pending.popleft().result()
         finally:
-            stop.set()  # an interrupt here stops the workers after their current block
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    totals = sum(block_totals for block_totals, _ in outcomes)
+            for future in pending:  # after an error or an interrupt: the blocks no worker has taken
+                future.cancel()
     degenerate, ordering_violations = int(totals[0]), int(totals[1])
     rejections = iter(totals[2:].tolist())
     counts = {t: {a: next(rejections) for a in sim.alphas} for t in sim.tests}

@@ -138,7 +138,7 @@ class TestHausmanStatistic:
         assert len(calls) == 0  # the statistics core solves K3 itself, SPD by construction
         calls.clear()
         verify_identities(ds)
-        assert len(calls) == 3  # rho's closed form and the K forms of t_cf and t_h2
+        assert len(calls) == 2  # rho's closed form and the K form, shared by t_cf and t_h2
 
     def test_small_factorization_budget(self, monkeypatch, f1_path):
         # The rank stage's four SVDs of R's blocks decide every command, once

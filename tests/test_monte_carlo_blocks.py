@@ -159,6 +159,58 @@ def test_the_first_failing_block_in_order_is_raised(monkeypatch):
         run_monte_carlo(dgp, SimConfig(replications=12, seed=0))
 
 
+def test_a_failing_run_stops_early(monkeypatch):
+    """Every block fails, and the run has 10^5 one-replication blocks: block
+    0's error is raised once at most the queue bound, 32 blocks a worker,
+    has been drawn, not after every block."""
+    dgp = DgpConfig(n=40, rho=(0.0,))
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", 2 * dgp.n * 5)  # two workers, 1 replication a block
+    drawn = []
+
+    def failing(cfg, seed, reps):
+        drawn.append(reps.start)
+        raise InvalidDataset(f"block {reps.start}")
+
+    monkeypatch.setattr(simulation, "_draw_block", failing)
+    with pytest.raises(InvalidDataset, match="^block 0$"):
+        run_monte_carlo(dgp, SimConfig(replications=100_000, seed=0))
+    assert 1 <= len(drawn) <= 32 * 2 + 1
+
+
+def test_the_queue_of_blocks_stays_bounded(monkeypatch):
+    """Over 2000 one-replication blocks, no more than the queue bound of
+    futures, 32 blocks a worker, are ever submitted and not yet done, and
+    the tallies are the reference loop's."""
+    dgp = DgpConfig(n=40, rho=(0.3,))
+    sim = SimConfig(replications=2000, seed=3)
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", 2 * dgp.n * 5)  # two workers, 1 replication a block
+    lock = threading.Lock()
+    submitted = outstanding = peak = 0
+
+    def done(_):
+        nonlocal outstanding
+        with lock:
+            outstanding -= 1
+
+    class Counting(simulation.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            nonlocal submitted, outstanding, peak
+            future = super().submit(*args, **kwargs)
+            with lock:
+                submitted += 1
+                outstanding += 1
+                peak = max(peak, outstanding)
+            future.add_done_callback(done)  # at once, if the block is already done
+            return future
+
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", Counting)
+    assert tallies(run_monte_carlo(dgp, sim)) == reference_monte_carlo(dgp, sim)
+    assert submitted == sim.replications and outstanding == 0
+    assert 1 <= peak <= 32 * 2 + 1
+
+
 @seed(20261018)
 @settings(max_examples=80, deadline=None)
 @given(
