@@ -289,10 +289,9 @@ def _read(path, roles: dict[str, str], add_intercept: bool, fold):
             for c in roles:
                 if header.count(c) > 1:
                     raise RoleConflict(f"column '{c}' appears {header.count(c)} times in the header of '{path}'")
-            # W's columns; an intercept reads the first role column twice and overwrites
-            # the first copy with ones, so the C reader writes each chunk itself.
+            # W's columns after an intercept's ones: each role column is parsed once.
             order = sorted(roles, key=lambda c: _ROLES.index(roles[c]))
-            usecols = [header.index(c) for c in order[:1] * add_intercept + order]
+            usecols = [header.index(c) for c in order]
             cells = [(c, header.index(c), order.index(c) + add_intercept) for c in roles]
             return fold(_chunks(path, fh, usecols, cells, add_intercept), d_z1, d_z2)
     except OSError as exc:
@@ -307,13 +306,14 @@ _CHUNK = 1 << 19
 
 
 def _chunks(path, fh, usecols: list[int], cells: list[tuple[str, int, int]], add_intercept: bool):
-    """W's rows (n_i, len(usecols)) of the data lines of ``fh``, by numpy's C reader a chunk
-    at a time up to the first it fails on or does not trust (``_trusted``), from there by
+    """W's rows (n_i, p) of the data lines of ``fh``, by numpy's C reader a chunk at a time
+    up to the first it fails on or does not trust (``_trusted``), from there by
     ``_parse_rows``; ``EmptyFile`` where there is no row."""
+    p = len(usecols) + add_intercept
     lines = n = 0  # the data lines read before ``chunk``, one record each; W's rows yielded
     while chunk := fh.readlines(_CHUNK):
         w = _c_reader(chunk, usecols, add_intercept) if _trusted(chunk) else None
-        for block in [w] if w is not None else _parse_rows(path, chain(chunk, fh), lines, cells, len(usecols)):
+        for block in [w] if w is not None else _parse_rows(path, chain(chunk, fh), lines, cells, p):
             if len(block):
                 n += len(block)
                 yield block
@@ -338,9 +338,9 @@ def _trusted(chunk: list[str]) -> bool:
 
 
 def _c_reader(chunk: list[str], usecols: list[int], add_intercept: bool) -> np.ndarray | None:
-    """The ``usecols`` of the lines ``chunk`` by numpy's C reader, (n_i, len(usecols)), the
-    first column set to ones with ``add_intercept``, or None where that reader fails or
-    warns (its no-data warning on blank lines aside)."""
+    """The ``usecols`` of the lines ``chunk`` by numpy's C reader, (n_i, len(usecols)), after
+    a column of ones with ``add_intercept``, or None where that reader fails or warns (its
+    no-data warning on blank lines aside)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -348,9 +348,7 @@ def _c_reader(chunk: list[str], usecols: list[int], add_intercept: bool) -> np.n
             w = np.loadtxt(chunk, delimiter=",", comments=None, quotechar='"', ndmin=2, usecols=usecols)
     except (ValueError, Warning):
         return None
-    if add_intercept:
-        w[:, 0] = 1.0
-    return w
+    return np.concatenate([np.ones((len(w), 1)), w], axis=1) if add_intercept else w
 
 
 def _parse_rows(path, lines, first: int, cells: list[tuple[str, int, int]], p: int):

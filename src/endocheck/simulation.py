@@ -8,8 +8,12 @@ inverse-CDF transform of PCG64 uniforms (no ziggurat), which pins the exact
 draw sequence for a given substream seed.
 
 The Monte Carlo runs in blocks of replications, submitted in order to one
-worker thread per usable CPU and summed in order as futures; the blocks in
-flight fill at most ``_BLOCK_ELEMENTS`` doubles per array between them.
+worker thread per usable CPU and read in order as futures; the blocks in
+flight fill at most ``_BLOCK_ELEMENTS`` doubles per array between them. The
+workers only draw and factor: the calling thread holds the blocks' R
+factors and computes the statistics of up to ``_BLOCK_ELEMENTS`` doubles of
+them in one batch, so the per-call cost of the statistics is paid once per
+batch, not once per block.
 Blocks do not change the draws: each replication still reads its own
 substream in the same order, and ``generate_dataset`` is the one-replication
 block, bit for bit: both check their data with ``data.check_w``.
@@ -25,6 +29,7 @@ import math
 import numbers
 import os
 from collections import deque
+from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -173,7 +178,9 @@ class SimResult:
 
 # Doubles per block array, summed over the blocks in flight: at n=2000 and
 # p=5 one worker's block holds 13 replications, each of two workers' 6; once
-# n*p passes it, one replication at a time.
+# n*p passes it, one replication at a time. It also bounds the R factors held
+# for one statistics batch, unless one block's pass it alone: at n=2000 and
+# p=5 a batch holds about 5200 replications.
 _BLOCK_ELEMENTS = 1 << 17
 
 
@@ -246,17 +253,24 @@ def generate_dataset(cfg: DgpConfig, replication_index: int, seed: int) -> Datas
     return Dataset.from_w(w, cfg.d_z1, cfg.d_z2)
 
 
-def _tally_block(dgp: DgpConfig, sim: SimConfig, crit: list[float], reps: range) -> np.ndarray:
-    """The tallies of replications ``reps``: degenerate replications, ordering
-    violations, then the rejections of each (test, level) of ``sim``, in order.
+def _factor_block(dgp: DgpConfig, seed: int, reps: range) -> np.ndarray:
+    """The worker step: the stacked R factors (B, p, p) of replications ``reps``.
 
     ``check_w`` raises ``InvalidDataset`` for the first replication that
-    fails, as ``generate_dataset`` does. The stacked R factors then go to
-    ``block_statistics``; a replication it flags is degenerate.
+    fails, as ``generate_dataset`` does.
     """
-    w = _draw_block(dgp, sim.seed, reps)
+    w = _draw_block(dgp, seed, reps)
     check_w(w, dgp.d_z1, dgp.d_z2)
-    stats, flagged = block_statistics(factor(w), dgp.n, dgp.d_z1, dgp.d_z2)
+    return factor(w)
+
+
+def _tally(dgp: DgpConfig, sim: SimConfig, crit: list[float], r: np.ndarray) -> np.ndarray:
+    """The caller step: the tallies of the replications of the stacked R factors
+    ``r``: degenerate replications, ordering violations, then the rejections of
+    each (test, level) of ``sim``, in order. A replication that
+    ``block_statistics`` flags is degenerate.
+    """
+    stats, flagged = block_statistics(r, dgp.n, dgp.d_z1, dgp.d_z2)
     completed = ~flagged
     in_order = stats.ordered(ordering_slack(stats.t_cf))
     values = stats.by_name()
@@ -267,6 +281,38 @@ def _tally_block(dgp: DgpConfig, sim: SimConfig, crit: list[float], reps: range)
     ])
 
 
+def _factors_in_order(dgp: DgpConfig, seed: int, replications: int):
+    """Each block's R factors (``_factor_block``), in block order.
+
+    Each block is a task for a pool of threads, one per usable CPU
+    (``_layout``), and its future joins a queue of at most 32 blocks a
+    worker. A block draws its W when a worker starts it, so no more than
+    the workers' blocks are ever in flight. The error raised is that of the
+    first failing block in order, as one worker would raise it; once it is
+    read, or the caller closes the generator, no block is queued, and the
+    queued blocks no worker has started are cancelled.
+    """
+    workers, size = _layout(dgp)
+    pending = deque()
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            for start in range(0, replications, size):
+                # A queued block holds no W until a worker draws it, so the
+                # queue costs none of the memory budget. 32 blocks a worker
+                # keep the workers busy while the caller waits on the
+                # oldest; 2 a worker read 8-10% slower per replication at
+                # n=2000 on 2 vCPUs.
+                if len(pending) == 32 * workers:
+                    yield pending.popleft().result()
+                reps = range(start, min(start + size, replications))
+                pending.append(pool.submit(_factor_block, dgp, seed, reps))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:  # after an error or an interrupt: the blocks no worker has taken
+                future.cancel()
+
+
 def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
     """Run the replications in blocks and tally rejections per (test, level).
 
@@ -274,37 +320,26 @@ def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
     Per-replication ordering violations of the four statistics are counted
     and expected to be zero.
 
-    Each block is a task for a pool of threads, one per usable CPU
-    (``_layout``), and its future joins a queue of at most 32 blocks a
-    worker; this thread sums the tallies in block order. A block draws its
-    W when a worker starts it, so no more than the workers' blocks are ever
-    in flight. The tallies are integers, so their sum does not depend on
-    which worker ran which block: the result does not depend on the worker
-    count. The error raised is that of the first failing block in order, as
-    one worker would raise it; once it is read, no block is queued, and the
-    queued blocks no worker has started are cancelled.
+    The workers only draw and factor (``_factors_in_order``). This thread
+    holds the blocks' R factors in block order and tallies them in one
+    ``block_statistics`` call whenever the next block's would take them
+    past ``_BLOCK_ELEMENTS`` doubles, and once more at the end: R's memory
+    budget is W's, and at n=2000 and p=5, 10^4 replications take two calls.
+    The tallies are integers, so their sum does not depend on how the
+    blocks are grouped, or on which worker ran which block: the result does
+    not depend on the worker count.
     """
     crit = [chi2_critical(dgp.d_y1, alpha) for alpha in sim.alphas]
-    workers, size = _layout(dgp)
     totals = np.zeros(2 + len(sim.tests) * len(sim.alphas), dtype=np.int64)
-    pending = deque()
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            for start in range(0, sim.replications, size):
-                # A queued block holds no W until a worker draws it, so the
-                # queue costs none of the memory budget. 32 blocks a worker
-                # keep the workers busy while this thread waits on the
-                # oldest; 2 a worker read 8-10% slower per replication at
-                # n=2000 on 2 vCPUs.
-                if len(pending) == 32 * workers:
-                    totals += pending.popleft().result()
-                pending.append(pool.submit(_tally_block, dgp, sim, crit,
-                                           range(start, min(start + size, sim.replications))))
-            while pending:
-                totals += pending.popleft().result()
-        finally:
-            for future in pending:  # after an error or an interrupt: the blocks no worker has taken
-                future.cancel()
+    held, doubles = [], 0  # the R factors read and not yet tallied
+    with closing(_factors_in_order(dgp, sim.seed, sim.replications)) as factors:
+        for r in factors:
+            if held and doubles + r.size > _BLOCK_ELEMENTS:
+                totals += _tally(dgp, sim, crit, np.concatenate(held))
+                held, doubles = [], 0
+            held.append(r)
+            doubles += r.size
+    totals += _tally(dgp, sim, crit, np.concatenate(held))
     degenerate, ordering_violations = int(totals[0]), int(totals[1])
     rejections = iter(totals[2:].tolist())
     counts = {t: {a: next(rejections) for a in sim.alphas} for t in sim.tests}

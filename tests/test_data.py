@@ -88,6 +88,23 @@ class TestLoadCsv:
         np.testing.assert_allclose(b.z1[:, 0], 1.0)
         np.testing.assert_allclose(b.y2, [1, 4, 2, 3])
 
+    @pytest.mark.parametrize("add_intercept", [False, True])
+    def test_each_role_column_is_parsed_once(self, monkeypatch, f1_path, add_intercept):
+        # An intercept's ones are put before the columns the C reader parses: the
+        # reader no longer parses the first role column a second time for them.
+        usecols = []
+        loadtxt = np.loadtxt
+
+        def recording(*args, **kwargs):
+            usecols.append(list(kwargs["usecols"]))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(data.np, "loadtxt", recording)
+        ds = load_csv(f1_path, F1_ROLES, add_intercept=add_intercept)
+        assert ds.d_z1 == add_intercept and usecols
+        for cols in usecols:
+            assert len(cols) == len(set(cols)) == len(F1_ROLES)
+
     def test_blank_cell(self, tmp_path):
         p = write(tmp_path, "y,x,z\n1,,3\n4,5,6\n2,1,0\n3,3,1\n")
         with pytest.raises(NonNumericCell) as err:

@@ -123,7 +123,9 @@ def test_draws_are_the_integer_route_bit_for_bit(dgp, seed, start):
 def test_tallies_do_not_depend_on_the_worker_count(dgp, replications, seed, budget):
     """One, two or three workers over many small blocks give the reference
     loop's tallies. A short switch interval makes the workers interleave
-    often, so a block taken twice or lost would show."""
+    often, so a block taken twice or lost would show. The budget also sizes
+    the batches of R factors that each ``block_statistics`` call tallies, so
+    the tallies do not depend on how the blocks are grouped either."""
     sim = SimConfig(replications=replications, seed=seed)
     expected = reference_monte_carlo(dgp, sim)
     interval = sys.getswitchinterval()
@@ -428,3 +430,50 @@ def test_blocks_stay_within_the_element_budget(monkeypatch):
     shapes.clear()
     run_monte_carlo(DgpConfig(n=100_000, rho=(0.0,)), SimConfig(replications=2, seed=1))
     assert [b for b, _, _ in shapes] == [1, 1]
+
+
+def spy_on_statistics(monkeypatch) -> list:
+    """The (replications, doubles, thread) of each ``block_statistics`` call of the Monte Carlo."""
+    calls = []
+
+    def recording(r, *args):
+        calls.append((len(r), r.size, threading.current_thread()))
+        return block_statistics(r, *args)
+
+    monkeypatch.setattr(simulation, "block_statistics", recording)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_statistics_run_once_on_the_calling_thread(monkeypatch, workers):
+    """The workers only draw and factor. At criterion 5 with R=100, every
+    block's R factors (13, 6 or 4 replications a block) go to one
+    ``block_statistics`` call on the thread that runs the Monte Carlo."""
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
+    calls = spy_on_statistics(monkeypatch)
+    run_monte_carlo(CRITERION_5, SimConfig(replications=100, seed=1))
+    assert calls == [(100, 100 * 5 * 5, threading.main_thread())]
+
+
+@pytest.mark.parametrize(
+    "dgp, budget",
+    [
+        (DgpConfig(n=40, rho=(0.3,)), 2 * 40 * 5),  # two workers, 1 replication a block, 16 a call
+        (DgpConfig(n=40, rho=(0.3,)), 2 * 3 * 40 * 5 + 7),  # 3 replications a block, 48 a call
+        (DgpConfig(n=10, d_z2=12, rho=(0.0,)), 10 * 15),  # one replication's R (225 doubles) passes the budget
+    ],
+    ids=["one_a_block", "three_a_block", "r_past_the_budget"],
+)
+def test_statistics_calls_stay_within_the_element_budget(monkeypatch, dgp, budget):
+    """The R factors held for one ``block_statistics`` call fill at most the
+    budget, or one block where a block's R alone passes it, and the tallies
+    are the reference loop's."""
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", budget)
+    calls = spy_on_statistics(monkeypatch)
+    sim = SimConfig(replications=200, seed=3)
+    assert tallies(run_monte_carlo(dgp, sim)) == reference_monte_carlo(dgp, sim)
+    p = dgp.d_z1 + dgp.d_z2 + dgp.d_y1 + 1
+    bound = max(budget, simulation._layout(dgp)[1] * p * p)
+    assert sum(b for b, _, _ in calls) == sim.replications and len(calls) > 1
+    assert all(doubles <= bound and thread is threading.main_thread() for _, doubles, thread in calls)
