@@ -9,6 +9,9 @@ time, with numpy's C reader, and row by row with ``csv`` and ``float()`` from
 the first chunk that reader fails on or might read differently; each chunk is
 folded into the column check and into R, so W is never held whole, and a
 ``Dataset`` keeps only its R.
+
+The rank rule (``RANK_TOL``) decides every rank question in ``rank_checks``, on the four
+rank designs that ``designs`` reads off R, once per dataset as ``Dataset.rank``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import linalg
 from .errors import EndocheckError, RankDeficient
 
 ROLE_OUTCOME = "outcome"
@@ -209,11 +211,12 @@ class Dataset:
     def require_rank(self, *checks: int) -> None:
         """Raise ``RankDeficient`` for the first of ``checks``, indices into
         ``RANK_MESSAGES``, whose design ``rank`` flags: that design's message, and
-        the ``linalg.weakest_column`` of its SVD. The one place a rank error is built."""
+        its weakest column, the one of largest weight in its smallest singular
+        direction. The one place a rank error is built."""
         for k in checks:
             if not self.rank[0][k]:
                 vt = np.linalg.svd(self.designs[k])[2]
-                raise RankDeficient(linalg.weakest_column(vt), RANK_MESSAGES[k])
+                raise RankDeficient(int(np.abs(vt[-1]).argmax()), RANK_MESSAGES[k])
 
 
 @dataclass
@@ -381,16 +384,20 @@ RANK_MESSAGES = (
     "[X | V_hat] is rank deficient; the control-function regression "
     "of the outcome on the design plus first-stage residuals is not identified",
 )
+# Full column rank: a smallest singular value above RANK_TOL times the largest column norm.
+RANK_TOL = 1e-10
 
 
 def rank_checks(designs: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The rank rule of ``linalg.full_rank`` on the four rank designs of
-    ``designs`` (one dataset's or a stack's): (4, ...) flags, true where the
-    design has full column rank, and (4, ...) 2-norm condition numbers
-    ``sigma_max / sigma_min`` (inf where ``sigma_min`` is zero)."""
-    flags, sigmas = zip(*(linalg.full_rank(a) for a in designs[:len(RANK_MESSAGES)]))
+    """The rank rule on the four rank designs of ``designs`` (one dataset's or a
+    stack's): (4, ...) flags, true where the design's smallest singular value
+    exceeds ``RANK_TOL`` times its largest column norm, and (4, ...) 2-norm
+    condition numbers ``sigma_max / sigma_min`` (inf where ``sigma_min`` is zero)."""
+    rank = designs[:len(RANK_MESSAGES)]
+    sigmas = [np.linalg.svd(a, compute_uv=False) for a in rank]
     hi, lo = np.array([s[..., 0] for s in sigmas]), np.array([s[..., -1] for s in sigmas])
-    return np.array(flags), np.divide(hi, lo, out=np.full(hi.shape, np.inf), where=lo > 0)
+    tol = np.array([RANK_TOL * np.linalg.norm(a, axis=-2).max(axis=-1, initial=0.0) for a in rank])
+    return lo > tol, np.divide(hi, lo, out=np.full(hi.shape, np.inf), where=lo > 0)
 
 
 def validate(ds: Dataset) -> ValidationReport:

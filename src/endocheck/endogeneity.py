@@ -20,9 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.special import chdtrc, chdtri
 
-from . import linalg
 from .data import RANK_MESSAGES, Dataset, InvalidDataset, designs, rank_checks
-from .errors import DegenerateVariance, EndocheckError
+from .errors import DegenerateVariance, EndocheckError, NotPositiveDefinite
 from .estimators import fit_cf, fit_ols, fit_tsls
 
 TEST_NAMES = ("t_h1", "t_h2", "t_h3", "t_cf")
@@ -54,6 +53,21 @@ def chi2_critical(df: int, alpha: float) -> float:
 # Test statistics
 # ---------------------------------------------------------------------------
 
+def spd_solve(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve S X = B for a symmetric positive definite (k, k) S. Raises ``NotPositiveDefinite``
+    where S is not finite, not symmetric to relative 1e-10, or Cholesky finds a non-positive pivot."""
+    if not np.isfinite(s).all():
+        raise NotPositiveDefinite("matrix is not finite")
+    scale = np.abs(s).max() if s.size else 0.0
+    if np.abs(s - s.T).max(initial=0.0) > 1e-10 * max(scale, 1e-300):
+        raise NotPositiveDefinite("matrix is not symmetric")
+    try:
+        np.linalg.cholesky(s)
+        return np.linalg.solve(s, b)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+
+
 def hausman_statistic(beta_gap, factor_2sls, factor_ols, sigma2: float) -> float:
     """Hausman quadratic form in the OLS/2SLS coefficient gap at one residual
     variance ``sigma2``: the K form that ``verify_identities`` checks
@@ -79,7 +93,7 @@ def hausman_statistic(beta_gap, factor_2sls, factor_ols, sigma2: float) -> float
     b2 = np.asarray(factor_2sls, dtype=float)
     b1 = np.asarray(factor_ols, dtype=float)
     k = b1.T @ b1 - b2.T @ b2
-    return float((b1.T @ (b1 @ gap)) @ linalg.spd_solve(k, b2.T @ (b2 @ gap))) / sigma2
+    return float((b1.T @ (b1 @ gap)) @ spd_solve(k, b2.T @ (b2 @ gap))) / sigma2
 
 
 def _variance_floor(designs: tuple[np.ndarray, ...], n: int):
@@ -183,17 +197,22 @@ def _statistics_core(designs: tuple[np.ndarray, ...], n: int, d_z1: int, d_z2: i
       at their ``b``, and ``n*sigma2_u`` is ``r44^2 + ||r24 - R23 beta_2sls||^2``;
     * with ``e = r34 - R33 beta_2sls`` and ``f = r34 - R33 beta_ols``,
       ``G1 gap = R33'e`` and ``G2 gap = R33'f``, so the Hausman ``K`` of
-      ``t_h1`` and ``t_h2`` is ``sigma2 * R33'R33`` and both are
-      ``q / sigma2`` with ``q = e'f``;
+      ``t_h1`` and ``t_h2`` is ``sigma2 * R33'R33``;
+    * ``t_cf`` is the control-function Wald statistic by the direct route
+      ``(SSR_ols - SSR_u) / sigma2_u = (||R23 gap||^2 + ||f||^2) / sigma2_u``;
+    * ``t_h1`` and ``t_h2`` come from ``t_cf`` by the variance links
+      ``sigma2_ols = sigma2_u (1 + t_cf/n)`` and ``sigma2_2sls = sigma2_ols +
+      ||[R23; R33] gap||^2 / n``: ``t_h1 = t_cf / (1 + t_cf/n)`` and ``t_h2 =
+      t_h1 / (1 + ||[R23; R33] gap||^2 / (n sigma2_ols))``. Each divides by a
+      rounded value >= 1, so ``t_cf >= t_h1 >= t_h2`` holds in floating point
+      with no slack;
     * ``t_h3 = (R33'e)' K3^-1 R23'(R23 gap)`` with ``K3 = sigma2_ols *
       R33'R33 + (sigma2_2sls - sigma2_ols) * G1``, the variance difference
       taken as ``||[R23; R33] gap||^2 / n``: SPD by construction, and scaled
       by ``1 / sigma2_2sls`` so that it does not overflow. The weight of G1
       is ``h_n = gap' G1 gap / (n sigma2_2sls)``. ``R23'(R23 gap)``
       keeps the weak direction of ``R23`` (the gap itself is a difference of
-      two fits, which a strong first stage makes nearly cancel);
-    * ``t_cf`` is the control-function Wald statistic by the direct route
-      ``(SSR_ols - SSR_u) / sigma2_u = (||R23 gap||^2 + ||f||^2) / sigma2_u``.
+      two fits, which a strong first stage makes nearly cancel).
 
     A replication's values depend, bit for bit, on its own R only.
     """
@@ -211,16 +230,18 @@ def _statistics_core(designs: tuple[np.ndarray, ...], n: int, d_z1: int, d_z2: i
         s_2sls = (r44_sq + _dot(e_2sls, e_2sls)) / n
         s_u = (r44_sq + _dot(e_2sls[:, :d_z2], e_2sls[:, :d_z2])) / n
         e, f = e_2sls[:, d_z2:], e_ols[:, d_z2:]
-        q = _dot(e, f)
         gap = beta_ols - beta_2sls
         b1_gap = (b1 @ gap[..., None])[..., 0]
-        h_n = _dot(b1_gap, b1_gap) / (n * s_2sls)
+        b1_gap_sq = _dot(b1_gap, b1_gap)
+        h_n = b1_gap_sq / (n * s_2sls)
         k3 = (s_ols / s_2sls)[:, None, None] * (_mT(r33) @ r33) + h_n[:, None, None] * (_mT(b1) @ b1)
         b2_gap = b1_gap[:, :d_z2]
         g2_gap = _mT(b1[:, :d_z2]) @ b2_gap[..., None]
         t_h3 = (e[:, None] @ r33 @ _solve(k3, g2_gap))[:, 0, 0] / s_2sls
         t_cf = (_dot(b2_gap, b2_gap) + _dot(f, f)) / s_u
-        stats = np.array([q / s_ols, q / s_2sls, t_h3, t_cf])
+        t_h1 = t_cf / (1.0 + t_cf / n)
+        t_h2 = t_h1 / (1.0 + b1_gap_sq / (n * s_ols))
+        stats = np.array([t_h1, t_h2, t_h3, t_cf])
     return stats, np.array([s_ols, s_2sls, s_u]), gap, h_n
 
 
@@ -352,7 +373,7 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     # CF estimates against their closed forms in the beta gap.
     mz_y1 = xv[:, x.shape[1]:]  # V_hat: annihilator of Z applied to Y1
     gram_mz = mz_y1.T @ mz_y1
-    rho_closed = linalg.spd_solve(gram_mz, gram_ols @ gap)
+    rho_closed = spd_solve(gram_mz, gram_ols @ gap)
 
     # The Hausman K form at unit variance, sigma2 * t for every sigma2: over
     # the CF variance it is the Hausman form of t_cf, against the direct Wald form.
@@ -364,8 +385,8 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     transform = np.vstack([np.eye(ds.d_y1), -z1y1])
     theta_gap_pred = transform @ gap
 
-    # sigma2 * t is q = e'f for both t_h1 and t_h2 of compute_statistics, so
-    # the 2SLS side is the Hausman K form itself.
+    # sigma2 * t is the same for t_h1, t_h2 and t_cf, so the 2SLS side is the
+    # Hausman K form itself.
     scaled = (ols.sigma2 * stats.t_h1, form, cf.sigma2_u * stats.t_cf)
     scaled_gap = max(
         _rel_scalar(scaled[0], scaled[2]),

@@ -7,8 +7,8 @@ class EndocheckError(Exception):
 
 class RankDeficient(EndocheckError):
     """A design of ``Dataset.designs`` lost full column rank under the rank rule of
-    ``linalg``; raised by ``Dataset.require_rank`` alone, with the design's message
-    of ``RANK_MESSAGES``. ``column`` is the design's ``linalg.weakest_column``."""
+    ``data.rank_checks``; raised by ``Dataset.require_rank`` alone, with the design's
+    message of ``RANK_MESSAGES`` and its weakest ``column``."""
 
     def __init__(self, column: int, message: str):
         self.column = column

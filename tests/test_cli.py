@@ -421,6 +421,16 @@ class TestCmdSimulate:
         assert err.startswith("endocheck: ") and err.count("\n") == 1
         assert str(taken) in err
 
+    def test_results_write_failing_after_out_exists_exits_2(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        (out_dir / "simulation.json").mkdir(parents=True)
+        cfg = self.config(tmp_path, sim={"replications": 2})
+        code, out, err = run(capsys, ["simulate", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("endocheck: cannot write results to") and err.count("\n") == 1
+        assert str(out_dir) in err
+
     def test_overflowing_data_exits_2(self, capsys, tmp_path):
         # Finite dials whose draws overflow: the sum of squares of y2 is inf.
         cfg = self.config(tmp_path, dgp={"n": 40, "rho": [0.0], "sigma_u": 1e300}, sim={"replications": 30})

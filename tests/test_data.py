@@ -18,7 +18,7 @@ from endocheck import (
 )
 from endocheck import data
 from endocheck.data import DataError, EmptyFile, InvalidDataset, MissingColumn, NonNumericCell, RoleConflict
-from endocheck.linalg import spd_solve
+from endocheck.endogeneity import spd_solve
 
 from conftest import (
     F1_ROLES,
@@ -136,6 +136,12 @@ class TestLoadCsv:
         p = write(tmp_path, SMALL)
         with pytest.raises(RoleConflict):
             load_csv(p, {"y": "outcome", "x": "outcome", "z": "instrument"})
+
+    def test_unknown_role_rejected(self, tmp_path):
+        p = write(tmp_path, SMALL)
+        with pytest.raises(RoleConflict) as err:
+            load_csv(p, {"y": "outcome", "x": "treatment"})
+        assert str(err.value) == "unknown role 'treatment' for column 'x'"
 
     def test_role_column_named_twice_rejected(self, tmp_path):
         # The first of the two 'z' columns was read and the second ignored.

@@ -18,7 +18,7 @@ from endocheck import (
     validate,
     verify_identities,
 )
-from endocheck import data, linalg
+from endocheck import data, endogeneity
 from endocheck.cli import _random_dataset, main
 
 from conftest import (
@@ -126,13 +126,13 @@ class TestHausmanStatistic:
 
     def test_one_spd_solve_per_statistic(self, monkeypatch):
         calls = []
-        solve = linalg.spd_solve
+        solve = endogeneity.spd_solve
 
         def counting(s, b):
             calls.append(s)
             return solve(s, b)
 
-        monkeypatch.setattr(linalg, "spd_solve", counting)
+        monkeypatch.setattr(endogeneity, "spd_solve", counting)
         ds = random_admissible_dataset(np.random.default_rng(10), n=80, d_y1=2)
         compute_statistics(ds)
         assert len(calls) == 0  # the statistics core solves K3 itself, SPD by construction
@@ -330,7 +330,7 @@ class TestVerifyIdentities:
             assert b == pytest.approx(c, rel=1e-8)
 
     def test_th3_weighting_matrix_spd(self):
-        from endocheck.linalg import spd_solve
+        from endocheck.endogeneity import spd_solve
 
         rng = np.random.default_rng(8)
         for _ in range(30):

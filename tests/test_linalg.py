@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from endocheck import NotPositiveDefinite
-from endocheck.linalg import RANK_TOL, full_rank, rank_tolerance, spd_solve
+from endocheck.data import RANK_TOL, rank_checks
+from endocheck.endogeneity import spd_solve
 
 from conftest import annihilate, project
 
@@ -84,21 +86,34 @@ class TestSpdSolve:
 def test_full_rank_flags_collinear_design():
     rng = np.random.default_rng(29)
     a = rng.standard_normal((12, 3))
-    ok, sigma = full_rank(a)
-    assert ok and np.isfinite(sigma[0] / sigma[-1])
     bad = np.column_stack([a, a[:, 0] + a[:, 1]])
-    ok_bad, _ = full_rank(bad)
-    assert not ok_bad
+    flags, cond = rank_checks((a, a, bad, bad))
+    assert flags.tolist() == [True, True, False, False]
+    assert np.isfinite(cond[0]) and cond[0] == cond[1]
 
 
 def test_rank_tolerance_is_the_max_column_norm_bit_for_bit():
+    # Half the stacks get a last column within about RANK_TOL of the others' span,
+    # so the rule decides both ways.
     rng = np.random.default_rng(31)
+    seen = set()
     for _ in range(200):
-        shape = tuple(int(d) for d in rng.integers(1, 9, size=int(rng.integers(2, 4))))
-        c = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150)
-        for a in (c, np.asfortranarray(c), np.swapaxes(c, -1, -2)):  # the summation order follows the layout
-            expected = RANK_TOL * np.linalg.norm(a, axis=-2).max(axis=-1, initial=0.0)
-            assert np.array_equal(rank_tolerance(a), expected)
+        k = int(rng.integers(1, 6))
+        shape = (*(int(d) for d in rng.integers(1, 5, size=int(rng.integers(0, 2)))), int(rng.integers(k, 9)), k)
+        c = rng.standard_normal(shape)
+        if k > 1 and rng.random() < 0.5:
+            near = c[..., :-1] @ rng.standard_normal(k - 1)
+            c[..., -1] = near + 10.0 ** rng.uniform(-12, -8) * rng.standard_normal(shape[:-1])
+        c *= 10.0 ** rng.uniform(-150, 150)
+        transposed = np.swapaxes(np.ascontiguousarray(np.swapaxes(c, -1, -2)), -1, -2)
+        for a in (c, np.asfortranarray(c), transposed):  # the summation order follows the layout
+            sigma = np.linalg.svd(a, compute_uv=False)
+            expected = sigma[..., -1] > RANK_TOL * np.linalg.norm(a, axis=-2).max(axis=-1, initial=0.0)
+            flags, cond = rank_checks((a,) * 4)
+            assert np.array_equal(flags, np.broadcast_to(expected, flags.shape))
+            assert np.array_equal(cond[0], np.divide(sigma[..., 0], sigma[..., -1]))
+            seen.update(expected.ravel().tolist())
+    assert seen == {True, False}
 
 
 def test_package_import_leaves_scipy_linalg_unloaded():
@@ -110,3 +125,14 @@ def test_package_import_leaves_scipy_linalg_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_every_layer_the_perfbench_tracer_names_imports():
+    # The tracer imports endocheck.<layer> for each of its LAYERS; a traced
+    # benchmark run dies at the first that is missing.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer in tracer.LAYERS:
+        importlib.import_module(f"endocheck.{layer}")

@@ -6,6 +6,7 @@ of a block from its stacked R factors (``endogeneity.block_statistics``);
 ``compute_statistics`` one replication at a time. The tallies must be equal.
 """
 
+import os
 import sys
 import threading
 import time
@@ -26,8 +27,8 @@ from endocheck import (
     run_monte_carlo,
     validate,
 )
-from endocheck import endogeneity, linalg, simulation
-from endocheck.data import Dataset, InvalidDataset, factor
+from endocheck import endogeneity, simulation
+from endocheck.data import Dataset, InvalidDataset, factor, rank_checks
 from endocheck.endogeneity import StatisticValues, block_statistics
 
 from conftest import STRONG_FIRST_STAGE, random_dgp_config, reference_blocks, reference_monte_carlo
@@ -138,6 +139,16 @@ def test_tallies_do_not_depend_on_the_worker_count(dgp, replications, seed, budg
                 assert tallies(run_monte_carlo(dgp, sim)) == expected, workers
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_cpu_count_without_an_affinity_mask(monkeypatch):
+    """Where the platform has no ``os.sched_getaffinity`` (macOS, Windows), the
+    workers come from ``os.cpu_count()``."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert simulation._usable_cpus() == (os.cpu_count() or 1)
+    dgp = DgpConfig(n=30, d_y1=2, d_z2=3, beta=(1.0, 1.0), rho=(0.4, 0.2))
+    sim = SimConfig(replications=25, seed=3)
+    assert tallies(run_monte_carlo(dgp, sim)) == reference_monte_carlo(dgp, sim)
 
 
 def test_the_first_failing_block_in_order_is_raised(monkeypatch):
@@ -357,6 +368,24 @@ class TestBatchedCore:
             c = endogeneity.chi2_critical(1, alpha)
             assert np.count_nonzero(t_h1 > c) == np.count_nonzero(t_cf > c * n / (n - c))
 
+    def test_first_two_steps_hold_with_no_slack(self):
+        """t_cf >= t_h1 >= t_h2 with zero slack on every decided replication of
+        random R stacks: column scales 10^+-8, Y1 rows shrunk by up to 1e-9."""
+        rng = np.random.default_rng(20261020)
+        decided = 0
+        for _ in range(60):
+            d_y1, d_z1 = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+            d_z2 = d_y1 + int(rng.integers(0, 3))
+            dz, p = d_z1 + d_z2, d_z1 + d_z2 + d_y1 + 1
+            r = np.triu(rng.standard_normal((64, p, p)))
+            r[:, dz:p - 1] *= 10.0 ** -rng.uniform(0, 9, size=(64, 1, 1))
+            r *= 10.0 ** rng.uniform(-8, 8, size=(64, 1, p))
+            stats, flagged = block_statistics(r, int(rng.integers(p + 1, 500)), d_z1, d_z2)
+            ok = ~flagged
+            decided += np.count_nonzero(ok)
+            assert (stats.t_cf[ok] >= stats.t_h1[ok]).all() and (stats.t_h1[ok] >= stats.t_h2[ok]).all()
+        assert decided >= 500
+
     def test_rank_loss_is_flagged(self):
         # Z1 and Z2 collinear in the second replication of the block.
         cfg = DgpConfig(n=30)
@@ -382,9 +411,7 @@ class TestBatchedCore:
         x = np.concatenate([r[1, :, 4:6], r[1, :, :1]], axis=1)
         v = np.zeros((7, 2))
         v[4:6] = r[1, 4:6, 4:6]
-        for a in (x, r[1, :4, :4], x[:4], np.hstack([x, v])):
-            sigma = np.linalg.svd(a, compute_uv=False)[-1]
-            assert sigma > linalg.rank_tolerance(a)
+        assert rank_checks((x, r[1, :4, :4], x[:4], np.hstack([x, v])))[0].all()
 
     def test_ordered_on_floats_and_arrays(self):
         assert StatisticValues(2.0, 1.0, 1.0, 3.0).ordered() is True
