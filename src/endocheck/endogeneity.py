@@ -117,15 +117,15 @@ class StatisticValues:
     def by_name(self) -> dict:
         return {name: getattr(self, name) for name in TEST_NAMES}
 
-    def ordered(self, slack=0.0, strict: bool = False):
-        """Whether ``t_cf >= t_h1 >= t_h2 >= t_h3`` holds, each step up to
-        ``slack``; with ``strict``, ``>`` in place of ``>=``. A bool for
-        floats, a bool array (elementwise) for arrays. The Monte Carlo counts
-        a violation at ``ordering_slack(t_cf)``; ``verify_identities`` takes
-        ``tol * (1 + t_cf)``, with the user's tolerance (``verify --tol``)."""
+    def ordered(self, strict: bool = False):
+        """Whether ``t_cf >= t_h1 >= t_h2 >= t_h3`` holds; with ``strict``,
+        ``>`` in place of ``>=``. A bool for floats, a bool array
+        (elementwise) for arrays. The statistics core makes the non-strict
+        chain hold in floating point, so the Monte Carlo checks it with no
+        slack."""
         chain = (self.t_cf, self.t_h1, self.t_h2, self.t_h3)
         holds = np.greater if strict else np.greater_equal
-        ok = np.logical_and.reduce([holds(a, b - slack) for a, b in zip(chain, chain[1:])])
+        ok = np.logical_and.reduce([holds(a, b) for a, b in zip(chain, chain[1:])])
         return ok if np.ndim(ok) else bool(ok)
 
 
@@ -136,11 +136,6 @@ class Statistics(StatisticValues):
     h_n: float
     df: int
     beta_gap: np.ndarray
-
-
-def ordering_slack(t_cf):
-    """The slack of the Monte Carlo's ordering check, relative to ``t_cf``."""
-    return 1e-9 * (1.0 + t_cf)
 
 
 def compute_statistics(ds: Dataset) -> Statistics:
@@ -179,10 +174,6 @@ def _least_squares_block(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _solve(t[:, :k, :k], t[:, :k, k:])[..., 0]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("bi,bi->b", a, b)
-
-
 def _statistics_core(designs: tuple[np.ndarray, ...], n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
     """The (4, B) statistics ``t_h1, t_h2, t_h3, t_cf``, (3, B) variances
     ``sigma2_ols, sigma2_2sls, sigma2_u``, (B, d_y1) gaps ``beta_ols -
@@ -191,56 +182,44 @@ def _statistics_core(designs: tuple[np.ndarray, ...], n: int, d_z1: int, d_z2: i
     and Y1 rows of X's Y1 columns and ``r24``, ``r34`` the matching rows of
     ``y`` (Z1 is concentrated out by dropping its rows):
 
-    * ``beta_2sls`` and ``beta_ols`` solve ``R23 b = r24`` and
-      ``[R23; R33] b = [r24; r34]`` by least squares;
-    * ``n*sigma2`` for OLS and 2SLS is ``r44^2 + ||[r24; r34] - [R23; R33] b||^2``
-      at their ``b``, and ``n*sigma2_u`` is ``r44^2 + ||r24 - R23 beta_2sls||^2``;
-    * with ``e = r34 - R33 beta_2sls`` and ``f = r34 - R33 beta_ols``,
-      ``G1 gap = R33'e`` and ``G2 gap = R33'f``, so the Hausman ``K`` of
-      ``t_h1`` and ``t_h2`` is ``sigma2 * R33'R33``;
-    * ``t_cf`` is the control-function Wald statistic by the direct route
-      ``(SSR_ols - SSR_u) / sigma2_u = (||R23 gap||^2 + ||f||^2) / sigma2_u``;
-    * ``t_h1`` and ``t_h2`` come from ``t_cf`` by the variance links
-      ``sigma2_ols = sigma2_u (1 + t_cf/n)`` and ``sigma2_2sls = sigma2_ols +
-      ||[R23; R33] gap||^2 / n``: ``t_h1 = t_cf / (1 + t_cf/n)`` and ``t_h2 =
-      t_h1 / (1 + ||[R23; R33] gap||^2 / (n sigma2_ols))``. Each divides by a
-      rounded value >= 1, so ``t_cf >= t_h1 >= t_h2`` holds in floating point
-      with no slack;
-    * ``t_h3 = (R33'e)' K3^-1 R23'(R23 gap)`` with ``K3 = sigma2_ols *
-      R33'R33 + (sigma2_2sls - sigma2_ols) * G1``, the variance difference
-      taken as ``||[R23; R33] gap||^2 / n``: SPD by construction, and scaled
-      by ``1 / sigma2_2sls`` so that it does not overflow. The weight of G1
-      is ``h_n = gap' G1 gap / (n sigma2_2sls)``. ``R23'(R23 gap)``
-      keeps the weak direction of ``R23`` (the gap itself is a difference of
-      two fits, which a strong first stage makes nearly cancel).
+    * ``beta_2sls`` solves ``R23 b = r24`` by least squares; ``e = [r24; r34]
+      - [R23; R33] beta_2sls`` and ``n*sigma2_u = r44^2 + ||e_Z2||^2``;
+    * with ``R23 R33^-1 = U S Q'``, ``G2 = R33'Q S^2 Q'R33``, ``G1 =
+      R33'Q (1 + S^2) Q'R33`` and ``G1 gap = R33'e_Y1``, so ``z = Q'R33 gap =
+      Q'e_Y1 / (1 + s^2)``, and ``gap = R33^-1 Q z`` is no difference of fits;
+    * each statistic is ``sum_j a_j / v_j`` over ``a = s^2 (1 + s^2) z^2``, with
+      ``v`` = ``sigma2_u`` (t_cf), ``sigma2_ols = sigma2_u + sum(a)/n`` (t_h1),
+      ``sigma2_2sls = sigma2_ols + c`` (t_h2) and ``sigma2_2sls + c s^2``
+      (t_h3), where ``c = sum((1 + s^2) z^2)/n`` and ``h_n = c / sigma2_2sls``.
 
-    A replication's values depend, bit for bit, on its own R only.
+    Each ``v`` is the one before it plus a non-negative term, so it rounds to
+    at least that one, and the four sums run in the same order: ``t_cf >= t_h1
+    >= t_h2 >= t_h3`` holds in floating point with no slack. No gram is
+    formed. A replication's values depend, bit for bit, on its own R only.
     """
     x, _, _, _, y, r44 = designs
     b1 = x[:, d_z1:, :x.shape[-1] - d_z1]  # [R23; R33]
-    r33 = b1[:, d_z2:]
+    r23, r33 = b1[:, :d_z2], b1[:, d_z2:]
     y = y[:, d_z1:]                        # [r24; r34]
-    r44_sq = np.square(r44)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        beta_ols = _least_squares_block(b1, y)
-        beta_2sls = _least_squares_block(b1[:, :d_z2], y[:, :d_z2])
-        e_ols = y - (b1 @ beta_ols[..., None])[..., 0]
-        e_2sls = y - (b1 @ beta_2sls[..., None])[..., 0]
-        s_ols = (r44_sq + _dot(e_ols, e_ols)) / n
-        s_2sls = (r44_sq + _dot(e_2sls, e_2sls)) / n
-        s_u = (r44_sq + _dot(e_2sls[:, :d_z2], e_2sls[:, :d_z2])) / n
-        e, f = e_2sls[:, d_z2:], e_ols[:, d_z2:]
-        gap = beta_ols - beta_2sls
-        b1_gap = (b1 @ gap[..., None])[..., 0]
-        b1_gap_sq = _dot(b1_gap, b1_gap)
-        h_n = b1_gap_sq / (n * s_2sls)
-        k3 = (s_ols / s_2sls)[:, None, None] * (_mT(r33) @ r33) + h_n[:, None, None] * (_mT(b1) @ b1)
-        b2_gap = b1_gap[:, :d_z2]
-        g2_gap = _mT(b1[:, :d_z2]) @ b2_gap[..., None]
-        t_h3 = (e[:, None] @ r33 @ _solve(k3, g2_gap))[:, 0, 0] / s_2sls
-        t_cf = (_dot(b2_gap, b2_gap) + _dot(f, f)) / s_u
-        t_h1 = t_cf / (1.0 + t_cf / n)
-        t_h2 = t_h1 / (1.0 + b1_gap_sq / (n * s_ols))
+        beta_2sls = _least_squares_block(r23, y[:, :d_z2])
+        e = y - (b1 @ beta_2sls[..., None])[..., 0]
+        s_u = (np.square(r44) + np.sum(np.square(e[:, :d_z2]), axis=-1)) / n
+        ratio = _mT(_solve(_mT(r33), _mT(r23)))  # R23 R33^-1
+        # A stacked SVD raises on any nan; the rank stage flags each replication that has one here.
+        _, s, qt = np.linalg.svd(np.where(np.isfinite(ratio), ratio, 0.0), full_matrices=False)
+        s2 = np.square(s)
+        z = (qt @ e[:, d_z2:, None])[..., 0] / (1.0 + s2)
+        gap = _solve(r33, _mT(qt) @ z[..., None])[..., 0]
+        a = s2 * (1.0 + s2) * np.square(z)
+        c = np.sum((1.0 + s2) * np.square(z), axis=-1) / n  # sigma2_2sls - sigma2_ols
+        s_ols = s_u + np.sum(a, axis=-1) / n
+        s_2sls = s_ols + c
+        h_n = c / s_2sls
+        t_cf = np.sum(a / s_u[:, None], axis=-1)
+        t_h1 = np.sum(a / s_ols[:, None], axis=-1)
+        t_h2 = np.sum(a / s_2sls[:, None], axis=-1)
+        t_h3 = np.sum(a / (s_2sls[:, None] + c[:, None] * s2), axis=-1)
         stats = np.array([t_h1, t_h2, t_h3, t_cf])
     return stats, np.array([s_ols, s_2sls, s_u]), gap, h_n
 
@@ -356,8 +335,10 @@ def _rel_scalar(a: float, b: float) -> float:
 def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     """Evaluate every exact finite-sample identity on one dataset.
 
-    ``tol`` only affects ``ordering_ok``: it is the slack for near-ties; the
-    gaps themselves are always reported.
+    ``tol`` only affects ``ordering_ok``: the chain must hold strictly where
+    its first two steps, ``t_cf * t_h1 / n`` and ``t_h1 * h_n``, both exceed
+    ``tol * (1 + t_cf)``, and non-strictly elsewhere; the gaps themselves
+    are always reported.
     """
     stats = compute_statistics(ds)  # decides the dataset before any fit
     # The reference side of each identity: the SVD fits, independent of the core.
@@ -396,13 +377,9 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
 
     # The identities fix the first two steps of the chain: t_cf - t_h1 =
     # t_cf * t_h1 / n and t_h1 - t_h2 = t_h1 * h_n. Strictness is asserted
-    # only where both exceed the slack; a closer tie is below what floating
-    # point resolves, so the chain is then checked up to the slack.
-    slack = tol * (1.0 + stats.t_cf)
-    if min(stats.t_cf * stats.t_h1 / n, stats.t_h1 * h_n) > slack:
-        ordering_ok = stats.ordered(strict=True)
-    else:
-        ordering_ok = stats.ordered(slack)
+    # only where both exceed tol * (1 + t_cf); a closer tie is below what
+    # floating point resolves. The non-strict chain holds by construction.
+    ordering_ok = stats.ordered(strict=min(stats.t_cf * stats.t_h1 / n, stats.t_h1 * h_n) > tol * (1.0 + stats.t_cf))
 
     return IdentityReport(
         theta_cf_vs_tsls_gap=_rel_vec(cf.theta_cf, tsls.theta_hat),

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .data import Dataset, check_w, factor
-from .endogeneity import TEST_NAMES, block_statistics, chi2_critical, ordering_slack
+from .endogeneity import TEST_NAMES, block_statistics, chi2_critical
 from .errors import ConfigInvalid
 
 SCHEMA_VERSION = 1
@@ -272,7 +272,7 @@ def _tally(dgp: DgpConfig, sim: SimConfig, crit: list[float], r: np.ndarray) -> 
     """
     stats, flagged = block_statistics(r, dgp.n, dgp.d_z1, dgp.d_z2)
     completed = ~flagged
-    in_order = stats.ordered(ordering_slack(stats.t_cf))
+    in_order = stats.ordered()
     values = stats.by_name()
     return np.array([
         np.count_nonzero(flagged),

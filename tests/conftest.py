@@ -18,7 +18,6 @@ from endocheck import (
     load_csv,
 )
 from endocheck.data import DataError, EmptyFile, MissingColumn, NonNumericCell, RoleConflict, _read
-from endocheck.endogeneity import ordering_slack
 from endocheck.simulation import _draw_block, _substream_seed
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -194,7 +193,7 @@ def reference_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> dict:
         except EndocheckError:
             degenerate += 1
             continue
-        if not stats.ordered(ordering_slack(stats.t_cf)):
+        if not stats.ordered():
             ordering_violations += 1
         values = stats.by_name()
         for t in sim.tests:

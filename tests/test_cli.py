@@ -219,6 +219,17 @@ class TestScaledData:
         assert out == ""
         assert err.startswith("endocheck: ") and err.count("\n") == 1
 
+    def test_design_near_1e_minus_250(self, capsys, tmp_path):
+        # The statistics form no gram, so test reports those of the unscaled
+        # data; verify's reference side forms R33'R33, which underflows.
+        code, out, err = run(capsys, ["test", *scaled_csv(tmp_path / "tiny.csv", 1e-250, 1.0), "--format", "json"])
+        assert code == 0, err
+        _, unscaled, _ = run(capsys, ["test", *scaled_csv(tmp_path / "one.csv", 1.0, 1.0), "--format", "json"])
+        expected = strict_json(unscaled)["statistics"]
+        for name, value in strict_json(out)["statistics"].items():
+            assert value == pytest.approx(expected[name], rel=1e-13), name
+        code, out, err = run(capsys, ["verify", *scaled_csv(tmp_path / "tiny.csv", 1e-250, 1.0)])
+        assert (code, out, err) == (2, "", "endocheck: Matrix is not positive definite\n")
 
     def test_design_near_1e_minus_160_verify_is_strict_json(self, capsys, tmp_path):
         # Coefficients near 1e160 overflowed a vector norm into a bare NaN gap.
