@@ -12,7 +12,6 @@ from .endogeneity import (
     TestReport,
     TEST_NAMES,
     compute_statistics,
-    hausman_statistic,
     run_all_tests,
     verify_identities,
 )
@@ -20,7 +19,6 @@ from .errors import (
     ConfigInvalid,
     DegenerateVariance,
     EndocheckError,
-    NotPositiveDefinite,
     RankDeficient,
 )
 from .estimators import CfFit, FitResult, fit_cf, fit_ols, fit_tsls
@@ -38,13 +36,11 @@ __all__ = [
     "TestReport",
     "TEST_NAMES",
     "compute_statistics",
-    "hausman_statistic",
     "run_all_tests",
     "verify_identities",
     "ConfigInvalid",
     "DegenerateVariance",
     "EndocheckError",
-    "NotPositiveDefinite",
     "RankDeficient",
     "CfFit",
     "FitResult",

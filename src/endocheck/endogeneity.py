@@ -8,8 +8,9 @@ coincides with the Hausman form evaluated at the control-function residual
 variance. One core on the designs of the triangular factor R
 (``data.designs``) gives all four statistics of a dataset or of a Monte Carlo
 block. ``verify_identities`` compares the core against the fits and the
-Hausman K form of ``hausman_statistic``. P-values and critical values are the
-chi-square upper tail of ``chi2_sf`` and ``chi2_critical``.
+Hausman K form, ``K = gram_ols - gram_2sls = R33'R33``, solved with the block
+R33 of R that holds V_hat. P-values and critical values are the chi-square
+upper tail of ``chi2_sf`` and ``chi2_critical``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.special import chdtrc, chdtri
 
 from .data import RANK_MESSAGES, Dataset, InvalidDataset, designs, rank_checks
-from .errors import DegenerateVariance, EndocheckError, NotPositiveDefinite
+from .errors import DegenerateVariance, EndocheckError
 from .estimators import fit_cf, fit_ols, fit_tsls
 
 TEST_NAMES = ("t_h1", "t_h2", "t_h3", "t_cf")
@@ -52,49 +53,6 @@ def chi2_critical(df: int, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 # Test statistics
 # ---------------------------------------------------------------------------
-
-def spd_solve(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve S X = B for a symmetric positive definite (k, k) S. Raises ``NotPositiveDefinite``
-    where S is not finite, not symmetric to relative 1e-10, or Cholesky finds a non-positive pivot."""
-    if not np.isfinite(s).all():
-        raise NotPositiveDefinite("matrix is not finite")
-    scale = np.abs(s).max() if s.size else 0.0
-    if np.abs(s - s.T).max(initial=0.0) > 1e-10 * max(scale, 1e-300):
-        raise NotPositiveDefinite("matrix is not symmetric")
-    try:
-        np.linalg.cholesky(s)
-        return np.linalg.solve(s, b)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-
-
-def hausman_statistic(beta_gap, factor_2sls, factor_ols, sigma2: float) -> float:
-    """Hausman quadratic form in the OLS/2SLS coefficient gap at one residual
-    variance ``sigma2``: the K form that ``verify_identities`` checks
-    ``compute_statistics`` against.
-
-    The grams enter as factors ``B`` of ``G = B'B`` (G2 = gram_2sls,
-    G1 = gram_ols), and ``G·gap`` is ``B'(B·gap)``, which keeps the weak
-    direction a formed ill-conditioned gram loses. The weighting matrix
-    ``W = sigma2 * (G2^-1 - G1^-1)`` has inverse ``G1 K^-1 G2 / sigma2``
-    with ``K = G1 - G2``: one SPD solve, no inverse, and no sigma2 times a
-    gram to overflow. K loses accuracy, and can round to non-positive,
-    when the grams nearly coincide (a strong first stage).
-
-    Raises
-    ------
-    NotPositiveDefinite
-        When ``K`` (equivalently the weighting matrix) is not SPD: the
-        2SLS gram is not below the OLS one.
-    """
-    gap = np.asarray(beta_gap, dtype=float).reshape(-1)
-    if not np.any(gap):
-        return 0.0
-    b2 = np.asarray(factor_2sls, dtype=float)
-    b1 = np.asarray(factor_ols, dtype=float)
-    k = b1.T @ b1 - b2.T @ b2
-    return float((b1.T @ (b1 @ gap)) @ spd_solve(k, b2.T @ (b2 @ gap))) / sigma2
-
 
 def _variance_floor(designs: tuple[np.ndarray, ...], n: int):
     # Exact fits leave residuals at rounding scale; anything this small is
@@ -302,7 +260,7 @@ class IdentityReport:
 
     theta_cf_vs_tsls_gap: float      # CF theta equals the 2SLS theta
     rho_closed_form_gap: float       # rho equals its closed form in the beta gap
-    tcf_equivalence_gap: float       # direct Wald form vs Hausman form of t_cf
+    tcf_equivalence_gap: float       # the core's t_cf vs the Hausman K form of t_cf
     variance_link_ols_gap: float     # sigma2_u vs sigma2_ols * (1 - t_h1/n)
     variance_link_tsls_gap: float    # sigma2_u vs sigma2_tsls * (1 - t_h2/n - h_n)
     scaled_statistic_gap: float      # sigma2_ols*t_h1 = sigma2_tsls*t_h2 = sigma2_u*t_cf
@@ -345,20 +303,23 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     ols, tsls, cf = fit_ols(ds), fit_tsls(ds), fit_cf(ds)
     n = ds.n
     gap = ols.beta_hat - tsls.beta_hat
-    x, z, pzx, xv, _, _ = ds.designs
-    # (gram_2sls, gram_ols) = B'B: M_Z1 drops the Z1 rows; P_Z then keeps the Z2 rows.
-    factors = pzx[ds.d_z1:, :ds.d_y1], x[ds.d_z1:, :ds.d_y1]
-    gram_ols = factors[1].T @ factors[1]
-    h_n = float(gap @ gram_ols @ gap) / (n * tsls.sigma2)
+    x, z, *_ = ds.designs
+    # M_Z1 drops the Z1 rows, so gram_ols = B1'B1 with B1 = [R23; R33] and
+    # gram_2sls = B2'B2 with B2 = R23: gram_ols - gram_2sls = R33'R33 = V_hat'V_hat.
+    b1 = x[ds.d_z1:, :ds.d_y1]
+    b2, r33 = b1[:ds.d_z2], b1[ds.d_z2:]
+    b1_gap = b1 @ gap
+    h_n = float(b1_gap @ b1_gap) / (n * tsls.sigma2)
 
-    # CF estimates against their closed forms in the beta gap.
-    mz_y1 = xv[:, x.shape[1]:]  # V_hat: annihilator of Z applied to Y1
-    gram_mz = mz_y1.T @ mz_y1
-    rho_closed = spd_solve(gram_mz, gram_ols @ gap)
-
-    # The Hausman K form at unit variance, sigma2 * t for every sigma2: over
-    # the CF variance it is the Hausman form of t_cf, against the direct Wald form.
-    form = hausman_statistic(gap, *factors, 1.0)
+    # R33^-T G1 gap and R33^-T G2 gap in one solve; R33 is nonsingular once
+    # compute_statistics has passed [X | V_hat], whose last columns are [0; R33].
+    f1, f2 = np.linalg.solve(r33.T, np.column_stack([b1.T @ b1_gap, b2.T @ (b2 @ gap)])).T
+    # rho's closed form (V_hat'V_hat)^-1 G1 gap.
+    rho_closed = np.linalg.solve(r33, f1)
+    # The Hausman K form at unit variance, (G1 gap)'K^-1 (G2 gap) with K =
+    # R33'R33, is sigma2 * t for every sigma2: over the CF variance it is the
+    # Hausman form of t_cf, against the core's.
+    form = float(f1 @ f2)
     t_cf_hausman = form / cf.sigma2_u
 
     # Structural coefficient gap as a linear transform of the beta gap.

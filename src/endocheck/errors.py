@@ -15,10 +15,6 @@ class RankDeficient(EndocheckError):
         super().__init__(message)
 
 
-class NotPositiveDefinite(EndocheckError):
-    """A matrix required to be symmetric positive definite is not."""
-
-
 class DegenerateVariance(EndocheckError):
     """A residual-variance estimate is (numerically) zero, so the test statistics are undefined."""
 

@@ -1,3 +1,3 @@
-"""Holds nothing. The rank rule is ``data.RANK_TOL`` and ``data.rank_checks``; the
-SPD solve is ``endogeneity.spd_solve``. The module stays importable only because
-perfbench's tracer imports each layer it names, this one included."""
+"""Holds nothing. The rank rule is ``data.RANK_TOL`` and ``data.rank_checks``. The module
+stays importable only because perfbench's tracer imports each layer it names, this one
+included."""

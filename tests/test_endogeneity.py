@@ -6,18 +6,16 @@ from endocheck import (
     DegenerateVariance,
     DgpConfig,
     IdentityReport,
-    NotPositiveDefinite,
     compute_statistics,
     fit_cf,
     fit_ols,
     fit_tsls,
     generate_dataset,
-    hausman_statistic,
     run_all_tests,
     validate,
     verify_identities,
 )
-from endocheck import data, endogeneity
+from endocheck import data
 from endocheck.cli import _random_dataset, main
 
 from conftest import (
@@ -77,18 +75,6 @@ STRONG_FIRST_STAGE_DRAWS = {
 
 
 class TestHausmanStatistic:
-    def test_zero_gap(self):
-        assert hausman_statistic(np.zeros(2), np.eye(2), 2.0 * np.eye(2), 1.0) == 0.0
-
-    def test_scalar_hand_value(self):
-        # g=1, a=1, b=2, s=1: g^2 / (s*(1/a - 1/b)) = 1 / 0.5 = 2
-        assert hausman_statistic([1.0], [[1.0]], [[np.sqrt(2.0)]], 1.0) == pytest.approx(2.0, rel=1e-14)
-
-    def test_invalid_variance_pairing(self):
-        # a 2SLS gram (4) above the OLS gram (1) makes K = G1 - G2 negative
-        with pytest.raises(NotPositiveDefinite):
-            hausman_statistic([1.0], [[2.0]], [[1.0]], 1.0)
-
     def test_f1_oracle(self, f1_dataset, f1_expected):
         stats = compute_statistics(f1_dataset)
         assert stats.t_h1 == pytest.approx(f1_expected["t_h1"], rel=1e-8)
@@ -137,21 +123,16 @@ class TestHausmanStatistic:
             w = tsls.sigma2 * np.linalg.inv(gram_2sls) - ols.sigma2 * np.linalg.inv(gram_ols)
             assert compute_statistics(ds).t_h3 == pytest.approx(gap @ np.linalg.solve(w, gap), rel=1e-9)
 
-    def test_one_spd_solve_per_statistic(self, monkeypatch):
+    def test_no_cholesky_anywhere(self, monkeypatch):
+        # Neither the statistics core nor verify's reference side forms a gram
+        # to factor: both solve with R's blocks.
         calls = []
-        solve = endogeneity.spd_solve
-
-        def counting(s, b):
-            calls.append(s)
-            return solve(s, b)
-
-        monkeypatch.setattr(endogeneity, "spd_solve", counting)
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
         ds = random_admissible_dataset(np.random.default_rng(10), n=80, d_y1=2)
         compute_statistics(ds)
-        assert len(calls) == 0  # the statistics core forms no gram and makes no SPD solve
-        calls.clear()
         verify_identities(ds)
-        assert len(calls) == 2  # rho's closed form and the K form, shared by t_cf and t_h2
+        assert len(calls) == 0
 
     def test_small_factorization_budget(self, monkeypatch, f1_path):
         # The rank stage's four SVDs of R's blocks decide every command, once
@@ -187,14 +168,18 @@ class TestDataScale:
         return Dataset(y2=outcome_scale * b.y2, y1=design_scale * b.y1, z1=design_scale * b.z1,
                        z2=design_scale * b.z2)
 
-    @pytest.mark.parametrize(("scale", "outcome_scale"), [(1e100, None), (1e150, None), (1e-250, 1.0)],
-                             ids=["1e+100", "1e+150", "1e-250-1.0"])
+    @pytest.mark.parametrize(("scale", "outcome_scale"),
+                             [(1e100, None), (1e150, None), (1e-160, 1.0), (1e-250, 1.0)],
+                             ids=["1e+100", "1e+150", "1e-160-1.0", "1e-250-1.0"])
     def test_statistics_invariant_to_data_scale(self, scale, outcome_scale):
         # sigma2 times a gram overflowed here when K was formed unscaled; at
-        # 1e-250, R33'R33 underflows to zero, and the core forms no gram.
+        # 1e-160 the grams are subnormal and at 1e-250 R33'R33 underflows to
+        # zero. Neither the core nor verify's reference side forms a gram.
         expected = compute_statistics(self.scaled(1.0)).by_name()
-        for name, value in compute_statistics(self.scaled(scale, outcome_scale)).by_name().items():
+        scaled = self.scaled(scale, outcome_scale)
+        for name, value in compute_statistics(scaled).by_name().items():
             assert value == pytest.approx(expected[name], rel=1e-10), name
+        assert verify_identities(scaled).max_gap() < 1e-12
 
 
 class TestCfStatistic:
@@ -217,10 +202,8 @@ class TestCfStatistic:
             stats = compute_statistics(ds)
             sigma2_u = fit_cf(ds).sigma2_u
             gram_2sls, gram_ols = grams(b)
-            alt = hausman_statistic(
-                stats.beta_gap, np.linalg.cholesky(gram_2sls).T, np.linalg.cholesky(gram_ols).T, sigma2_u,
-            )
-            assert stats.t_cf == pytest.approx(alt, rel=1e-8)
+            w = sigma2_u * (np.linalg.inv(gram_2sls) - np.linalg.inv(gram_ols))
+            assert stats.t_cf == pytest.approx(stats.beta_gap @ np.linalg.solve(w, stats.beta_gap), rel=1e-8)
 
 
 class TestHn:
@@ -341,16 +324,13 @@ class TestVerifyIdentities:
             assert b == pytest.approx(c, rel=1e-8)
 
     def test_th3_weighting_matrix_spd(self):
-        from endocheck.endogeneity import spd_solve
-
         rng = np.random.default_rng(8)
         for _ in range(30):
             b = random_admissible_blocks(rng)
             ds = b.dataset()
             gram_2sls, gram_ols = grams(b)
-            k = ds.d_y1
             w = fit_tsls(ds).sigma2 * np.linalg.inv(gram_2sls) - fit_ols(ds).sigma2 * np.linalg.inv(gram_ols)
-            spd_solve(0.5 * (w + w.T), np.eye(k))
+            np.linalg.cholesky(0.5 * (w + w.T))
 
     def test_invariance_under_instrument_reparameterization(self):
         rng = np.random.default_rng(9)

@@ -7,9 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from endocheck import NotPositiveDefinite
 from endocheck.data import RANK_TOL, rank_checks
-from endocheck.endogeneity import spd_solve
 
 from conftest import annihilate, project
 
@@ -60,27 +58,6 @@ class TestProjectAnnihilate:
             total = np.linalg.norm(y) ** 2
             parts = np.linalg.norm(project(a, y)) ** 2 + np.linalg.norm(annihilate(a, y)) ** 2
             assert parts == pytest.approx(total, rel=1e-10)
-
-
-class TestSpdSolve:
-    def test_scaled_identity(self):
-        np.testing.assert_allclose(spd_solve(2.0 * np.eye(2), np.eye(2)), 0.5 * np.eye(2))
-
-    def test_hand_solved_system(self):
-        s = np.array([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(spd_solve(s, np.array([1.0, 1.0])), [1 / 3, 1 / 3], rtol=1e-14)
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            spd_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            spd_solve(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.eye(2))
 
 
 def test_full_rank_flags_collinear_design():

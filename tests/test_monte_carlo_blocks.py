@@ -307,7 +307,7 @@ def test_rounding_sensitive_configs_match_reference_loop(case):
 def test_strong_first_stage_k_completes():
     """K = sigma2 * R33'R33 is positive definite by construction: formed as a
     difference of grams, it rounded to non-positive on 73 of these 200
-    replications (NotPositiveDefinite)."""
+    replications, where a Cholesky factor of K failed."""
     dgp, seed = STRONG_FIRST_STAGE["strong_first_stage_k_rounds_to_zero"]
     for rep in range(200):
         compute_statistics(generate_dataset(dgp, rep, seed))
