@@ -100,7 +100,8 @@ def compute_statistics(ds: Dataset) -> Statistics:
     """The four test statistics, ``h_n`` and the beta gap of ``ds`` by the decision of
     ``block_statistics`` on a stack of one, with the rank flags of ``ds.rank``; it runs no
     fit. Raises its first failed check: ``RankDeficient`` (``Dataset.require_rank`` of
-    all four rank checks), ``DegenerateVariance`` or ``InvalidDataset`` (non-finite results)."""
+    all four rank checks), ``DegenerateVariance`` (the OLS or CF variance at the floor)
+    or ``InvalidDataset`` (non-finite results)."""
     ds.require_rank(*range(len(RANK_MESSAGES)))
     d = tuple(a[None] for a in ds.designs)
     values, h_n, gap, failed = _decide(d, ds.rank[0][:, None], ds.n, ds.d_z1, ds.d_z2)
@@ -124,52 +125,49 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.concatenate([_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
 
 
-def _least_squares_block(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solutions of the stacked full-rank least-squares problems ``a c = y``:
-    the QR of ``[a | y]``, then the triangular system."""
-    k = a.shape[-1]
-    t = np.linalg.qr(np.concatenate([a, y[..., None]], axis=-1), mode="r")
-    return _solve(t[:, :k, :k], t[:, :k, k:])[..., 0]
-
-
 def _statistics_core(designs: tuple[np.ndarray, ...], n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
-    """The (4, B) statistics ``t_h1, t_h2, t_h3, t_cf``, (3, B) variances
-    ``sigma2_ols, sigma2_2sls, sigma2_u``, (B, d_y1) gaps ``beta_ols -
-    beta_2sls`` and (B,) ``h_n`` of the ``data.designs`` of stacked R factors,
-    meaningful where they pass the rank rule. With ``R23``, ``R33`` the Z2
-    and Y1 rows of X's Y1 columns and ``r24``, ``r34`` the matching rows of
-    ``y`` (Z1 is concentrated out by dropping its rows):
+    """The (4, B) statistics ``t_h1, t_h2, t_h3, t_cf``, (2, B) variances
+    ``sigma2_ols, sigma2_u``, (B, d_y1) gaps ``beta_ols - beta_2sls`` and (B,)
+    ``h_n`` of the ``data.designs`` of stacked R factors, meaningful where
+    they pass the rank rule. With ``R23``, ``R33`` the Z2 and Y1 rows of X's
+    Y1 columns and ``r24``, ``r34`` the matching rows of ``y`` (Z1 is
+    concentrated out by dropping its rows), all comes from one SVD:
 
-    * ``beta_2sls`` solves ``R23 b = r24`` by least squares; ``e = [r24; r34]
-      - [R23; R33] beta_2sls`` and ``n*sigma2_u = r44^2 + ||e_Z2||^2``;
-    * with ``R23 R33^-1 = U S Q'``, ``G2 = R33'Q S^2 Q'R33``, ``G1 =
-      R33'Q (1 + S^2) Q'R33`` and ``G1 gap = R33'e_Y1``, so ``z = Q'R33 gap =
-      Q'e_Y1 / (1 + s^2)``, and ``gap = R33^-1 Q z`` is no difference of fits;
-    * each statistic is ``sum_j a_j / v_j`` over ``a = s^2 (1 + s^2) z^2``, with
-      ``v`` = ``sigma2_u`` (t_cf), ``sigma2_ols = sigma2_u + sum(a)/n`` (t_h1),
-      ``sigma2_2sls = sigma2_ols + c`` (t_h2) and ``sigma2_2sls + c s^2``
-      (t_h3), where ``c = sum((1 + s^2) z^2)/n`` and ``h_n = c / sigma2_2sls``.
+    * ``R23 R33^-1 = U S Q'`` with the full U, ``U'r24 = [c1; c2]`` (``c1`` its
+      first d_y1 entries) and ``w = Q'r34``. As ``R23 = U1 S Q'R33``,
+      ``beta_2sls = R33^-1 Q S^-1 c1``; its residual ``e`` is ``c2`` on the Z2
+      rows, so ``n*sigma2_u = r44^2 + ||c2||^2``, and ``Q'e_Y1 = w - c1/s``;
+    * ``G2 = R33'Q S^2 Q'R33``, ``G1 = R33'Q (1 + S^2) Q'R33`` and ``G1 gap =
+      R33'e_Y1``, so ``z = Q'R33 gap = (s w - c1) / (s (1 + s^2))``, and ``gap =
+      R33^-1 Q z`` is no difference of fits;
+    * each statistic is ``sum_j a_j / v_j`` over ``a = s^2 (1 + s^2) z^2 = (s w -
+      c1)^2 / (1 + s^2)``, with ``v`` = ``sigma2_u`` (t_cf), ``sigma2_ols =
+      sigma2_u + sum(a)/n`` (t_h1), ``sigma2_2sls = sigma2_ols + c`` (t_h2) and
+      ``sigma2_2sls + c s^2`` (t_h3), where ``c = sum((1 + s^2) z^2)/n`` and
+      ``h_n = c / sigma2_2sls``.
 
     Each ``v`` is the one before it plus a non-negative term, so it rounds to
     at least that one, and the four sums run in the same order: ``t_cf >= t_h1
-    >= t_h2 >= t_h3`` holds in floating point with no slack. No gram is
-    formed. A replication's values depend, bit for bit, on its own R only.
+    >= t_h2 >= t_h3`` holds in floating point with no slack; an ``s`` of zero
+    leaves ``z`` non-finite. No gram is formed. A replication's values depend,
+    bit for bit, on its own R only.
     """
     x, _, _, _, y, r44 = designs
-    b1 = x[:, d_z1:, :x.shape[-1] - d_z1]  # [R23; R33]
-    r23, r33 = b1[:, :d_z2], b1[:, d_z2:]
-    y = y[:, d_z1:]                        # [r24; r34]
+    d_y1, dz = x.shape[-1] - d_z1, d_z1 + d_z2
+    r23, r33 = x[:, d_z1:dz, :d_y1], x[:, dz:, :d_y1]
+    r24, r34 = y[:, d_z1:dz, None], y[:, dz:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        beta_2sls = _least_squares_block(r23, y[:, :d_z2])
-        e = y - (b1 @ beta_2sls[..., None])[..., 0]
-        s_u = (np.square(r44) + np.sum(np.square(e[:, :d_z2]), axis=-1)) / n
         ratio = _mT(_solve(_mT(r33), _mT(r23)))  # R23 R33^-1
         # A stacked SVD raises on any nan; the rank stage flags each replication that has one here.
-        _, s, qt = np.linalg.svd(np.where(np.isfinite(ratio), ratio, 0.0), full_matrices=False)
+        u, s, qt = np.linalg.svd(np.where(np.isfinite(ratio), ratio, 0.0))
+        c1, c2 = np.split((_mT(u) @ r24)[..., 0], [d_y1], axis=-1)
+        w = (qt @ r34)[..., 0]
         s2 = np.square(s)
-        z = (qt @ e[:, d_z2:, None])[..., 0] / (1.0 + s2)
+        s_u = (np.square(r44) + np.sum(np.square(c2), axis=-1)) / n
+        t = s * w - c1
+        a = np.square(t) / (1.0 + s2)
+        z = t / (s * (1.0 + s2))
         gap = _solve(r33, _mT(qt) @ z[..., None])[..., 0]
-        a = s2 * (1.0 + s2) * np.square(z)
         c = np.sum((1.0 + s2) * np.square(z), axis=-1) / n  # sigma2_2sls - sigma2_ols
         s_ols = s_u + np.sum(a, axis=-1) / n
         s_2sls = s_ols + c
@@ -179,10 +177,10 @@ def _statistics_core(designs: tuple[np.ndarray, ...], n: int, d_z1: int, d_z2: i
         t_h2 = np.sum(a / s_2sls[:, None], axis=-1)
         t_h3 = np.sum(a / (s_2sls[:, None] + c[:, None] * s2), axis=-1)
         stats = np.array([t_h1, t_h2, t_h3, t_cf])
-    return stats, np.array([s_ols, s_2sls, s_u]), gap, h_n
+    return stats, np.array([s_ols, s_u]), gap, h_n
 
 
-_VARIANCE_LABELS = ("ols", "tsls", "cf")
+_VARIANCE_LABELS = ("ols", "cf")
 
 
 def _decide(d: tuple[np.ndarray, ...], full_rank: np.ndarray, n: int, d_z1: int, d_z2: int) -> tuple[np.ndarray, ...]:
@@ -190,8 +188,9 @@ def _decide(d: tuple[np.ndarray, ...], full_rank: np.ndarray, n: int, d_z1: int,
 
     The checks, in order: the (4, B) flags ``full_rank`` of ``data.rank_checks``
     on ``d``, which the caller runs (``Dataset.rank`` for ``compute_statistics``);
-    the variance floor on the core's variances (ols, tsls, cf); finite core
-    results. Returns the (4, B) statistics, (B,) ``h_n``, (B, d_y1) beta gaps,
+    the variance floor on the core's variances (ols, cf: sigma2_2sls = sigma2_ols
+    + c with c >= 0 or nan is below the floor only where sigma2_ols is); finite
+    core results. Returns the (4, B) statistics, (B,) ``h_n``, (B, d_y1) beta gaps,
     all nan where a check fails, and (B,) codes: 1 + the index of the first
     failed check, or 0.
     """

@@ -80,7 +80,7 @@ class TestQuantile:
 @pytest.mark.parametrize("t", [40.0, 80.0, 200.0])
 def test_run_all_tests_tail_p_values(monkeypatch, df, t):
     """p-values far in the upper tail keep full relative accuracy."""
-    mpmath = pytest.importorskip("mpmath")
+    import mpmath
     stats = endogeneity.Statistics(
         t_h1=t, t_h2=t, t_h3=t, t_cf=t, h_n=0.0, df=df, beta_gap=np.zeros(df),
     )

@@ -85,7 +85,6 @@ class TestHausmanStatistic:
     def test_ill_conditioned_draws_match_oracle(self, draw):
         # Subtracting two Gram inverses lost 1e-6 (weak) and 4e-2 (strong)
         # of t_h1 on these draws.
-        pytest.importorskip("mpmath")
         import oracle
 
         b = ILL_CONDITIONED_DRAWS[draw]()
@@ -100,7 +99,6 @@ class TestHausmanStatistic:
         # A K formed as a difference of nearly equal grams lost 4e-6
         # (near_exact_fit) and 2e-7 (c_10000) of t_h1, and a gap taken as a
         # difference of two fits lost 1e-5 of near_exact_fit's gap and h_n.
-        pytest.importorskip("mpmath")
         import oracle
 
         b = STRONG_FIRST_STAGE_DRAWS[draw]()
@@ -135,28 +133,33 @@ class TestHausmanStatistic:
         assert len(calls) == 0
 
     def test_small_factorization_budget(self, monkeypatch, f1_path):
-        # The rank stage's four SVDs of R's blocks decide every command, once
-        # per Dataset, and the statistics core makes one more, of the
-        # d_z2 x d_y1 R23 R33^-1; only the reference side of verify solves
-        # least squares, each problem on a few rows of R.
-        svds, solves, stages = [], [], []
-        np_svd, np_lstsq, checks = np.linalg.svd, np.linalg.lstsq, data.rank_checks
+        # Ingest's one QR (data.factor) makes R; the rank stage's four SVDs of
+        # R's blocks decide every command, once per Dataset, and the statistics
+        # core makes one more, of the d_z2 x d_y1 R23 R33^-1, which also gives
+        # the 2SLS fit; only the reference side of verify solves least squares,
+        # each problem on a few rows of R.
+        qrs, svds, solves, stages = [], [], [], []
+        np_qr, np_svd, np_lstsq, checks = np.linalg.qr, np.linalg.svd, np.linalg.lstsq, data.rank_checks
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: qrs.append(1) or np_qr(*args, **kw))
         monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: svds.append(1) or np_svd(*args, **kw))
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda a, *args, **kw: solves.append(np.shape(a)) or np_lstsq(a, *args, **kw))
         # verify's least squares: the three fits and (Z1'Z1)^-1 Z1'Y1
-        for command, expected in (("test", (5, 0)), ("verify", (5, 4))):
+        for command, expected in (("test", (1, 5, 0)), ("verify", (1, 5, 4))):
+            qrs.clear()
             svds.clear()
             solves.clear()
             assert main([command, str(f1_path), *F1_ARGS]) == 0
-            assert (len(svds), len(solves)) == expected, command
+            assert (len(qrs), len(svds), len(solves)) == expected, command
 
         ds = random_admissible_dataset(np.random.default_rng(10), n=80, d_y1=2)
         monkeypatch.setattr(data, "rank_checks", lambda d: stages.append(1) or checks(d))
+        qrs.clear()
         solves.clear()
         for run in (validate, compute_statistics, run_all_tests, verify_identities, fit_ols, fit_tsls, fit_cf):
             run(ds)
         assert len(stages) == 1
+        assert len(qrs) == 0
         assert len(solves) == 7 and all(rows <= ds.r.shape[0] for rows, _ in solves)
 
 
