@@ -99,16 +99,16 @@ def _test_report_text(report: endogeneity.TestReport, fmt: str) -> str:
         return simulation.json_text(_test_report_dict(report))
     alphas = sorted(report.decisions)
     if fmt == "csv":
-        rows = [["test", "statistic", "p_value"] + [f"reject_at_{a:g}" for a in alphas]]
+        rows = [["test", "statistic", "p_value"] + [f"reject_at_{a!r}" for a in alphas]]
         for name, value in report.by_name().items():
             rows.append([name, repr(value), repr(report.p_values[name])]
                         + [str(int(report.decisions[a][name])) for a in alphas])
         return _lines(",".join(row) for row in rows)
     lines = [f"Endogeneity tests (df = {report.df}, h_n = {report.h_n:.6g})",
-             f"{'test':<6} {'statistic':>14} {'p-value':>10}  " + "  ".join(f"a={a:g}" for a in alphas)]
+             f"{'test':<6} {'statistic':>14} {'p-value':>10}  " + "  ".join(f"a={a!r}" for a in alphas)]
     for name, value in report.by_name().items():
         marks = "  ".join(
-            ("reject" if report.decisions[a][name] else "accept").center(max(6, len(f"a={a:g}")))
+            ("reject" if report.decisions[a][name] else "accept").center(max(6, len(f"a={a!r}")))
             for a in alphas
         )
         lines.append(f"{name:<6} {value:>14.6f} {report.p_values[name]:>10.4g}  {marks}")
@@ -179,6 +179,8 @@ def cmd_test(args) -> tuple[int, str]:
 
 
 def cmd_verify(args) -> tuple[int, str]:
+    if args.random is not None and args.data is not None:
+        raise EndocheckError("verify takes a CSV path or --random, not both")
     if args.random is not None:
         ds = _random_dataset(args.random)
     elif args.data is None:

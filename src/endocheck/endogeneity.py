@@ -10,7 +10,9 @@ variance. One core on the designs of the triangular factor R
 block. ``verify_identities`` compares the core against the fits and the
 Hausman K form, ``K = gram_ols - gram_2sls = R33'R33``, solved with the block
 R33 of R that holds V_hat. P-values and critical values are the chi-square
-upper tail of ``chi2_sf`` and ``chi2_critical``.
+upper tail of ``chi2_sf`` and ``chi2_critical``, from ``scipy.special``,
+which they import on their first call: the statistics and
+``verify_identities`` never load scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import chdtrc, chdtri
 
 from .data import RANK_MESSAGES, Dataset, InvalidDataset, designs, rank_checks
 from .errors import DegenerateVariance, EndocheckError
@@ -37,6 +38,7 @@ def chi2_sf(df: int, x: float) -> float:
     degrees of freedom, accurate where ``1 - CDF`` rounds to zero."""
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
+    from scipy.special import chdtrc  # deferred: most of the import time; verify never needs it
     return float(chdtrc(df, max(x, 0.0)))  # chdtrc is nan below zero, where the tail is one
 
 
@@ -47,6 +49,7 @@ def chi2_critical(df: int, alpha: float) -> float:
         raise ValueError(f"df must be >= 1, got {df}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    from scipy.special import chdtri  # deferred: most of the import time; verify never needs it
     return float(chdtri(df, alpha))
 
 

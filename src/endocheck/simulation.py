@@ -5,7 +5,8 @@ mixing (seed, replication_index) through a splitmix64-style avalanche, so
 results do not depend on replication order or scheduling, and are
 independent of the worker count. Normal variates are produced by
 inverse-CDF transform of PCG64 uniforms (no ziggurat), which pins the exact
-draw sequence for a given substream seed.
+draw sequence for a given substream seed. The inverse CDF is
+``scipy.special.ndtri``, imported at the first draw.
 
 The Monte Carlo runs in blocks of replications, submitted in order to one
 worker thread per usable CPU and read in order as futures; the blocks in
@@ -34,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import Dataset, check_w, factor
 from .endogeneity import TEST_NAMES, block_statistics, chi2_critical
@@ -223,6 +223,7 @@ def _draw_block(cfg: DgpConfig, seed: int, reps: range) -> np.ndarray:
     for row, rep in zip(normal, reps):
         np.random.Generator(np.random.PCG64(_substream_seed(seed, rep))).random(out=row)
     normal += 2.0**-54
+    from scipy.special import ndtri  # deferred: most of the import time; only draws need it
     ndtri(normal, out=normal)
 
     z = normal[:, :n * dz].reshape(-1, n, dz)
@@ -329,6 +330,7 @@ def run_monte_carlo(dgp: DgpConfig, sim: SimConfig) -> SimResult:
     blocks are grouped, or on which worker ran which block: the result does
     not depend on the worker count.
     """
+    # Before the first block: this also loads scipy.special here, not in a worker.
     crit = [chi2_critical(dgp.d_y1, alpha) for alpha in sim.alphas]
     totals = np.zeros(2 + len(sim.tests) * len(sim.alphas), dtype=np.int64)
     held, doubles = [], 0  # the R factors read and not yet tallied

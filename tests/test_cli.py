@@ -173,6 +173,16 @@ class TestCmdTest:
         assert code == 0, err
         assert strict_json(out)["decisions"]["1e-17"] == {name: False for name in ("t_h1", "t_h2", "t_h3", "t_cf")}
 
+    def test_close_levels_get_distinct_labels(self, capsys, f1_path):
+        # "%g" labelled both levels 0.05; repr tells them apart, as the json keys do.
+        argv = ["test", str(f1_path), *F1_ARGS, "--alpha", "0.05,0.050000001"]
+        code, out, _ = run(capsys, [*argv, "--format", "csv"])
+        assert code == 0
+        assert out.splitlines()[0] == "test,statistic,p_value,reject_at_0.05,reject_at_0.050000001"
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[1].split()[-2:] == ["a=0.05", "a=0.050000001"]
+
     @pytest.mark.parametrize("alpha", ["0.05,x", "1.5"])
     def test_bad_alpha_is_a_usage_error(self, capsys, f1_path, alpha):
         with pytest.raises(SystemExit) as exc:
@@ -329,6 +339,14 @@ class TestCmdVerify:
     def test_no_input(self, capsys):
         code, _, err = run(capsys, ["verify"])
         assert code == 2
+
+    @pytest.mark.parametrize("tokens", [["n=50"], []], ids=["tokens", "bare"])
+    def test_csv_and_random_exits_2(self, capsys, f1_path, tokens):
+        # The CSV was never read: verify exited 0 on the random dataset alone.
+        code, out, err = run(capsys, ["verify", str(f1_path), *F1_ARGS, "--random", *tokens, "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert err == "endocheck: verify takes a CSV path or --random, not both\n"
 
     def test_random_infinite_c_exits_5(self, capsys):
         code, out, err = run(capsys, ["verify", "--random", "c=inf"])

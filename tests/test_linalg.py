@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import subprocess
@@ -93,15 +94,41 @@ def test_rank_tolerance_is_the_max_column_norm_bit_for_bit():
     assert seen == {True, False}
 
 
-def test_package_import_leaves_scipy_linalg_unloaded():
-    # Only scipy.special is needed; scipy.linalg would add to every CLI call's start-up.
+F1 = str(Path(__file__).resolve().parent / "fixtures" / "f1.csv")
+F1_ARGS = [F1, "--outcome", "y", "--endog", "x", "--exog", "none", "--add-intercept", "--iv", "z1,z2"]
+F1_ROLES = {"y": "outcome", "x": "endogenous", "z1": "instrument", "z2": "instrument"}
+
+# Each case runs in a fresh interpreter. The last two need p-values or draws.
+SCIPY_CASES = {
+    "package": "import endocheck, endocheck.cli",
+    "verify_csv": f"from endocheck.cli import main; assert main({['verify', *F1_ARGS]!r}) == 0",
+    "library": (
+        "from endocheck import compute_statistics, load_csv, validate, verify_identities\n"
+        f"ds = load_csv({F1!r}, {F1_ROLES!r}, add_intercept=True)\n"
+        "assert validate(ds).all_ok\n"
+        "compute_statistics(ds)\n"
+        "assert verify_identities(ds).within(1e-8)"
+    ),
+    "test_csv": f"from endocheck.cli import main; assert main({['test', *F1_ARGS]!r}) == 0",
+    "verify_random": "from endocheck.cli import main; assert main(['verify', '--random']) == 0",
+}
+
+
+@pytest.mark.parametrize("case", SCIPY_CASES)
+def test_scipy_loads_only_where_needed(case):
+    # scipy.special is most of the import time: only a p-value, a critical value or a
+    # draw loads it, and no command loads scipy.linalg, scipy.stats or scipy.integrate.
     src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-B", "-c", "import sys, endocheck, endocheck.cli; print('scipy.linalg' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
-    )
+    code = f"import sys\n{SCIPY_CASES[case]}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-B", "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    loaded = ast.literal_eval(done.stdout.splitlines()[-1])
+    if case in ("test_csv", "verify_random"):
+        subpackages = {m.split(".")[1] for m in loaded if "." in m}
+        assert "special" in subpackages and not subpackages & {"linalg", "stats", "integrate"}
+    else:
+        assert loaded == []
 
 
 def test_every_layer_the_perfbench_tracer_names_imports():
