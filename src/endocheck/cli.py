@@ -225,7 +225,7 @@ def cmd_simulate(args) -> tuple[int, str]:
     rhos = [";".join(f"{r:g}" for r in point["rho"]) for point in document["points"]]
     for rho, point in zip(rhos, document["points"]):
         for row in point["rates"]:
-            lines.append(f"{row['test']:<6} {row['alpha']:>6g} {rho:>12} "
+            lines.append(f"{row['test']:<6} {row['alpha']!r:>6} {rho:>12} "
                          f"{_table_cell(row['rate'])} {_table_cell(row['stderr'])}")
     for rho, point in zip(rhos, document["points"]):
         if point["degenerate_count"] or point["ordering_violations"]:

@@ -62,7 +62,7 @@ def _variance_floor(designs: tuple[np.ndarray, ...], n: int):
     # a degenerate variance, not sampling noise. mean(y2^2) is read from the
     # outcome's rows of R, one value per stacked R.
     *_, y, r44 = designs
-    return 1e-24 * ((np.sum(np.square(y), axis=-1) + np.square(r44)) / n + 1.0)
+    return 1e-24 * ((np.square(y).sum(axis=-1) + np.square(r44)) / n + 1.0)
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,9 @@ class StatisticValues:
         chain hold in floating point, so the Monte Carlo checks it with no
         slack."""
         chain = (self.t_cf, self.t_h1, self.t_h2, self.t_h3)
+        if isinstance(self.t_cf, float):  # a nan anywhere makes the chained comparison false
+            cf, h1, h2, h3 = chain
+            return bool(cf > h1 > h2 > h3 if strict else cf >= h1 >= h2 >= h3)
         holds = np.greater if strict else np.greater_equal
         ok = np.logical_and.reduce([holds(a, b) for a, b in zip(chain, chain[1:])])
         return ok if np.ndim(ok) else bool(ok)
@@ -110,11 +113,7 @@ def compute_statistics(ds: Dataset) -> Statistics:
     values, h_n, gap, failed = _decide(d, ds.rank[0][:, None], ds.n, ds.d_z1, ds.d_z2)
     if failed[0]:
         raise _failure(int(failed[0]))
-    return Statistics(*(float(v) for v in values[:, 0]), h_n=float(h_n[0]), df=ds.d_y1, beta_gap=gap[0])
-
-
-def _mT(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
+    return Statistics(*values[:, 0].tolist(), h_n=float(h_n[0]), df=ds.d_y1, beta_gap=gap[0])
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,26 +159,28 @@ def _statistics_core(designs: tuple[np.ndarray, ...], n: int, d_z1: int, d_z2: i
     r23, r33 = x[:, d_z1:dz, :d_y1], x[:, dz:, :d_y1]
     r24, r34 = y[:, d_z1:dz, None], y[:, dz:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = _mT(_solve(_mT(r33), _mT(r23)))  # R23 R33^-1
+        ratio = _solve(r33.swapaxes(1, 2), r23.swapaxes(1, 2)).swapaxes(1, 2)  # R23 R33^-1
         # A stacked SVD raises on any nan; the rank stage flags each replication that has one here.
         u, s, qt = np.linalg.svd(np.where(np.isfinite(ratio), ratio, 0.0))
-        c1, c2 = np.split((_mT(u) @ r24)[..., 0], [d_y1], axis=-1)
+        uc = (u.swapaxes(1, 2) @ r24)[..., 0]
+        c1, c2 = uc[:, :d_y1], uc[:, d_y1:]
         w = (qt @ r34)[..., 0]
         s2 = np.square(s)
-        s_u = (np.square(r44) + np.sum(np.square(c2), axis=-1)) / n
+        s2p1 = 1.0 + s2
+        s_u = (np.square(r44) + np.square(c2).sum(axis=-1)) / n
         t = s * w - c1
-        a = np.square(t) / (1.0 + s2)
-        z = t / (s * (1.0 + s2))
-        gap = _solve(r33, _mT(qt) @ z[..., None])[..., 0]
-        c = np.sum((1.0 + s2) * np.square(z), axis=-1) / n  # sigma2_2sls - sigma2_ols
-        s_ols = s_u + np.sum(a, axis=-1) / n
+        a = np.square(t) / s2p1
+        z = t / (s * s2p1)
+        gap = _solve(r33, qt.swapaxes(1, 2) @ z[..., None])[..., 0]
+        c = (s2p1 * np.square(z)).sum(axis=-1) / n  # sigma2_2sls - sigma2_ols
+        s_ols = s_u + a.sum(axis=-1) / n
         s_2sls = s_ols + c
         h_n = c / s_2sls
-        t_cf = np.sum(a / s_u[:, None], axis=-1)
-        t_h1 = np.sum(a / s_ols[:, None], axis=-1)
-        t_h2 = np.sum(a / s_2sls[:, None], axis=-1)
-        t_h3 = np.sum(a / (s_2sls[:, None] + c[:, None] * s2), axis=-1)
-        stats = np.array([t_h1, t_h2, t_h3, t_cf])
+        # The variances of t_h1, t_h2, t_h3 and t_cf, one row each, over which a sums.
+        v = np.empty((4, *a.shape))
+        v[0], v[1], v[3] = s_ols[:, None], s_2sls[:, None], s_u[:, None]
+        np.add(s_2sls[:, None], c[:, None] * s2, out=v[2])
+        stats = (a / v).sum(axis=-1)
     return stats, np.array([s_ols, s_u]), gap, h_n
 
 
@@ -198,11 +199,14 @@ def _decide(d: tuple[np.ndarray, ...], full_rank: np.ndarray, n: int, d_z1: int,
     failed check, or 0.
     """
     stats, variances, gap, h_n = _statistics_core(d, n, d_z1, d_z2)
-    finite = np.isfinite(stats).all(axis=0) & np.isfinite(gap).all(axis=1) & np.isfinite(h_n)
-    fails = np.array([*~full_rank, *(variances <= _variance_floor(d, n)), ~finite])
+    finite = np.isfinite(np.concatenate([stats, h_n[None], gap.T])).all(axis=0)
+    fails = np.concatenate([~full_rank, variances <= _variance_floor(d, n), ~finite[None]])
+    if not fails.any():  # the common case: no codes to find, no column to mask
+        return stats, h_n, gap, np.zeros(len(h_n), dtype=np.intp)
     failed = np.where(fails.any(axis=0), fails.argmax(axis=0) + 1, 0)
-    ok = failed == 0
-    return np.where(ok, stats, np.nan), np.where(ok, h_n, np.nan), np.where(ok[:, None], gap, np.nan), failed
+    bad = failed > 0
+    stats[:, bad] = h_n[bad] = gap[bad] = np.nan
+    return stats, h_n, gap, failed
 
 
 def _failure(code: int) -> EndocheckError:
@@ -285,7 +289,7 @@ class IdentityReport:
 
 def _rel_vec(a: np.ndarray, b: np.ndarray) -> float:
     # hypot scales, so coefficients near 1e160 do not overflow the norm.
-    return math.hypot(*(a - b)) / (1.0 + math.hypot(*b))
+    return math.hypot(*(a - b).tolist()) / (1.0 + math.hypot(*b.tolist()))
 
 
 def _rel_scalar(a: float, b: float) -> float:
@@ -315,7 +319,7 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
 
     # R33^-T G1 gap and R33^-T G2 gap in one solve; R33 is nonsingular once
     # compute_statistics has passed [X | V_hat], whose last columns are [0; R33].
-    f1, f2 = np.linalg.solve(r33.T, np.column_stack([b1.T @ b1_gap, b2.T @ (b2 @ gap)])).T
+    f1, f2 = np.linalg.solve(r33.T, np.array([b1.T @ b1_gap, b2.T @ (b2 @ gap)]).T).T
     # rho's closed form (V_hat'V_hat)^-1 G1 gap.
     rho_closed = np.linalg.solve(r33, f1)
     # The Hausman K form at unit variance, (G1 gap)'K^-1 (G2 gap) with K =
@@ -324,10 +328,10 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     form = float(f1 @ f2)
     t_cf_hausman = form / cf.sigma2_u
 
-    # Structural coefficient gap as a linear transform of the beta gap.
-    z1y1 = np.linalg.lstsq(z[:ds.d_z1, :ds.d_z1], x[:ds.d_z1, :ds.d_y1], rcond=None)[0]  # (Z1'Z1)^-1 Z1'Y1
-    transform = np.vstack([np.eye(ds.d_y1), -z1y1])
-    theta_gap_pred = transform @ gap
+    # Structural coefficient gap as a linear transform of the beta gap: the Z1
+    # coefficients move by -(Z1'Z1)^-1 Z1'Y1 gap = -R11^-1 R13 gap, with R11 the
+    # triangular Z1 block of R, nonsingular once Z has full rank.
+    theta_gap_pred = np.concatenate([gap, -np.linalg.solve(z[:ds.d_z1, :ds.d_z1], x[:ds.d_z1, :ds.d_y1] @ gap)])
 
     # sigma2 * t is the same for t_h1, t_h2 and t_cf, so the 2SLS side is the
     # Hausman K form itself.

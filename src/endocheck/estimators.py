@@ -52,7 +52,8 @@ def _sigma2(ds: Dataset, a: np.ndarray, coef: np.ndarray) -> float:
     """``||y2 - A coef||^2 / n`` for A = X or [X | V_hat]; ``InvalidDataset`` if ``coef`` is not finite."""
     *_, y, r44 = ds.designs
     resid = y - a @ _finite(coef)
-    return float(r44 * r44 + resid @ resid) / ds.n
+    r44 = float(r44)  # a 0-d array; Python floats round alike and cost less
+    return (r44 * r44 + float(resid @ resid)) / ds.n
 
 
 def _structural(ds: Dataset, theta: np.ndarray) -> FitResult:

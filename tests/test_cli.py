@@ -490,6 +490,14 @@ class TestCmdSimulate:
         rates = strict_json(out)["points"][0]["rates"]
         assert all(r["count"] == 0 for r in rates if r["alpha"] == 1e-17)
 
+    def test_close_levels_get_distinct_labels(self, capsys, tmp_path):
+        # "%g" labelled both levels 0.05; repr tells them apart, as the json and csv do.
+        cfg = self.config(tmp_path, dgp={"n": 30},
+                          sim={"replications": 20, "alphas": [0.05, 0.050000001], "tests": ["t_cf"]})
+        code, out, _ = run(capsys, ["simulate", "--config", str(cfg)])
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines()[1:]] == ["0.05", "0.050000001"]
+
     def test_all_degenerate_run_is_strict_json(self, capsys, tmp_path):
         cfg = self.config(tmp_path, dgp={"n": 50, "rho": [0.0], "sigma_u": 1e-300},
                           sim={"replications": 3})

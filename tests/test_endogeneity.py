@@ -136,16 +136,16 @@ class TestHausmanStatistic:
         # Ingest's one QR (data.factor) makes R; the rank stage's four SVDs of
         # R's blocks decide every command, once per Dataset, and the statistics
         # core makes one more, of the d_z2 x d_y1 R23 R33^-1, which also gives
-        # the 2SLS fit; only the reference side of verify solves least squares,
-        # each problem on a few rows of R.
+        # the 2SLS fit; only the three fits of verify's reference side solve
+        # least squares, each problem on a few rows of R.
         qrs, svds, solves, stages = [], [], [], []
         np_qr, np_svd, np_lstsq, checks = np.linalg.qr, np.linalg.svd, np.linalg.lstsq, data.rank_checks
         monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: qrs.append(1) or np_qr(*args, **kw))
         monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: svds.append(1) or np_svd(*args, **kw))
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda a, *args, **kw: solves.append(np.shape(a)) or np_lstsq(a, *args, **kw))
-        # verify's least squares: the three fits and (Z1'Z1)^-1 Z1'Y1
-        for command, expected in (("test", (1, 5, 0)), ("verify", (1, 5, 4))):
+        # verify's least squares: the three fits; (Z1'Z1)^-1 Z1'Y1 is a solve with R11
+        for command, expected in (("test", (1, 5, 0)), ("verify", (1, 5, 3))):
             qrs.clear()
             svds.clear()
             solves.clear()
@@ -160,7 +160,7 @@ class TestHausmanStatistic:
             run(ds)
         assert len(stages) == 1
         assert len(qrs) == 0
-        assert len(solves) == 7 and all(rows <= ds.r.shape[0] for rows, _ in solves)
+        assert len(solves) == 6 and all(rows <= ds.r.shape[0] for rows, _ in solves)
 
 
 class TestDataScale:

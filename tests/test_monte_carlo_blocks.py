@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from endocheck import (
+    DegenerateVariance,
     DgpConfig,
     EndocheckError,
     RankDeficient,
@@ -420,6 +421,50 @@ class TestBatchedCore:
         chain = StatisticValues(np.array([2.0, 2.0]), np.array([1.0, 3.0]), np.array([1.0, 1.0]),
                                 np.array([3.0, 3.0]))
         assert chain.ordered().tolist() == [True, False]
+        # A nan anywhere in a strictly ordered chain reads False, strict or not.
+        ordered = [2.0, 1.0, 0.5, 3.0]
+        for i in range(4):
+            values = ordered.copy()
+            values[i] = np.nan
+            for strict in (False, True):
+                assert StatisticValues(*values).ordered(strict=strict) is False
+                columns = StatisticValues(*(np.array([v, o]) for v, o in zip(values, ordered)))
+                assert columns.ordered(strict=strict).tolist() == [False, True]
+
+    def test_one_block_holds_a_failure_of_each_check(self):
+        """Passing replications in one stack with one failing each check of the
+        decision, in order: rank, the OLS and the CF variance floor, non-finite
+        results. Each slice equals compute_statistics of its replication bit for
+        bit, or that replication raises the check's error and its slice is
+        flagged and nan; masking one column leaves the others as they were."""
+        cfg = DgpConfig(n=30, d_y1=2, d_z2=3, beta=(1.0, 1.0), rho=(0.5, 0.3))
+        d_z1, d_z2 = cfg.d_z1, cfg.d_z2
+        dz = d_z1 + d_z2
+        w = simulation._draw_block(cfg, 0, range(8))
+        z, y1 = w[..., :dz], w[..., dz:-1]
+        w[1, :, dz - 1] = 2.0 * w[1, :, dz - 2]  # two instruments collinear
+        w[3, :, -1] = y1[3] @ np.array([1.0, -2.0]) + z[3, :, :d_z1] @ np.full(d_z1, 0.5)  # y2 in span(X)
+        w[5, :, -1] = y1[5, :, 0] - z[5] @ np.linalg.lstsq(z[5], y1[5, :, 0], rcond=None)[0]  # y2 = V_hat
+        w[6, :, :-1] *= 1e-300  # the beta gap overflows
+        w[6, :, -1] *= 1e50
+        failures = {
+            1: (RankDeficient, "Z = \\[Z1 \\| Z2\\] is rank deficient"),
+            3: (DegenerateVariance, "^ols residual variance"),
+            5: (DegenerateVariance, "^cf residual variance"),
+            6: (InvalidDataset, "^the test statistics are not finite"),
+        }
+        stats, flagged = block_statistics(factor(w), cfg.n, d_z1, d_z2)
+        assert flagged.tolist() == [i in failures for i in range(len(w))]
+        for i, wi in enumerate(w):
+            ds = Dataset.from_w(wi, d_z1, d_z2)
+            block = np.array([getattr(stats, name)[i] for name in TEST_NAMES])
+            if i in failures:
+                with pytest.raises(failures[i][0], match=failures[i][1]):
+                    compute_statistics(ds)
+                assert np.isnan(block).all()
+            else:
+                single = compute_statistics(ds)
+                assert block.tobytes() == np.array([getattr(single, name) for name in TEST_NAMES]).tobytes(), i
 
 
 def test_blocks_stay_within_the_element_budget(monkeypatch):
