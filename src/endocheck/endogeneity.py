@@ -8,11 +8,11 @@ coincides with the Hausman form evaluated at the control-function residual
 variance. One core on the designs of the triangular factor R
 (``data.designs``) gives all four statistics of a dataset or of a Monte Carlo
 block. ``verify_identities`` compares the core against the fits and the
-Hausman K form, ``K = gram_ols - gram_2sls = R33'R33``, solved with the block
-R33 of R that holds V_hat. P-values and critical values are the chi-square
-upper tail of ``chi2_sf`` and ``chi2_critical``, from ``scipy.special``,
-which they import on their first call: the statistics and
-``verify_identities`` never load scipy.
+Hausman K form, ``K = gram_ols - gram_2sls = R33'R33`` (R33 the block of R
+that holds V_hat), read off the 2SLS and OLS residuals on R33's rows. P-values
+and critical values are the chi-square upper tail of ``chi2_sf`` and
+``chi2_critical``, from ``scipy.special``, which they import on their first
+call: the statistics and ``verify_identities`` never load scipy.
 """
 
 from __future__ import annotations
@@ -309,19 +309,19 @@ def verify_identities(ds: Dataset, tol: float = 1e-8) -> IdentityReport:
     ols, tsls, cf = fit_ols(ds), fit_tsls(ds), fit_cf(ds)
     n = ds.n
     gap = ols.beta_hat - tsls.beta_hat
-    x, z, *_ = ds.designs
+    x, z, _, _, y, _ = ds.designs
+    dz = ds.d_z1 + ds.d_z2
     # M_Z1 drops the Z1 rows, so gram_ols = B1'B1 with B1 = [R23; R33] and
-    # gram_2sls = B2'B2 with B2 = R23: gram_ols - gram_2sls = R33'R33 = V_hat'V_hat.
-    b1 = x[ds.d_z1:, :ds.d_y1]
-    b2, r33 = b1[:ds.d_z2], b1[ds.d_z2:]
-    b1_gap = b1 @ gap
+    # gram_2sls = R23'R23: gram_ols - gram_2sls = R33'R33 = V_hat'V_hat.
+    b1_gap = x[ds.d_z1:, :ds.d_y1] @ gap
     h_n = float(b1_gap @ b1_gap) / (n * tsls.sigma2)
 
-    # R33^-T G1 gap and R33^-T G2 gap in one solve; R33 is nonsingular once
+    # R33^-T G1 gap and R33^-T G2 gap are the 2SLS and OLS residuals on R33's
+    # rows: below the Z1 rows B1 gap = e_2sls - e_ols, R23'e_2sls = 0 and B1'e_ols = 0.
+    f1, f2 = ((y - x @ fit.theta_hat)[dz:] for fit in (tsls, ols))
+    # rho's closed form (V_hat'V_hat)^-1 G1 gap; R33 is nonsingular once
     # compute_statistics has passed [X | V_hat], whose last columns are [0; R33].
-    f1, f2 = np.linalg.solve(r33.T, np.array([b1.T @ b1_gap, b2.T @ (b2 @ gap)]).T).T
-    # rho's closed form (V_hat'V_hat)^-1 G1 gap.
-    rho_closed = np.linalg.solve(r33, f1)
+    rho_closed = np.linalg.solve(x[dz:, :ds.d_y1], f1)
     # The Hausman K form at unit variance, (G1 gap)'K^-1 (G2 gap) with K =
     # R33'R33, is sigma2 * t for every sigma2: over the CF variance it is the
     # Hausman form of t_cf, against the core's.

@@ -137,20 +137,23 @@ class TestHausmanStatistic:
         # R's blocks decide every command, once per Dataset, and the statistics
         # core makes one more, of the d_z2 x d_y1 R23 R33^-1, which also gives
         # the 2SLS fit; only the three fits of verify's reference side solve
-        # least squares, each problem on a few rows of R.
-        qrs, svds, solves, stages = [], [], [], []
-        np_qr, np_svd, np_lstsq, checks = np.linalg.qr, np.linalg.svd, np.linalg.lstsq, data.rank_checks
+        # least squares, each problem on a few rows of R. The core's two square
+        # solves are with R33' (R23 R33^-1) and R33 (the gap); verify adds one
+        # with R33 (rho's closed form) and one with R11 ((Z1'Z1)^-1 Z1'Y1), and
+        # reads the Hausman K form off the fits' residuals with none.
+        qrs, svds, solves, square, stages = [], [], [], [], []
+        np_qr, np_svd, np_lstsq, np_solve = np.linalg.qr, np.linalg.svd, np.linalg.lstsq, np.linalg.solve
+        checks = data.rank_checks
         monkeypatch.setattr(np.linalg, "qr", lambda *args, **kw: qrs.append(1) or np_qr(*args, **kw))
         monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: svds.append(1) or np_svd(*args, **kw))
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda a, *args, **kw: solves.append(np.shape(a)) or np_lstsq(a, *args, **kw))
-        # verify's least squares: the three fits; (Z1'Z1)^-1 Z1'Y1 is a solve with R11
-        for command, expected in (("test", (1, 5, 0)), ("verify", (1, 5, 3))):
-            qrs.clear()
-            svds.clear()
-            solves.clear()
+        monkeypatch.setattr(np.linalg, "solve", lambda *args, **kw: square.append(1) or np_solve(*args, **kw))
+        for command, expected in (("test", (1, 5, 0, 2)), ("verify", (1, 5, 3, 4))):
+            for calls in (qrs, svds, solves, square):
+                calls.clear()
             assert main([command, str(f1_path), *F1_ARGS]) == 0
-            assert (len(qrs), len(svds), len(solves)) == expected, command
+            assert (len(qrs), len(svds), len(solves), len(square)) == expected, command
 
         ds = random_admissible_dataset(np.random.default_rng(10), n=80, d_y1=2)
         monkeypatch.setattr(data, "rank_checks", lambda d: stages.append(1) or checks(d))
@@ -272,6 +275,13 @@ class TestVerifyIdentities:
     def test_rank_one_draw_within_gate(self):
         # A formed 2SLS gram put this draw's Hausman routes 3.2e-7 apart.
         assert verify_identities(ILL_CONDITIONED_DRAWS["rank_one"]().dataset()).max_gap() < 1e-7
+
+    def test_strong_first_stage_within_default_tol(self):
+        # Building G1 gap and G2 gap as B'(B gap), with B2 = R23 of size c, and
+        # solving with R33' put tcf_equivalence at 1.04e-6 here (verify exit 4);
+        # the fits' residuals carry the 2SLS fit's own error only.
+        report = verify_identities(STRONG_FIRST_STAGE_DRAWS["c_10000"]().dataset())
+        assert report.within(1e-8), report.gaps()
 
     def test_zero_rho_weak_ordering(self):
         rng = np.random.default_rng(5)

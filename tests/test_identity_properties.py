@@ -1,6 +1,8 @@
 """Property test: the exact identities and the statistic ordering hold on
 random admissible datasets drawn from the simulation's data-generating process."""
 
+import math
+
 from hypothesis import assume, given, settings, strategies as st
 
 from endocheck import DgpConfig, generate_dataset, validate, verify_identities
@@ -17,7 +19,9 @@ def dgp_configs(draw):
         d_z2=d_y1 + draw(st.integers(0, 3)),
         beta=(1.0,) * d_y1,
         gamma=(1.0,) * d_z1,
-        pi2_strength=draw(st.floats(0.5, 1.5)),
+        # Log-uniform from a moderate first stage to one a million times stronger,
+        # where gram_ols - gram_2sls is a tiny difference of huge grams.
+        pi2_strength=10.0 ** draw(st.floats(math.log10(0.5), 6.0)),
         rho=tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=d_y1, max_size=d_y1))),
     )
 
